@@ -9,13 +9,17 @@ violation was found in the sampled instances, never a proof; verdict
 Continuity has no finite test, so it is checked through its quantitative
 surrogate: a 1-Lipschitz bound in the sup norm, which all the well-behaved
 rules here satisfy and which a single jump breaks.
+
+A checker only calls its rule on profiles, so any callable from a
+``Profile`` to an ``EndpointMultiset`` can stand in for a ``Rule``; only the
+default sampling shape and the phantom probes read the rule itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .core import Domain, EndpointMultiset, Profile
 from .errors import ShapeMismatch, UnknownFixture
@@ -26,16 +30,19 @@ from .rules import (
     PRule,
     PositionVector,
     Rule,
-    apply_rule,
     extended_median,
 )
-from .sampling import random_permutation, random_profile, sorted_between, spawn
+from .sampling import (
+    random_permutation,
+    random_profile,
+    require_trials,
+    sampling_shape,
+    sorted_between,
+    spawn,
+)
 
 HOLDS = "holds-on-sample"
 VIOLATED = "violated"
-
-Evaluator = Callable[[Profile], EndpointMultiset]
-RuleLike = Union[Rule, Evaluator]
 
 
 @dataclass(frozen=True)
@@ -129,18 +136,6 @@ class AxiomReport:
             raise ValueError("a violation report needs a witness")
 
 
-def as_evaluator(rule: RuleLike) -> Evaluator:
-    """Normalize a rule description or a bare profile->endpoints callable."""
-    if isinstance(rule, Rule):
-        def evaluate(profile: Profile, _rule: Rule = rule) -> EndpointMultiset:
-            return apply_rule(profile, _rule)
-
-        return evaluate
-    if callable(rule):
-        return rule
-    raise TypeError(f"not a rule or evaluator: {rule!r}")
-
-
 # ---------------------------------------------------------------------------
 # consistency
 
@@ -193,7 +188,7 @@ def check_consistency(
 
 
 def check_unanimity(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -207,7 +202,7 @@ def check_unanimity(
     fills the remaining entries independently per agent, so unanimity is
     exercised both on fully unanimous profiles and column by column.
     """
-    evaluator = as_evaluator(rule)
+    require_trials(trials)
     domain = domain or Domain.unit()
     for t in range(trials):
         rng = spawn(seed, "unanimity", t)
@@ -232,7 +227,7 @@ def check_unanimity(
                 row[start - 1 : k - 1] = sorted_between(rng, lo, hi, k - start, 16)
             rows.append(tuple(row))
         profile = Profile.from_rows(domain, rows)
-        output = evaluator(profile)
+        output = rule(profile)
         for k in frozen:
             if output.values[k - 1] != base[k - 1]:
                 return AxiomReport(
@@ -252,7 +247,7 @@ def check_unanimity(
 
 
 def check_anonymity(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -265,7 +260,7 @@ def check_anonymity(
     The first trial always swaps agents 1 and 2; later trials draw random
     permutations, skipping the identity.
     """
-    evaluator = as_evaluator(rule)
+    require_trials(trials)
     domain = domain or Domain.unit()
     if n < 2:
         return AxiomReport("anonymity", HOLDS, seed=seed, trials=0)
@@ -279,8 +274,8 @@ def check_anonymity(
             if perm == tuple(range(1, n + 1)):
                 perm = (2, 1) + tuple(range(3, n + 1))
         permuted = Profile(tuple(profile.rows[i - 1] for i in perm))
-        output = evaluator(profile)
-        permuted_output = evaluator(permuted)
+        output = rule(profile)
+        permuted_output = rule(permuted)
         if output != permuted_output:
             return AxiomReport(
                 "anonymity",
@@ -330,7 +325,7 @@ def random_monotone_map(
 
 
 def check_stability(
-    rule: RuleLike, profile: Profile, phi: PiecewiseLinearMap
+    rule: Rule, profile: Profile, phi: PiecewiseLinearMap
 ) -> AxiomReport:
     """Relabeling the line and aggregating must commute.
 
@@ -338,11 +333,10 @@ def check_stability(
     decreasing map the transformed output is re-sorted, since reversal
     flips the reading order of the boundaries.
     """
-    evaluator = as_evaluator(rule)
     axiom = "stability" if phi.direction == "increasing" else "strong-stability"
-    output = evaluator(profile)
+    output = rule(profile)
     transformed = tuple(sorted(phi(v) for v in output.values))
-    output_of_transformed = evaluator(phi.map_profile(profile))
+    output_of_transformed = rule(phi.map_profile(profile))
     if transformed != output_of_transformed.values:
         return AxiomReport(
             axiom,
@@ -360,7 +354,7 @@ def check_stability(
 
 
 def check_stability_sampled(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -370,6 +364,7 @@ def check_stability_sampled(
     direction: str = "increasing",
 ) -> AxiomReport:
     """Stability over random profiles and random monotone relabelings."""
+    require_trials(trials)
     domain = domain or Domain.unit()
     axiom = "stability" if direction == "increasing" else "strong-stability"
     for t in range(trials):
@@ -387,7 +382,7 @@ def check_stability_sampled(
 
 
 def check_lipschitz(
-    rule: RuleLike,
+    rule: Rule,
     profile: Profile,
     eps: Fraction,
     trials: int,
@@ -399,9 +394,9 @@ def check_lipschitz(
     continuous at all, so any output movement beyond the exact input
     distance is reported as a continuity violation.
     """
-    evaluator = as_evaluator(rule)
+    require_trials(trials)
     eps = Fraction(eps)
-    base = evaluator(profile)
+    base = rule(profile)
     domain = profile.domain
     for t in range(trials):
         rng = spawn(seed, "lipschitz", t)
@@ -421,7 +416,7 @@ def check_lipschitz(
             ),
             default=Fraction(0),
         )
-        output = evaluator(perturbed)
+        output = rule(perturbed)
         output_distance = max(
             (abs(a - b) for a, b in zip(base.values, output.values)),
             default=Fraction(0),
@@ -480,10 +475,9 @@ def majority_extent_agents(
     )
 
 
-def check_majoritarian_words(rule: RuleLike, profile: Profile) -> AxiomReport:
+def check_majoritarian_words(rule: Rule, profile: Profile) -> AxiomReport:
     """Words active for a strict majority of agents must stay active."""
-    evaluator = as_evaluator(rule)
-    output = evaluator(profile)
+    output = rule(profile)
     supports = majority_word_sets(profile)
     for j, agents in enumerate(supports):
         if 2 * len(agents) >= profile.n + 1:
@@ -502,7 +496,7 @@ def check_majoritarian_words(rule: RuleLike, profile: Profile) -> AxiomReport:
 
 
 def check_majoritarian_extents(
-    rule: RuleLike,
+    rule: Rule,
     profile: Profile,
     word: int,
     a: Fraction,
@@ -515,13 +509,12 @@ def check_majoritarian_extents(
     also accepts an exact half (2|N| >= n).  Below the threshold the check
     holds vacuously.
     """
-    evaluator = as_evaluator(rule)
     agents = majority_extent_agents(profile, word, a, b)
     threshold = profile.n if weak else profile.n + 1
     axiom = "majoritarian-extents-weak" if weak else "majoritarian-extents"
     if 2 * len(agents) < threshold:
         return AxiomReport(axiom, HOLDS)
-    output = evaluator(profile)
+    output = rule(profile)
     if output.bound(word) <= a and b <= output.bound(word + 1):
         return AxiomReport(axiom, HOLDS)
     return AxiomReport(
@@ -567,6 +560,7 @@ def search_extent_violation(
     profiles and tests candidate intervals read off the sampled endpoints.
     Returns a witness dictionary or ``None`` after exhausting ``trials``.
     """
+    require_trials(trials)
     positions.validate_for(n)
     domain = domain or Domain.unit()
     rule = PRule(positions)
@@ -617,7 +611,7 @@ def search_extent_violation(
                     for b in rights:
                         if a < b:
                             pairs.append((word, a, b))
-        output = apply_rule(profile, rule)
+        output = rule(profile)
         for word, a, b in pairs:
             agents = majority_extent_agents(profile, word, a, b)
             if 2 * len(agents) < threshold:
@@ -644,7 +638,7 @@ def search_extent_violation(
 
 
 def check_strict_responsiveness(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -659,12 +653,10 @@ def check_strict_responsiveness(
     pooled median stuck, which is the generic failure.  Random trials then
     shift one column of a strict random profile.
     """
-    evaluator = as_evaluator(rule)
+    require_trials(trials)
+    n, m, domain = sampling_shape(rule, n, m, domain)
     if isinstance(rule, ExtendedMedianRule):
         matrix = rule.phantoms
-        domain = domain or matrix.domain
-        n = n or matrix.n
-        m = m or matrix.m
         for k in range(1, m + 1):
             column_phantoms = matrix.columns[k - 1]
             for idx, q in enumerate(column_phantoms, start=1):
@@ -691,12 +683,6 @@ def check_strict_responsiveness(
                             "after": after,
                         },
                     )
-    if isinstance(rule, PRule):
-        m = m or rule.positions.m
-        n = n or max(3, rule.positions.positions[-1])
-    domain = domain or Domain.unit()
-    n = n or 3
-    m = m or 2
     for t in range(trials):
         rng = spawn(seed, "responsiveness", t)
         profile = random_profile(rng, domain, n, m, strict=True, denominator=64)
@@ -708,8 +694,8 @@ def check_strict_responsiveness(
             shifted[k - 1] += slack * Fraction(rng.randint(1, 7), 8)
             rows.append(tuple(shifted))
         raised = Profile.from_rows(domain, rows)
-        before = evaluator(profile)
-        after = evaluator(raised)
+        before = rule(profile)
+        after = rule(raised)
         if not before.values[k - 1] < after.values[k - 1]:
             return AxiomReport(
                 "strict-responsiveness",
@@ -731,31 +717,43 @@ def check_strict_responsiveness(
 # benchmark fixtures: each one breaks exactly one of the four core axioms
 
 
-@dataclass(frozen=True)
-class NamedEvaluator:
-    """A bare aggregation function with a display name."""
+class _Fixture(Rule):
+    """A benchmark rule, described by its fixture name."""
 
-    name: str
-    fn: Callable[[Profile], EndpointMultiset]
+    name: ClassVar[str]
+
+    def describe(self) -> dict:
+        return {"kind": "fixture", "name": self.name}
+
+
+@dataclass(frozen=True)
+class InfRule(_Fixture):
+    """First boundary pinned at the lower corner, the rest the minimum report."""
+
+    name: ClassVar[str] = "inf-rule"
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
-        return self.fn(profile)
+        values = (profile.domain.lower,) + tuple(
+            min(profile.column(k)) for k in range(2, profile.m + 1)
+        )
+        return EndpointMultiset(profile.domain, values)
 
 
-def _floor_rule(profile: Profile) -> EndpointMultiset:
-    values = (profile.domain.lower,) + tuple(
-        min(profile.column(k)) for k in range(2, profile.m + 1)
-    )
-    return EndpointMultiset(profile.domain, values)
+@dataclass(frozen=True)
+class DiscontinuousRule(_Fixture):
+    """Column 1 takes its minimum while all reports differ, its maximum on ties."""
 
+    name: ClassVar[str] = "discontinuous-rule"
 
-def _jump_rule(profile: Profile) -> EndpointMultiset:
-    if profile.n < 3:
-        raise ShapeMismatch("the jump fixture needs at least three agents")
-    first = profile.column(1)
-    head = min(first) if len(set(first)) == len(first) else max(first)
-    values = (head,) + tuple(max(profile.column(k)) for k in range(2, profile.m + 1))
-    return EndpointMultiset(profile.domain, values)
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        if profile.n < 3:
+            raise ShapeMismatch("the jump fixture needs at least three agents")
+        first = profile.column(1)
+        head = min(first) if len(set(first)) == len(first) else max(first)
+        values = (head,) + tuple(
+            max(profile.column(k)) for k in range(2, profile.m + 1)
+        )
+        return EndpointMultiset(profile.domain, values)
 
 
 FIXTURE_TARGETS = {
@@ -766,7 +764,7 @@ FIXTURE_TARGETS = {
 }
 
 
-def fixture_rule(name: str) -> RuleLike:
+def fixture_rule(name: str) -> Rule:
     """One of the four benchmark rules, each failing exactly one core axiom.
 
     * ``inf-rule``: first boundary pinned at the lower corner, the rest take
@@ -776,11 +774,11 @@ def fixture_rule(name: str) -> RuleLike:
     * ``discontinuous-rule``: minimum of column 1 while its reports are all
       distinct, maximum on ties; the switch is a jump.
     """
-    fixtures: dict[str, RuleLike] = {
-        "inf-rule": NamedEvaluator("inf-rule", _floor_rule),
+    fixtures: dict[str, Rule] = {
+        "inf-rule": InfRule(),
         "dictator": DictatorRule(1),
         "mean": MeanRule(),
-        "discontinuous-rule": NamedEvaluator("discontinuous-rule", _jump_rule),
+        "discontinuous-rule": DiscontinuousRule(),
     }
     try:
         return fixtures[name]
@@ -795,7 +793,7 @@ def fixture_rule(name: str) -> RuleLike:
 
 
 def run_axiom_battery(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -809,6 +807,7 @@ def run_axiom_battery(
     Every third continuity profile is drawn from a coarse lattice so that
     tied columns, where discontinuities hide, appear regularly.
     """
+    require_trials(trials)
     domain = domain or Domain.unit()
     reports = {
         "unanimity": check_unanimity(rule, trials, seed, domain=domain, n=n, m=m),

@@ -18,8 +18,8 @@ import os
 import sys
 from typing import Optional
 
-from .axioms import VIOLATED, as_evaluator, check_majoritarian_words, run_axiom_battery
-from .core import Domain, decode_endpoints
+from .axioms import VIOLATED, check_majoritarian_words, run_axiom_battery
+from .core import Domain, as_rational, decode_endpoints
 from .errors import ParseError, VocaggError
 from .exemplars import aggregate_gaps, collective_incomplete, gaps_of, induce
 from .io import (
@@ -29,13 +29,12 @@ from .io import (
     jsonify,
     load_json,
     parse_profile,
-    rational_str,
     report_to_json,
     rule_from_descriptor,
     serialize_result,
 )
 from .render import render_diagram
-from .rules import PRule
+from .rules import PRule, Rule
 from .strategic import sp_fuzz, uncompromising_fuzz
 
 RULE_HELP = (
@@ -72,15 +71,13 @@ def _parse_domain_flag(text: str) -> Domain:
     lower, sep, upper = text.partition(":")
     if not sep:
         raise ParseError(f"domain flag needs LOWER:UPPER, got {text!r}")
-    from .core import as_rational
-
     try:
         return Domain(as_rational(lower), as_rational(upper))
     except ValueError as exc:
         raise ParseError(f"bad domain {text!r}: {exc}") from None
 
 
-def _resolve_rule(text: str, n: int, m: int, domain: Domain) -> object:
+def _resolve_rule(text: str, n: int, m: int, domain: Domain) -> Rule:
     if text.startswith("emed:"):
         payload = load_json(_read_text(text[len("emed:") :]))
         if isinstance(payload, list):
@@ -91,13 +88,19 @@ def _resolve_rule(text: str, n: int, m: int, domain: Domain) -> object:
     return rule_from_descriptor(text, n, m, domain)
 
 
-def _extent_json(extent: Optional[tuple]) -> Optional[list]:
-    if extent is None:
-        return None
-    return [rational_str(extent[0]), rational_str(extent[1])]
+def _count(least: int):
+    """An argparse type: an integer of at least ``least``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
 
 
-def _positions_rule(rule: object) -> PRule:
+def _positions_rule(rule: Rule) -> PRule:
     if not isinstance(rule, PRule):
         raise ParseError(
             "gap aggregation needs a positional rule (median or p:...)"
@@ -117,7 +120,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         )
     profile = parsed.profile
     rule = _resolve_rule(args.rule, profile.n, profile.m, profile.domain)
-    endpoints = as_evaluator(rule)(profile)
+    endpoints = rule(profile)
     document = build_result(rule, parsed.words, endpoints)
     _write_text(args.output, serialize_result(document))
     return 0
@@ -173,7 +176,7 @@ def _cmd_sp_check(args: argparse.Namespace) -> int:
             "misreport": jsonify(witness.misreport),
             "truthful_outcome": jsonify(witness.truthful_outcome),
             "manipulated_outcome": jsonify(witness.manipulated_outcome),
-            "gain": rational_str(witness.gain),
+            "gain": jsonify(witness.gain),
         },
         "uncompromising": None
         if verdict is None
@@ -207,35 +210,18 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     vocabularies, gap_rows, rule, collective_gaps, collective = _induced_pipeline(
         parsed, args.rule, args.order
     )
+    words = list(parsed.words)
     payload = {
         "rule": describe_rule(rule),
         "order": args.order,
-        "domain": {
-            "lower": rational_str(parsed.domain.lower),
-            "upper": rational_str(parsed.domain.upper),
-        },
-        "words": list(parsed.words),
+        "domain": jsonify({"lower": parsed.domain.lower, "upper": parsed.domain.upper}),
+        "words": words,
         "agents": [
-            {
-                "extents": {
-                    name: _extent_json(extent)
-                    for name, extent in zip(parsed.words, vocabulary.extents)
-                },
-                "gaps": [
-                    [rational_str(left), rational_str(right)]
-                    for left, right in gaps.gaps
-                ],
-            }
-            for vocabulary, gaps in zip(vocabularies, gap_rows)
+            {"extents": dict(zip(words, jsonify(v.extents))), "gaps": jsonify(g.gaps)}
+            for v, g in zip(vocabularies, gap_rows)
         ],
-        "collective_gaps": [
-            [rational_str(left), rational_str(right)]
-            for left, right in collective_gaps.gaps
-        ],
-        "vocabulary": {
-            name: _extent_json(extent)
-            for name, extent in zip(parsed.words, collective.extents)
-        },
+        "collective_gaps": jsonify(collective_gaps.gaps),
+        "vocabulary": dict(zip(words, jsonify(collective.extents))),
     }
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -256,7 +242,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             rule = _resolve_rule(
                 args.rule, parsed.profile.n, parsed.profile.m, parsed.domain
             )
-            collective = decode_endpoints(as_evaluator(rule)(parsed.profile))
+            collective = decode_endpoints(rule(parsed.profile))
     if collective is not None:
         _write_text(
             args.output, render_diagram(collective, args.format, parsed.words)
@@ -303,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "axioms", help="run the unanimity/anonymity/stability/continuity battery"
     )
     axioms.add_argument("--rule", required=True, help=RULE_HELP)
-    axioms.add_argument("--trials", type=int, default=200)
+    axioms.add_argument("--trials", type=_count(1), default=200)
     axioms.add_argument("--seed", type=int, default=0)
     axioms.add_argument("--n", type=int, default=3, help="number of agents to sample")
     axioms.add_argument("--m", type=int, default=3, help="number of boundaries to sample")
@@ -320,9 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sp-check", help="fuzz for profitable misreports and bracketing failures"
     )
     sp_check.add_argument("--rule", required=True, help=RULE_HELP)
-    sp_check.add_argument("--trials", type=int, default=2000)
+    sp_check.add_argument("--trials", type=_count(1), default=2000)
     sp_check.add_argument("--seed", type=int, default=0)
-    sp_check.add_argument("--grid", type=int, default=16, help="deviation lattice denominator")
+    sp_check.add_argument(
+        "--grid", type=_count(2), default=16, help="deviation lattice denominator"
+    )
     sp_check.add_argument("--n", type=int, default=3)
     sp_check.add_argument("--m", type=int, default=3)
     sp_check.add_argument("--domain", default="0:1")

@@ -19,15 +19,20 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DomainMismatch, InvalidVocabulary, ParseError, ShapeMismatch
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
+
+# Decimal text past the interpreter's int-to-text limit goes through
+# ``Decimal``, which has no such limit, so values of any size convert without
+# touching ``sys.set_int_max_str_digits``.
+_PLAIN_NUMERAL = re.compile(r"[-+]?\d+(?:/\d+|\.\d*)?")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -48,11 +53,29 @@ def as_rational(value: RationalLike) -> Fraction:
             f"refusing float {value!r}: pass a string or Fraction for exact input"
         )
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            try:
+                return Fraction(text)
+            except ValueError:
+                if not _PLAIN_NUMERAL.fullmatch(text):
+                    raise
+                numerator, _, denominator = text.partition("/")
+                return Fraction(Decimal(numerator)) / Fraction(Decimal(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational numeral: {value!r}") from exc
     raise ParseError(f"not a rational value: {value!r}")
+
+
+def rational_str(value: RationalLike) -> str:
+    """Canonical string form: ``"p/q"``, or just ``"p"`` for integers."""
+    value = Fraction(value)
+    numerator, denominator = value.numerator, value.denominator
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        text = str(Decimal(numerator))
+        return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .axioms import AxiomReport
+from .axioms import AxiomReport, fixture_rule
 from .core import (
     Domain,
     EndpointMultiset,
@@ -33,6 +34,7 @@ from .core import (
     as_rational,
     decode_endpoints,
     encode_vocabulary,
+    rational_str,
 )
 from .errors import ParseError, VocaggError
 from .exemplars import LabeledExemplars
@@ -44,16 +46,9 @@ from .rules import (
     PhantomMatrix,
     PositionVector,
     PRule,
+    Rule,
     median_positions,
 )
-
-
-def rational_str(value: Fraction) -> str:
-    """Canonical string form: ``"p/q"``, or just ``"p"`` for integers."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
@@ -73,6 +68,9 @@ def load_json(text: str) -> object:
         return json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:
+        # an integer literal past the interpreter's int-to-text limit
+        return json.loads(text, parse_float=str, parse_int=lambda digits: int(Decimal(digits)))
 
 
 def jsonify(value: object) -> object:
@@ -283,7 +281,7 @@ def _parse_exemplar_agents(
             )
         points = []
         for j, label in enumerate(labels):
-            if label not in index_of:
+            if not isinstance(label, str) or label not in index_of:
                 raise ParseError(f"{where}[{j}]: unknown word {label!r}")
             points.append((values[j], index_of[label]))
         try:
@@ -297,73 +295,37 @@ def _parse_exemplar_agents(
 # rule descriptors
 
 
-def describe_rule(rule: object) -> dict:
+def describe_rule(rule: Rule) -> dict:
     """The canonical JSON descriptor that rebuilds a rule."""
-    if isinstance(rule, PRule):
-        return {"kind": "p-rule", "positions": list(rule.positions.positions)}
-    if isinstance(rule, ExtendedMedianRule):
-        return {
-            "kind": "extended-median",
-            "columns": [
-                [rational_str(q) for q in column]
-                for column in rule.phantoms.columns
-            ],
-        }
-    if isinstance(rule, MeanRule):
-        return {"kind": "mean"}
-    if isinstance(rule, MultisetRule):
-        return {"kind": "multiset"}
-    if isinstance(rule, DictatorRule):
-        return {"kind": "dictator", "agent": rule.agent}
-    name = getattr(rule, "name", None)
-    if name is not None:
-        return {"kind": "fixture", "name": name}
-    raise ParseError(f"cannot describe rule {rule!r}")
+    return rule.describe()
 
 
-def _p_rule(entries: tuple[int, ...], n: int) -> PRule:
-    try:
-        positions = PositionVector(entries)
-        positions.validate_for(n)
-    except (ValueError, VocaggError) as exc:
-        raise ParseError(str(exc)) from None
-    return PRule(positions)
+def _string_descriptor(text: str) -> dict:
+    """The descriptor object a CLI string form stands for."""
+    head, _, tail = text.strip().partition(":")
+    if head in ("median", "mean", "multiset") and not tail:
+        return {"kind": head}
+    if head == "dictator":
+        return {"kind": "dictator", "agent": tail}
+    if head == "p":
+        return {"kind": "p-rule", "positions": tail.split(",")}
+    if head == "fixture":
+        return {"kind": "fixture", "name": tail}
+    raise ParseError(f"unknown rule {text!r}")
 
 
 def rule_from_descriptor(
     descriptor: Union[dict, str], n: int, m: int, domain: Domain
-) -> object:
+) -> Rule:
     """Rebuild a rule from a descriptor object or CLI string.
 
     String forms: ``median``, ``mean``, ``multiset``, ``dictator:i``,
-    ``p:2,3,4``, ``fixture:name``.  The ``median`` form resolves the
-    positions from the profile shape at hand.
+    ``p:2,3,4``, ``fixture:name``; each is read as its descriptor object.
+    The ``median`` kind resolves the positions from the profile shape at
+    hand.
     """
-    from .axioms import fixture_rule  # local import to avoid a cycle at module load
-
     if isinstance(descriptor, str):
-        text = descriptor.strip()
-        head, _, tail = text.partition(":")
-        if head == "median" and not tail:
-            return PRule(median_positions(n, m))
-        if head == "mean" and not tail:
-            return MeanRule()
-        if head == "multiset" and not tail:
-            return MultisetRule()
-        if head == "dictator":
-            try:
-                return DictatorRule(int(tail))
-            except ValueError:
-                raise ParseError(f"dictator needs an agent index, got {tail!r}") from None
-        if head == "p":
-            try:
-                entries = tuple(int(part) for part in tail.split(","))
-            except ValueError:
-                raise ParseError(f"positions must be integers, got {tail!r}") from None
-            return _p_rule(entries, n)
-        if head == "fixture":
-            return fixture_rule(tail)
-        raise ParseError(f"unknown rule {descriptor!r}")
+        descriptor = _string_descriptor(descriptor)
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise ParseError(f"rule descriptor needs a kind: {descriptor!r}")
     kind = descriptor["kind"]
@@ -371,14 +333,17 @@ def rule_from_descriptor(
         return PRule(median_positions(n, m))
     if kind == "p-rule":
         try:
-            entries = tuple(int(p) for p in descriptor["positions"])
-        except (KeyError, TypeError, ValueError) as exc:
+            positions = PositionVector(tuple(int(p) for p in descriptor["positions"]))
+            positions.validate_for(n)
+        except (KeyError, TypeError, ValueError, VocaggError) as exc:
             raise ParseError(f"bad p-rule descriptor: {exc}") from None
-        return _p_rule(entries, n)
+        return PRule(positions)
     if kind == "extended-median":
         columns = descriptor.get("columns")
-        if not isinstance(columns, list):
-            raise ParseError("extended-median descriptor needs columns")
+        if not isinstance(columns, list) or not all(
+            isinstance(column, list) for column in columns
+        ):
+            raise ParseError("extended-median descriptor needs a list of columns")
         parsed = tuple(
             tuple(
                 parse_rational(q, f"columns[{k}][{j}]")
@@ -388,7 +353,7 @@ def rule_from_descriptor(
         )
         try:
             return ExtendedMedianRule(PhantomMatrix(domain, parsed))
-        except ValueError as exc:
+        except (ValueError, VocaggError) as exc:
             raise ParseError(f"bad phantom matrix: {exc}") from None
     if kind == "mean":
         return MeanRule()
@@ -398,7 +363,9 @@ def rule_from_descriptor(
         try:
             return DictatorRule(int(descriptor["agent"]))
         except (KeyError, TypeError, ValueError):
-            raise ParseError("dictator descriptor needs an agent index") from None
+            raise ParseError(
+                f"dictator needs an agent index, got {descriptor.get('agent')!r}"
+            ) from None
     if kind == "fixture":
         return fixture_rule(str(descriptor.get("name")))
     raise ParseError(f"unknown rule kind {kind!r}")
@@ -448,7 +415,7 @@ class ResultDocument:
 
 
 def build_result(
-    rule: object,
+    rule: Rule,
     words: Sequence[str],
     endpoints: EndpointMultiset,
     reports: Sequence[AxiomReport] = (),
@@ -456,7 +423,7 @@ def build_result(
 ) -> ResultDocument:
     vocabulary = decode_endpoints(endpoints)
     return ResultDocument(
-        rule=describe_rule(rule) if not isinstance(rule, dict) else rule,
+        rule=describe_rule(rule),
         domain=endpoints.domain,
         words=tuple(words),
         endpoints=endpoints.values,
@@ -469,20 +436,10 @@ def build_result(
 def serialize_result(doc: ResultDocument) -> str:
     payload = {
         "rule": doc.rule,
-        "domain": {
-            "lower": rational_str(doc.domain.lower),
-            "upper": rational_str(doc.domain.upper),
-        },
+        "domain": jsonify({"lower": doc.domain.lower, "upper": doc.domain.upper}),
         "words": list(doc.words),
-        "endpoints": [rational_str(v) for v in doc.endpoints],
-        "vocabulary": {
-            name: (
-                None
-                if extent is None
-                else [rational_str(extent[0]), rational_str(extent[1])]
-            )
-            for name, extent in zip(doc.words, doc.vocabulary)
-        },
+        "endpoints": jsonify(doc.endpoints),
+        "vocabulary": dict(zip(doc.words, jsonify(doc.vocabulary))),
         "reports": list(doc.reports),
         "witnesses": list(doc.witnesses),
     }

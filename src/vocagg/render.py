@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import Domain, Vocabulary
+from .core import Domain, Vocabulary, rational_str
 from .exemplars import InducedVocabulary
 
 WIDTH = 80
@@ -23,12 +23,6 @@ def _column(value: Fraction, domain: Domain, width: int = WIDTH) -> int:
     span = domain.upper - domain.lower
     position = Fraction(width - 1) * (value - domain.lower) / span
     return int(position)  # floor: positions are never negative
-
-
-def _value_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _overlay(row: list[str], start: int, text: str) -> None:
@@ -43,7 +37,7 @@ def _value_row(values: Sequence[Fraction], domain: Domain) -> str:
     row = [" "] * WIDTH
     cursor = 0
     for value in sorted(set(values)):
-        text = _value_text(value)
+        text = rational_str(value)
         start = max(_column(value, domain) - len(text) // 2, cursor)
         start = min(start, WIDTH - len(text))
         for offset, char in enumerate(text):
@@ -168,7 +162,7 @@ def render_svg(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:
             ' stroke="black" stroke-width="1"/>'
         )
         parts.append(
-            f'  <text x="{x}" y="108" text-anchor="middle">{_value_text(value)}</text>'
+            f'  <text x="{x}" y="108" text-anchor="middle">{rational_str(value)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

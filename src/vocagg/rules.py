@@ -6,6 +6,10 @@ family pads each column with n-1 fixed phantom values before taking the
 median and strictly generalizes it.  The mean, the one-agent dictatorship,
 and the pooled-multiset rule are kept as contrasts: each fails at least one
 of the properties the order-statistic families satisfy.
+
+Each rule is a frozen dataclass (see ``Rule``): calling it on a profile
+evaluates it, ``describe`` gives its JSON descriptor, and ``default_shape``
+gives the shape the randomized checkers sample it on.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Domain, EndpointMultiset, Profile, as_rational
+from .core import Domain, EndpointMultiset, Profile, as_rational, rational_str
 from .errors import (
     DomainMismatch,
     EvenAgentCount,
@@ -61,6 +65,12 @@ class PositionVector:
             raise IndexOutOfRange(
                 f"position {self.positions[-1]} exceeds agent count {n}"
             )
+
+    def check_profile(self, profile: Profile) -> None:
+        """One rank per boundary of ``profile``, none above its agent count."""
+        if self.m != profile.m:
+            raise ShapeMismatch(f"{self.m} positions for {profile.m} word boundaries")
+        self.validate_for(profile.n)
 
 
 @dataclass(frozen=True)
@@ -109,45 +119,6 @@ class PhantomMatrix:
         return len(self.columns[0]) + 1
 
 
-class Rule:
-    """Marker base class for aggregation rule descriptions."""
-
-
-@dataclass(frozen=True)
-class PRule(Rule):
-    """Select the p_k-th smallest report in column k."""
-
-    positions: PositionVector
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.positions, PositionVector):
-            object.__setattr__(self, "positions", PositionVector(tuple(self.positions)))
-
-
-@dataclass(frozen=True)
-class ExtendedMedianRule(Rule):
-    """Columnwise median of the reports pooled with fixed phantoms."""
-
-    phantoms: PhantomMatrix
-
-
-@dataclass(frozen=True)
-class MeanRule(Rule):
-    """Columnwise arithmetic mean, kept exact as a rational."""
-
-
-@dataclass(frozen=True)
-class MultisetRule(Rule):
-    """Pool all n*m endpoints, split into m runs of n, take each run's median."""
-
-
-@dataclass(frozen=True)
-class DictatorRule(Rule):
-    """Return agent i's report unchanged, i in 1..n."""
-
-    agent: int
-
-
 def median_positions(n: int, m: int) -> PositionVector:
     """The self-dual position vector built from the two middle ranks.
 
@@ -180,19 +151,6 @@ def is_symmetric(positions: PositionVector, n: int) -> bool:
     return all(p[k] + p[len(p) - 1 - k] == n + 1 for k in range(len(p)))
 
 
-def apply_p_rule(profile: Profile, positions: PositionVector) -> EndpointMultiset:
-    if positions.m != profile.m:
-        raise ShapeMismatch(
-            f"{positions.m} positions for {profile.m} word boundaries"
-        )
-    positions.validate_for(profile.n)
-    values = tuple(
-        order_statistic(profile.column(k), positions.positions[k - 1])
-        for k in range(1, profile.m + 1)
-    )
-    return EndpointMultiset(profile.domain, values)
-
-
 def apply_p_rule_reversed(
     profile: Profile, positions: PositionVector
 ) -> tuple[Fraction, ...]:
@@ -203,43 +161,13 @@ def apply_p_rule_reversed(
     nonincreasing tuple seen from the reversed viewpoint.  For a symmetric
     vector, reading it back left-to-right recovers the ordinary evaluation.
     """
-    if positions.m != profile.m:
-        raise ShapeMismatch(
-            f"{positions.m} positions for {profile.m} word boundaries"
-        )
-    positions.validate_for(profile.n)
+    positions.check_profile(profile)
     m = profile.m
     out = []
     for k in range(1, m + 1):
         column = profile.column(m - k + 1)
         out.append(order_statistic(column, len(column) + 1 - positions.positions[k - 1]))
     return tuple(out)
-
-
-def apply_mean(profile: Profile) -> EndpointMultiset:
-    values = tuple(
-        sum(profile.column(k), Fraction(0)) / profile.n
-        for k in range(1, profile.m + 1)
-    )
-    return EndpointMultiset(profile.domain, values)
-
-
-def apply_dictator(profile: Profile, agent: int) -> EndpointMultiset:
-    if not 1 <= agent <= profile.n:
-        raise IndexOutOfRange(f"dictator index {agent} outside 1..{profile.n}")
-    return profile.row(agent)
-
-
-def apply_multiset_rule(profile: Profile) -> EndpointMultiset:
-    """Sort all n*m endpoints jointly, then take the median of each run of n."""
-    if profile.n % 2 == 0:
-        raise EvenAgentCount(f"pooled-multiset rule needs odd n, got {profile.n}")
-    pooled = sorted(v for row in profile.rows for v in row.values)
-    n = profile.n
-    values = tuple(
-        pooled[(k - 1) * n + (n - 1) // 2] for k in range(1, profile.m + 1)
-    )
-    return EndpointMultiset(profile.domain, values)
 
 
 def extended_median(
@@ -252,26 +180,6 @@ def extended_median(
         )
     pooled = sorted(list(column) + list(phantoms))
     return pooled[len(column) - 1]
-
-
-def apply_extended_median(
-    profile: Profile, phantoms: PhantomMatrix
-) -> EndpointMultiset:
-    if phantoms.m != profile.m:
-        raise ShapeMismatch(
-            f"phantom matrix with {phantoms.m} columns for m={profile.m}"
-        )
-    if phantoms.n != profile.n:
-        raise ShapeMismatch(
-            f"phantom matrix sized for n={phantoms.n}, profile has n={profile.n}"
-        )
-    if phantoms.domain != profile.domain:
-        raise DomainMismatch("phantom matrix over a different domain")
-    values = tuple(
-        extended_median(profile.column(k), phantoms.columns[k - 1])
-        for k in range(1, profile.m + 1)
-    )
-    return EndpointMultiset(profile.domain, values)
 
 
 def boundary_phantoms(
@@ -291,16 +199,143 @@ def boundary_phantoms(
     return PhantomMatrix(domain, columns)
 
 
+class Rule:
+    """An aggregation rule: a frozen description that evaluates itself.
+
+    Every rule is a frozen dataclass.  Calling it on a profile checks the
+    shapes and returns the collective endpoints; ``describe`` gives the JSON
+    descriptor that ``io.rule_from_descriptor`` rebuilds it from; and
+    ``default_shape`` is the (n, m, domain) the randomized checkers sample
+    when the caller fixes none.
+    """
+
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        raise NotImplementedError
+
+    def default_shape(self) -> tuple[int, int, Domain]:
+        return 3, 2, Domain.unit()
+
+
+@dataclass(frozen=True)
+class PRule(Rule):
+    """Select the p_k-th smallest report in column k."""
+
+    positions: PositionVector
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.positions, PositionVector):
+            object.__setattr__(self, "positions", PositionVector(tuple(self.positions)))
+
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        self.positions.check_profile(profile)
+        values = tuple(
+            order_statistic(profile.column(k), p)
+            for k, p in enumerate(self.positions.positions, start=1)
+        )
+        return EndpointMultiset(profile.domain, values)
+
+    def describe(self) -> dict:
+        return {"kind": "p-rule", "positions": list(self.positions.positions)}
+
+    def default_shape(self) -> tuple[int, int, Domain]:
+        positions = self.positions.positions
+        return max(3, positions[-1]), len(positions), Domain.unit()
+
+
+@dataclass(frozen=True)
+class ExtendedMedianRule(Rule):
+    """Columnwise median of the reports pooled with fixed phantoms."""
+
+    phantoms: PhantomMatrix
+
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        phantoms = self.phantoms
+        if phantoms.m != profile.m:
+            raise ShapeMismatch(
+                f"phantom matrix with {phantoms.m} columns for m={profile.m}"
+            )
+        if phantoms.n != profile.n:
+            raise ShapeMismatch(
+                f"phantom matrix sized for n={phantoms.n}, profile has n={profile.n}"
+            )
+        if phantoms.domain != profile.domain:
+            raise DomainMismatch("phantom matrix over a different domain")
+        values = tuple(
+            extended_median(profile.column(k), phantoms.columns[k - 1])
+            for k in range(1, profile.m + 1)
+        )
+        return EndpointMultiset(profile.domain, values)
+
+    def describe(self) -> dict:
+        return {
+            "kind": "extended-median",
+            "columns": [
+                [rational_str(q) for q in column] for column in self.phantoms.columns
+            ],
+        }
+
+    def default_shape(self) -> tuple[int, int, Domain]:
+        return self.phantoms.n, self.phantoms.m, self.phantoms.domain
+
+
+@dataclass(frozen=True)
+class MeanRule(Rule):
+    """Columnwise arithmetic mean, kept exact as a rational."""
+
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        values = tuple(
+            sum(profile.column(k), Fraction(0)) / profile.n
+            for k in range(1, profile.m + 1)
+        )
+        return EndpointMultiset(profile.domain, values)
+
+    def describe(self) -> dict:
+        return {"kind": "mean"}
+
+
+@dataclass(frozen=True)
+class MultisetRule(Rule):
+    """Pool all n*m endpoints, split into m runs of n, take each run's median."""
+
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        n = profile.n
+        if n % 2 == 0:
+            raise EvenAgentCount(f"pooled-multiset rule needs odd n, got {n}")
+        pooled = sorted(v for row in profile.rows for v in row.values)
+        values = tuple(
+            pooled[(k - 1) * n + (n - 1) // 2] for k in range(1, profile.m + 1)
+        )
+        return EndpointMultiset(profile.domain, values)
+
+    def describe(self) -> dict:
+        return {"kind": "multiset"}
+
+
+@dataclass(frozen=True)
+class DictatorRule(Rule):
+    """Return agent i's report unchanged, i in 1..n."""
+
+    agent: int
+
+    def __call__(self, profile: Profile) -> EndpointMultiset:
+        if not 1 <= self.agent <= profile.n:
+            raise IndexOutOfRange(
+                f"dictator index {self.agent} outside 1..{profile.n}"
+            )
+        return profile.row(self.agent)
+
+    def describe(self) -> dict:
+        return {"kind": "dictator", "agent": self.agent}
+
+    def default_shape(self) -> tuple[int, int, Domain]:
+        return max(3, self.agent), 2, Domain.unit()
+
+
 def apply_rule(profile: Profile, rule: Rule) -> EndpointMultiset:
     """Validate shapes, then evaluate ``rule`` on ``profile``."""
-    if isinstance(rule, PRule):
-        return apply_p_rule(profile, rule.positions)
-    if isinstance(rule, ExtendedMedianRule):
-        return apply_extended_median(profile, rule.phantoms)
-    if isinstance(rule, MeanRule):
-        return apply_mean(profile)
-    if isinstance(rule, MultisetRule):
-        return apply_multiset_rule(profile)
-    if isinstance(rule, DictatorRule):
-        return apply_dictator(profile, rule.agent)
-    raise ShapeMismatch(f"not an aggregation rule: {rule!r}")
+    if not isinstance(rule, Rule):
+        raise ShapeMismatch(f"not an aggregation rule: {rule!r}")
+    return rule(profile)

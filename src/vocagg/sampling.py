@@ -11,15 +11,37 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional
 
 from .core import Domain, Profile
+from .rules import Rule
 
 
 def spawn(seed: int, *stream: object) -> random.Random:
     """A generator that depends deterministically on the seed and stream tags."""
     tag = ":".join(str(part) for part in (seed,) + stream)
     return random.Random(tag)
+
+
+def require_trials(trials: int) -> None:
+    """Refuse a negative trial count, which would pass a check vacuously."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+
+
+def sampling_shape(
+    rule: Callable,
+    n: Optional[int],
+    m: Optional[int],
+    domain: Optional[Domain],
+) -> tuple[int, int, Domain]:
+    """The (n, m, domain) to sample: the caller's, else the rule's default.
+
+    A bare callable standing in for a rule gets the default of ``Rule``.
+    """
+    own = rule if isinstance(rule, Rule) else Rule()
+    default_n, default_m, default_domain = own.default_shape()
+    return n or default_n, m or default_m, domain or default_domain
 
 
 def rational_between(
@@ -106,29 +128,3 @@ def random_weights(
 ) -> tuple[Fraction, ...]:
     """m strictly positive integer weights for a separable preference."""
     return tuple(Fraction(rng.randint(1, limit)) for _ in range(m))
-
-
-def lattice_points(domain: Domain, denominator: int) -> tuple[Fraction, ...]:
-    """All interior lattice points, used by exhaustive small-grid checks."""
-    span = domain.upper - domain.lower
-    return tuple(
-        domain.lower + span * Fraction(j, denominator) for j in range(1, denominator)
-    )
-
-
-def enumerate_sorted_rows(
-    values: Sequence[Fraction], m: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Every nondecreasing row of length m over the given value set."""
-    values = tuple(sorted(values))
-    rows: list[tuple[Fraction, ...]] = []
-
-    def extend(prefix: tuple[Fraction, ...], start: int) -> None:
-        if len(prefix) == m:
-            rows.append(prefix)
-            return
-        for idx in range(start, len(values)):
-            extend(prefix + (values[idx],), idx)
-
-    extend((), 0)
-    return tuple(rows)

@@ -15,11 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .axioms import HOLDS, VIOLATED, AxiomReport, RuleLike, as_evaluator
+from .axioms import HOLDS, VIOLATED, AxiomReport
 from .core import Domain, EndpointMultiset, Profile, between
 from .errors import DomainMismatch, ShapeMismatch
-from .rules import DictatorRule, ExtendedMedianRule, MultisetRule, PRule
-from .sampling import random_profile, random_weights, sorted_between, spawn
+from .rules import ExtendedMedianRule, Rule
+from .sampling import (
+    random_profile,
+    random_weights,
+    require_trials,
+    sampling_shape,
+    sorted_between,
+    spawn,
+)
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,10 @@ class ManipulationWitness:
     manipulated_outcome: EndpointMultiset
     gain: Fraction
 
-    def replay(self, rule: RuleLike) -> Fraction:
+    def replay(self, rule: Rule) -> Fraction:
         """Recompute the gain from scratch; must reproduce ``gain`` exactly."""
-        evaluator = as_evaluator(rule)
-        truthful = evaluator(self.profile)
-        manipulated = evaluator(self.profile.with_row(self.agent, self.misreport))
+        truthful = rule(self.profile)
+        manipulated = rule(self.profile.with_row(self.agent, self.misreport))
         if truthful != self.truthful_outcome or manipulated != self.manipulated_outcome:
             raise AssertionError("witness outcomes do not replay")
         return utility(self.preference, manipulated) - utility(self.preference, truthful)
@@ -89,7 +95,7 @@ class UncompromisingVerdict:
 
 
 def check_uncompromising(
-    rule: RuleLike,
+    rule: Rule,
     profile: Profile,
     agent: int,
     deviation: EndpointMultiset,
@@ -104,9 +110,8 @@ def check_uncompromising(
     """
     if not 1 <= boundary <= profile.m:
         raise ShapeMismatch(f"boundary {boundary} outside 1..{profile.m}")
-    evaluator = as_evaluator(rule)
-    outcome = evaluator(profile)
-    deviated_outcome = evaluator(profile.with_row(agent, deviation))
+    outcome = rule(profile)
+    deviated_outcome = rule(profile.with_row(agent, deviation))
     if outcome == deviated_outcome:
         return UncompromisingVerdict("unchanged", boundary, outcome, deviated_outcome)
     k = boundary
@@ -120,23 +125,8 @@ def check_uncompromising(
     return UncompromisingVerdict(case, boundary, outcome, deviated_outcome)
 
 
-def _default_shape(
-    rule: RuleLike, n: Optional[int], m: Optional[int], domain: Optional[Domain]
-) -> tuple[int, int, Domain]:
-    if isinstance(rule, ExtendedMedianRule):
-        return n or rule.phantoms.n, m or rule.phantoms.m, domain or rule.phantoms.domain
-    if isinstance(rule, PRule):
-        positions = rule.positions.positions
-        return n or max(3, positions[-1]), m or len(positions), domain or Domain.unit()
-    if isinstance(rule, DictatorRule):
-        return n or max(3, rule.agent), m or 2, domain or Domain.unit()
-    if isinstance(rule, MultisetRule):
-        return n or 3, m or 2, domain or Domain.unit()
-    return n or 3, m or 2, domain or Domain.unit()
-
-
 def _targeted_values(
-    rule: RuleLike, profile: Profile
+    rule: Rule, profile: Profile
 ) -> tuple[Fraction, ...]:
     """Misreport values that historically break manipulable rules."""
     domain = profile.domain
@@ -150,7 +140,7 @@ def _targeted_values(
 
 
 def sp_fuzz(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     deviation_grid: int = 16,
@@ -167,8 +157,8 @@ def sp_fuzz(
     phantom, a corner, or a lattice point) or an entirely fresh row.  The
     first profitable deviation is verified by replay and returned.
     """
-    evaluator = as_evaluator(rule)
-    n, m, domain = _default_shape(rule, n, m, domain)
+    require_trials(trials)
+    n, m, domain = sampling_shape(rule, n, m, domain)
     for t in range(trials):
         rng = spawn(seed, "sp-fuzz", t)
         profile = random_profile(rng, domain, n, m, denominator=deviation_grid)
@@ -189,8 +179,8 @@ def sp_fuzz(
         if misreport_values == peak:
             continue
         misreport = EndpointMultiset(domain, misreport_values)
-        truthful_outcome = evaluator(profile)
-        manipulated_outcome = evaluator(profile.with_row(agent, misreport))
+        truthful_outcome = rule(profile)
+        manipulated_outcome = rule(profile.with_row(agent, misreport))
         gain = utility(preference, manipulated_outcome) - utility(
             preference, truthful_outcome
         )
@@ -211,7 +201,7 @@ def sp_fuzz(
 
 
 def uncompromising_fuzz(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -220,7 +210,8 @@ def uncompromising_fuzz(
     m: Optional[int] = None,
 ) -> Optional[UncompromisingVerdict]:
     """Sample unilateral deviations and return the first bracketing failure."""
-    n, m, domain = _default_shape(rule, n, m, domain)
+    require_trials(trials)
+    n, m, domain = sampling_shape(rule, n, m, domain)
     for t in range(trials):
         rng = spawn(seed, "uncompromising", t)
         profile = random_profile(rng, domain, n, m, denominator=16)
@@ -237,7 +228,7 @@ def uncompromising_fuzz(
 
 
 def check_separability_on_deviations(
-    rule: RuleLike,
+    rule: Rule,
     trials: int,
     seed: int,
     *,
@@ -251,8 +242,8 @@ def check_separability_on_deviations(
     else row by row within the brackets that keep the rows sorted.  The
     pooled-multiset rule fails this quickly; columnwise rules never do.
     """
-    evaluator = as_evaluator(rule)
-    n, m, domain = _default_shape(rule, n, m, domain)
+    require_trials(trials)
+    n, m, domain = sampling_shape(rule, n, m, domain)
     for t in range(trials):
         rng = spawn(seed, "separability", t)
         profile = random_profile(rng, domain, n, m, denominator=16)
@@ -264,8 +255,8 @@ def check_separability_on_deviations(
             right = sorted_between(rng, pivot, domain.upper, m - k, 16)
             rows.append(left + (pivot,) + right)
         resampled = Profile.from_rows(domain, rows)
-        before = evaluator(profile).values[k - 1]
-        after = evaluator(resampled).values[k - 1]
+        before = rule(profile).values[k - 1]
+        after = rule(resampled).values[k - 1]
         if before != after:
             return AxiomReport(
                 "separability",

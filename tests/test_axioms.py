@@ -4,6 +4,7 @@ import pytest
 
 from vocagg import (
     AxiomReport,
+    DictatorRule,
     Domain,
     EndpointMultiset,
     FIXTURE_TARGETS,
@@ -21,6 +22,7 @@ from vocagg import (
     check_lipschitz,
     check_majoritarian_extents,
     check_majoritarian_words,
+    check_separability_on_deviations,
     check_stability,
     check_strict_responsiveness,
     check_unanimity,
@@ -29,6 +31,8 @@ from vocagg import (
     median_positions,
     run_axiom_battery,
     search_extent_violation,
+    sp_fuzz,
+    uncompromising_fuzz,
 )
 from vocagg.axioms import (
     check_anonymity,
@@ -38,6 +42,7 @@ from vocagg.axioms import (
     random_monotone_map,
 )
 from vocagg.rules import ExtendedMedianRule, PhantomMatrix
+from vocagg.sampling import sampling_shape
 
 from conftest import shared_endpoint_profile
 
@@ -376,6 +381,37 @@ class TestStrictResponsiveness:
             ExtendedMedianRule(matrix), trials=40, seed=2
         )
         assert report.holds
+
+    def test_default_shape_matches_the_strategic_checkers(self):
+        dictator = DictatorRule(5)
+        assert sampling_shape(dictator, None, None, None) == (5, 2, UNIT)
+        assert check_strict_responsiveness(dictator, 10, 1).holds
+        assert sp_fuzz(dictator, 10, 1) is None
+
+
+class TestTrialCounts:
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            check_unanimity,
+            check_anonymity,
+            check_stability_sampled,
+            check_strict_responsiveness,
+            run_axiom_battery,
+            sp_fuzz,
+            uncompromising_fuzz,
+            check_separability_on_deviations,
+        ],
+    )
+    def test_negative_trials_are_refused(self, checker):
+        with pytest.raises(ValueError, match="trials"):
+            checker(MEDIAN_3x3, -1, 0)
+
+    def test_negative_trials_are_refused_by_the_shape_specific_checkers(self, grading_profile):
+        with pytest.raises(ValueError, match="trials"):
+            check_lipschitz(MEDIAN_3x3, grading_profile, F(1, 16), trials=-1)
+        with pytest.raises(ValueError, match="trials"):
+            search_extent_violation(PositionVector((2, 2, 2)), 3, -1, 0)
 
 
 class TestFixtures:

@@ -1,16 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import vocagg
 
 from vocagg import (
     Domain,
     DictatorRule,
     EndpointMultiset,
+    ExtendedMedianRule,
     MeanRule,
     MultisetRule,
     ParseError,
+    PhantomMatrix,
     PRule,
+    Profile,
     ResultDocument,
     Vocabulary,
     apply_rule,
@@ -20,7 +29,6 @@ from vocagg import (
     fixture_rule,
     jsonify,
     load_json,
-    main,
     median_positions,
     parse_profile,
     parse_rational,
@@ -30,6 +38,7 @@ from vocagg import (
     rule_from_descriptor,
     serialize_result,
 )
+from vocagg.cli import main
 from vocagg.core import decode_endpoints
 from vocagg.exemplars import GapSequence, collective_incomplete
 
@@ -216,6 +225,9 @@ class TestParseProfile:
         doc["agents"][0]["exemplar_labels"] = ["A", "C"]
         with pytest.raises(ParseError, match="one label per exemplar"):
             parse_profile(json.dumps(doc))
+        doc["agents"][0]["exemplar_labels"] = [["A"], "C", "D"]
+        with pytest.raises(ParseError, match="exemplar_labels\\[0\\]"):
+            parse_profile(json.dumps(doc))
 
     def test_exemplar_labels_must_follow_the_line(self):
         doc = json.loads(json.dumps(EXEMPLAR_DOC))
@@ -232,6 +244,16 @@ class TestRuleDescriptors:
             MeanRule(),
             MultisetRule(),
             DictatorRule(2),
+            ExtendedMedianRule(
+                PhantomMatrix(
+                    Domain(F(0), F(100)),
+                    ((0, 50), (F(100, 3), 50), (50, 100), (50, 100)),
+                )
+            ),
+            fixture_rule("inf-rule"),
+            fixture_rule("dictator"),
+            fixture_rule("mean"),
+            fixture_rule("discontinuous-rule"),
         ],
     )
     def test_describe_round_trips(self, rule):
@@ -265,6 +287,23 @@ class TestRuleDescriptors:
         )
 
     @pytest.mark.parametrize(
+        "text, descriptor",
+        [
+            ("median", {"kind": "median"}),
+            ("mean", {"kind": "mean"}),
+            ("multiset", {"kind": "multiset"}),
+            ("dictator:2", {"kind": "dictator", "agent": 2}),
+            ("p:1,2,3", {"kind": "p-rule", "positions": [1, 2, 3]}),
+            ("fixture:inf-rule", {"kind": "fixture", "name": "inf-rule"}),
+            ("fixture:discontinuous-rule", {"kind": "fixture", "name": "discontinuous-rule"}),
+        ],
+    )
+    def test_string_form_builds_its_dict_form(self, text, descriptor):
+        rule = rule_from_descriptor(text, 3, 3, UNIT)
+        assert rule == rule_from_descriptor(descriptor, 3, 3, UNIT)
+        assert rule_from_descriptor(describe_rule(rule), 3, 3, UNIT) == rule
+
+    @pytest.mark.parametrize(
         "bad",
         [
             "nonesuch",
@@ -275,6 +314,7 @@ class TestRuleDescriptors:
             {"positions": [1, 2]},
             {"kind": "extended-median"},
             {"kind": "dictator"},
+            {"kind": "extended-median", "columns": [1, 2, 3, 4]},
         ],
     )
     def test_bad_descriptors(self, bad):
@@ -305,6 +345,19 @@ class TestResultDocuments:
         payload = json.loads(serialize_result(self.build(grading_profile)))
         assert payload["endpoints"] == ["20", "40", "55", "70"]
         assert payload["vocabulary"]["A"] == ["70", "100"]
+
+    def test_huge_values_round_trip(self):
+        # a 5000-digit denominator, past the interpreter's int-to-text limit
+        tiny = F(1, 10**4999 + 7)
+        profile = Profile.from_rows(UNIT, [(tiny, F(1, 2))])
+        rule = PRule(median_positions(1, 2))
+        doc = build_result(rule, default_words(3), apply_rule(profile, rule))
+        text = serialize_result(doc)
+        assert json.loads(text)["endpoints"][0] == "1/1" + "0" * 4998 + "7"
+        assert parse_result(text) == doc
+
+    def test_huge_integer_literals_load(self):
+        assert load_json("[1" + "0" * 5000 + "]") == [10**5000]
 
     def test_shape_validation(self):
         with pytest.raises(ParseError):
@@ -555,6 +608,35 @@ class TestCli:
         monkeypatch.setenv("VOCAGG_SEED", "not-a-number")
         assert main(["axioms", "--rule", "median", "--trials", "5"]) == 2
         assert "VOCAGG_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sp-check", "--rule", "median", "--grid", "0"],
+            ["sp-check", "--rule", "median", "--grid", "1"],
+            ["sp-check", "--rule", "median", "--trials", "-1"],
+            ["axioms", "--rule", "median", "--trials", "-5"],
+            ["axioms", "--rule", "median", "--trials", "0"],
+        ],
+    )
+    def test_count_flags_are_bounded(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        doc = write(tmp_path, "profile.json", GRADING_DOC)
+        env = dict(os.environ, PYTHONPATH=str(Path(vocagg.__file__).parents[1]))
+        for module in ("vocagg", "vocagg.cli"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, "aggregate", "--rule", "median", "--input", doc],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            assert json.loads(done.stdout)["endpoints"] == ["20", "40", "55", "70"]
 
     def test_bad_domain_flag(self, capsys):
         assert main(["axioms", "--rule", "median", "--domain", "zero-one",

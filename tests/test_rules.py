@@ -24,13 +24,7 @@ from vocagg import (
     median_positions,
     order_statistic,
 )
-from vocagg.rules import (
-    apply_dictator,
-    apply_mean,
-    apply_multiset_rule,
-    apply_p_rule,
-    apply_p_rule_reversed,
-)
+from vocagg.rules import apply_p_rule_reversed
 
 UNIT = Domain(F(0), F(1))
 
@@ -102,41 +96,42 @@ class TestGoldenExample:
     """The three-grader profile and its four collective scales."""
 
     def test_median(self, grading_profile):
-        out = apply_p_rule(grading_profile, median_positions(3, 4))
+        out = PRule(median_positions(3, 4))(grading_profile)
         assert out.values == (F(20), F(40), F(55), F(70))
 
     def test_mean_is_exact(self, grading_profile):
-        out = apply_mean(grading_profile)
+        out = MeanRule()(grading_profile)
         assert out.values == (F(20), F(35), F(145, 3), F(200, 3))
         assert out.values[2] == F("48.33") + F(1, 300)
 
     def test_dictator(self, grading_profile):
-        assert apply_dictator(grading_profile, 2).values == (10, 20, 30, 50)
+        assert DictatorRule(2)(grading_profile).values == (10, 20, 30, 50)
         with pytest.raises(IndexOutOfRange):
-            apply_dictator(grading_profile, 4)
+            DictatorRule(4)(grading_profile)
         with pytest.raises(IndexOutOfRange):
-            apply_dictator(grading_profile, 0)
+            DictatorRule(0)(grading_profile)
 
     def test_multiset_pools_all_endpoints(self, grading_profile):
         pooled = sorted(v for row in grading_profile.values() for v in row)
         assert pooled == [10, 20, 20, 30, 30, 40, 45, 50, 55, 60, 70, 80]
-        out = apply_multiset_rule(grading_profile)
+        out = MultisetRule()(grading_profile)
         assert out.values == (F(20), F(30), F(50), F(70))
 
     def test_multiset_needs_an_odd_count(self, grades):
         profile = Profile.from_rows(grades, [(10, 20), (30, 40)])
         with pytest.raises(EvenAgentCount):
-            apply_multiset_rule(profile)
+            MultisetRule()(profile)
 
     def test_dispatch_matches_direct_evaluation(self, grading_profile):
         cases = [
-            (PRule(median_positions(3, 4)), apply_p_rule(grading_profile, median_positions(3, 4))),
-            (MeanRule(), apply_mean(grading_profile)),
-            (DictatorRule(2), apply_dictator(grading_profile, 2)),
-            (MultisetRule(), apply_multiset_rule(grading_profile)),
+            (PRule(median_positions(3, 4)), (F(20), F(40), F(55), F(70))),
+            (MeanRule(), (F(20), F(35), F(145, 3), F(200, 3))),
+            (DictatorRule(2), (F(10), F(20), F(30), F(50))),
+            (MultisetRule(), (F(20), F(30), F(50), F(70))),
         ]
         for rule, expected in cases:
-            assert apply_rule(grading_profile, rule) == expected
+            assert apply_rule(grading_profile, rule) == rule(grading_profile)
+            assert apply_rule(grading_profile, rule).values == expected
         with pytest.raises(ShapeMismatch):
             apply_rule(grading_profile, "median")
 
@@ -152,7 +147,7 @@ class TestOrderReversal:
         )
 
     def test_direct_selection(self, five_agents):
-        out = apply_p_rule(five_agents, PositionVector((2, 3, 4)))
+        out = PRule(PositionVector((2, 3, 4)))(five_agents)
         assert out.values == (F(2), F(5), F(9))
 
     def test_reversed_selection(self, five_agents):
@@ -163,21 +158,21 @@ class TestOrderReversal:
         for p in [(2, 3, 4), (1, 3, 5), (3, 3, 3)]:
             vector = PositionVector(p)
             assert is_symmetric(vector, 5)
-            direct = apply_p_rule(five_agents, vector).values
+            direct = PRule(vector)(five_agents).values
             reversed_read = apply_p_rule_reversed(five_agents, vector)
             assert tuple(reversed(reversed_read)) == direct
 
     def test_asymmetric_rules_generally_do_not(self, five_agents):
         vector = PositionVector((1, 1, 1))
-        direct = apply_p_rule(five_agents, vector).values
+        direct = PRule(vector)(five_agents).values
         reversed_read = apply_p_rule_reversed(five_agents, vector)
         assert tuple(reversed(reversed_read)) != direct
 
     def test_shape_validation(self, five_agents):
         with pytest.raises(ShapeMismatch):
-            apply_p_rule(five_agents, PositionVector((2, 3)))
+            PRule(PositionVector((2, 3)))(five_agents)
         with pytest.raises(IndexOutOfRange):
-            apply_p_rule(five_agents, PositionVector((2, 3, 6)))
+            PRule(PositionVector((2, 3, 6)))(five_agents)
 
 
 @st.composite
@@ -207,13 +202,13 @@ class TestOutputsStayConsistent:
         p = data.draw(
             st.lists(st.integers(1, 3), min_size=4, max_size=4).map(sorted)
         )
-        out = apply_p_rule(profile, PositionVector(tuple(p)))
+        out = PRule(PositionVector(tuple(p)))(profile)
         assert all(a <= b for a, b in zip(out.values, out.values[1:]))
 
     @given(profile=sorted_rows(3, 3))
     def test_mean_and_multiset(self, profile):
-        apply_mean(profile)
-        apply_multiset_rule(profile)
+        MeanRule()(profile)
+        MultisetRule()(profile)
 
 
 class TestPhantomMatrix:
