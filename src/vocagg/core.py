@@ -8,6 +8,12 @@ and the improper values ``lower``/``upper`` stand for inactive words at the
 ends.  All values are `fractions.Fraction`, so comparisons and ties are
 exact and runs are reproducible bit for bit.
 
+Ordering stays exact without paying for a ``Fraction`` comparison per pair:
+``order_key`` maps q to the plain int floor(q * 2**64), which never
+decreases as q grows.  Distinct keys therefore order their values exactly,
+and only values with equal keys (within 2**-64 of each other) are compared
+as fractions.  No float is involved anywhere.
+
 Conventions used throughout the package:
 
 * word indices are 0-based: word ``j`` (j = 0..m) spans ``[s^j, s^(j+1))``
@@ -78,6 +84,33 @@ def rational_str(value: RationalLike) -> str:
         return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
 
 
+def order_key(q: Fraction) -> int:
+    """floor(q * 2**64), an int that never decreases as q grows.
+
+    ``order_key(a) < order_key(b)`` implies ``a < b``; equal keys only say
+    that a and b lie within 2**-64 of each other, so callers settle them
+    with an exact comparison.
+    """
+    return (q.numerator << 64) // q.denominator
+
+
+def first_descent(
+    left: Sequence[Fraction],
+    right: Sequence[Fraction],
+    left_keys: Sequence[int],
+    right_keys: Sequence[int],
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The first pair (a, b) of ``zip(left, right)`` with a > b, or None.
+
+    The keys are the values' ``order_key``s: they decide every pair except
+    those with equal keys, which are compared exactly.
+    """
+    for a, b, key_a, key_b in zip(left, right, left_keys, right_keys):
+        if key_a > key_b or (key_a == key_b and a > b):
+            return a, b
+    return None
+
+
 @dataclass(frozen=True)
 class Domain:
     """The open interval X = (lower, upper) that every vocabulary partitions."""
@@ -108,6 +141,22 @@ class Domain:
         return self.lower + self.upper - x
 
 
+def first_outside(
+    domain: Domain, values: Sequence[Fraction], keys: Sequence[int]
+) -> Optional[Fraction]:
+    """The first of ``values`` outside the closure of ``domain``, or None.
+
+    A key strictly between the corners' keys puts its value inside; a value
+    whose key reaches a corner's key is compared with that corner exactly.
+    """
+    low, high = order_key(domain.lower), order_key(domain.upper)
+    if keys and (min(keys) <= low or max(keys) >= high):
+        for v, key in zip(values, keys):
+            if (key <= low and v < domain.lower) or (key >= high and v > domain.upper):
+                return v
+    return None
+
+
 @dataclass(frozen=True)
 class EndpointMultiset:
     """A nondecreasing tuple of m word boundaries inside the closure of X.
@@ -123,12 +172,15 @@ class EndpointMultiset:
     def __post_init__(self) -> None:
         coerced = tuple(as_rational(v) for v in self.values)
         object.__setattr__(self, "values", coerced)
-        for v in coerced:
-            if not self.domain.contains_closed(v):
-                raise ValueError(f"endpoint {v} outside [{self.domain.lower}, {self.domain.upper}]")
-        for a, b in zip(coerced, coerced[1:]):
-            if a > b:
-                raise ValueError(f"endpoints not sorted: {a} > {b}")
+        keys = list(map(order_key, coerced))
+        outside = first_outside(self.domain, coerced, keys)
+        if outside is not None:
+            raise ValueError(
+                f"endpoint {outside} outside [{self.domain.lower}, {self.domain.upper}]"
+            )
+        descent = first_descent(coerced, coerced[1:], keys, keys[1:])
+        if descent is not None:
+            raise ValueError(f"endpoints not sorted: {descent[0]} > {descent[1]}")
 
     @property
     def m(self) -> int:

@@ -10,15 +10,31 @@ of the properties the order-statistic families satisfy.
 Each rule is a frozen dataclass (see ``Rule``): calling it on a profile
 evaluates it, ``describe`` gives its JSON descriptor, and ``default_shape``
 gives the shape the randomized checkers sample it on.
+
+Every selection goes through ``order_statistics``, which orders values by
+their integer ``core.order_key`` (floor(q * 2**64)) and compares fractions
+exactly only inside the run of equal keys that holds a requested rank.
+Phantom matrices are validated the same way.  The results are exactly those
+of sorting the fractions; no float is involved.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Domain, EndpointMultiset, Profile, as_rational, rational_str
+from .core import (
+    Domain,
+    EndpointMultiset,
+    Profile,
+    as_rational,
+    first_descent,
+    first_outside,
+    order_key,
+    rational_str,
+)
 from .errors import (
     DomainMismatch,
     EvenAgentCount,
@@ -28,11 +44,36 @@ from .errors import (
 )
 
 
+def order_statistics(
+    values: Sequence[Fraction], ranks: Sequence[int]
+) -> list[Fraction]:
+    """The k-th smallest element for each k in ``ranks``, each in 1..len.
+
+    Indices are sorted by ``order_key``; for each rank, the run of equal
+    keys holding it is cut out by bisection and only that run is sorted
+    exactly, so the result equals ``sorted(values)[k - 1]``.
+    """
+    for k in ranks:
+        if not 1 <= k <= len(values):
+            raise IndexOutOfRange(f"rank {k} outside 1..{len(values)}")
+    keys = list(map(order_key, values))
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in order]
+    out = []
+    for k in ranks:
+        key = sorted_keys[k - 1]
+        lo = bisect_left(sorted_keys, key, 0, k - 1)
+        hi = bisect_right(sorted_keys, key, k)
+        if hi - lo == 1:
+            out.append(values[order[lo]])
+        else:
+            out.append(sorted([values[i] for i in order[lo:hi]])[k - 1 - lo])
+    return out
+
+
 def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
     """The k-th smallest element, counted with multiplicity, k in 1..len."""
-    if not 1 <= k <= len(values):
-        raise IndexOutOfRange(f"rank {k} outside 1..{len(values)}")
-    return sorted(values)[k - 1]
+    return order_statistics(values, (k,))[0]
 
 
 @dataclass(frozen=True)
@@ -94,21 +135,24 @@ class PhantomMatrix:
         if not coerced:
             raise ShapeMismatch("a phantom matrix needs at least one column")
         size = len(coerced[0])
+        keys = []
         for column in coerced:
             if len(column) != size:
                 raise ShapeMismatch("ragged phantom columns")
-            for q in column:
-                if not self.domain.contains_closed(q):
-                    raise ValueError(f"phantom {q} outside the closed domain")
-            for a, b in zip(column, column[1:]):
-                if a > b:
-                    raise ValueError(f"phantom column not sorted: {a} > {b}")
-        for left, right in zip(coerced, coerced[1:]):
-            for a, b in zip(left, right):
-                if a > b:
-                    raise ValueError(
-                        f"phantoms decrease across columns: {a} > {b}"
-                    )
+            column_keys = list(map(order_key, column))
+            outside = first_outside(self.domain, column, column_keys)
+            if outside is not None:
+                raise ValueError(f"phantom {outside} outside the closed domain")
+            descent = first_descent(column, column[1:], column_keys, column_keys[1:])
+            if descent is not None:
+                raise ValueError(f"phantom column not sorted: {descent[0]} > {descent[1]}")
+            keys.append(column_keys)
+        for left, right, left_keys, right_keys in zip(coerced, coerced[1:], keys, keys[1:]):
+            descent = first_descent(left, right, left_keys, right_keys)
+            if descent is not None:
+                raise ValueError(
+                    f"phantoms decrease across columns: {descent[0]} > {descent[1]}"
+                )
 
     @property
     def m(self) -> int:
@@ -178,8 +222,7 @@ def extended_median(
         raise ShapeMismatch(
             f"{len(phantoms)} phantoms for {len(column)} reports; need n-1"
         )
-    pooled = sorted(list(column) + list(phantoms))
-    return pooled[len(column) - 1]
+    return order_statistic(list(column) + list(phantoms), len(column))
 
 
 def boundary_phantoms(
@@ -304,11 +347,9 @@ class MultisetRule(Rule):
         n = profile.n
         if n % 2 == 0:
             raise EvenAgentCount(f"pooled-multiset rule needs odd n, got {n}")
-        pooled = sorted(v for row in profile.rows for v in row.values)
-        values = tuple(
-            pooled[(k - 1) * n + (n - 1) // 2] for k in range(1, profile.m + 1)
-        )
-        return EndpointMultiset(profile.domain, values)
+        pooled = [v for row in profile.rows for v in row.values]
+        ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, profile.m + 1)]
+        return EndpointMultiset(profile.domain, tuple(order_statistics(pooled, ranks)))
 
     def describe(self) -> dict:
         return {"kind": "multiset"}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,12 @@ from vocagg import (
     encode_vocabulary,
     profile_between,
 )
+from vocagg.core import order_key
 
 UNIT = Domain(F(0), F(1))
+# corners whose order keys floor(q * 2**64) equal those of values 2**-80 away
+THIRDS = Domain(F(1, 3), F(2, 3))
+TINY = F(1, 2**80)
 
 
 class TestAsRational:
@@ -51,6 +56,23 @@ class TestAsRational:
         assert as_rational(str(q)) == q
 
 
+class TestOrderKey:
+    @given(st.fractions())
+    def test_is_the_floor_of_q_times_two_to_the_64(self, q):
+        assert order_key(q) == math.floor(q * 2**64)
+
+    @given(st.fractions(), st.fractions())
+    def test_distinct_keys_order_their_values(self, a, b):
+        if order_key(a) < order_key(b):
+            assert a < b
+
+    def test_values_2_to_the_minus_80_apart_share_a_key(self):
+        """So the edge cases below reach the exact comparison."""
+        for q in (F(0), F(1, 3), F(1, 2), F(2, 3), F(1)):
+            assert order_key(q + TINY) == order_key(q)
+        assert order_key(F(1, 3) - TINY) == order_key(F(1, 3))
+
+
 class TestDomain:
     def test_membership_open_vs_closed(self):
         d = Domain(F(0), F(100))
@@ -80,13 +102,47 @@ class TestEndpointMultiset:
         with pytest.raises(IndexError):
             s.bound(-1)
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            EndpointMultiset(UNIT, (F(1, 2), F(1, 4)))
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((F(1, 2), F(1, 4)), "endpoints not sorted: 1/2 > 1/4"),
+            ((F(1, 4), F(1, 2) + TINY, F(1, 2)), f"endpoints not sorted: {F(1, 2) + TINY} > 1/2"),
+            ((F(1, 3), F(1, 3) - TINY), f"endpoints not sorted: 1/3 > {F(1, 3) - TINY}"),
+        ],
+        ids=["half-then-quarter", "2^-80-above-half-then-half", "third-then-2^-80-below"],
+    )
+    def test_unsorted_rejected(self, values, message):
+        with pytest.raises(ValueError) as caught:
+            EndpointMultiset(UNIT, values)
+        assert str(caught.value) == message
 
-    def test_out_of_domain_rejected(self):
-        with pytest.raises(ValueError):
-            EndpointMultiset(UNIT, (F(-1, 4),))
+    @pytest.mark.parametrize(
+        "domain,value",
+        [
+            (UNIT, F(-1, 4)),
+            (UNIT, -TINY),
+            (UNIT, 1 + TINY),
+            (THIRDS, F(1, 3) - TINY),
+            (THIRDS, F(2, 3) + TINY),
+        ],
+        ids=["below", "lower-minus-2^-80", "upper-plus-2^-80", "third-minus-2^-80", "two-thirds-plus-2^-80"],
+    )
+    def test_out_of_domain_rejected(self, domain, value):
+        with pytest.raises(ValueError) as caught:
+            EndpointMultiset(domain, (value,))
+        assert str(caught.value) == f"endpoint {value} outside [{domain.lower}, {domain.upper}]"
+
+    @pytest.mark.parametrize(
+        "domain,values",
+        [
+            (UNIT, (F(0), F(0), F(1), F(1))),
+            (UNIT, (TINY, 1 - TINY)),
+            (THIRDS, (F(1, 3), F(1, 3) + TINY, F(2, 3) - TINY, F(2, 3))),
+        ],
+        ids=["corners", "unit-corners-2^-80-inside", "thirds-corners-2^-80-inside"],
+    )
+    def test_values_at_and_just_inside_the_corners_accepted(self, domain, values):
+        assert EndpointMultiset(domain, values).values == values
 
     def test_corners_are_legal_values(self):
         s = EndpointMultiset(UNIT, (F(0), F(1)))

@@ -24,9 +24,17 @@ from vocagg import (
     median_positions,
     order_statistic,
 )
-from vocagg.rules import apply_p_rule_reversed
+from vocagg.rules import apply_p_rule_reversed, order_statistics
 
 UNIT = Domain(F(0), F(1))
+THIRDS = Domain(F(1, 3), F(2, 3))
+TINY = F(1, 2**80)  # below the 2**-64 resolution of the order keys
+
+
+def reference(values, ranks):
+    """The selection every rule is defined by: sort the fractions, index."""
+    ordered = sorted(values)
+    return [ordered[k - 1] for k in ranks]
 
 
 class TestOrderStatistic:
@@ -225,9 +233,129 @@ class TestPhantomMatrix:
         with pytest.raises(ShapeMismatch):
             PhantomMatrix(UNIT, ())
 
+    @pytest.mark.parametrize(
+        "domain,columns",
+        [
+            (UNIT, ((F(0), F(0), F(1)), (F(0), F(1), F(1)))),
+            (UNIT, ((TINY, F(1, 2)), (F(1, 2) + TINY, 1 - TINY))),
+            (THIRDS, ((F(1, 3), F(1, 3) + TINY), (F(1, 3) + TINY, F(2, 3)))),
+        ],
+        ids=["corners", "unit-2^-80-inside", "thirds-2^-80-inside"],
+    )
+    def test_values_at_and_just_inside_the_corners_accepted(self, domain, columns):
+        assert PhantomMatrix(domain, columns).columns == columns
+
+    @pytest.mark.parametrize(
+        "domain,columns,message",
+        [
+            (UNIT, ((-TINY,),), f"phantom {-TINY} outside the closed domain"),
+            (UNIT, ((1 + TINY,),), f"phantom {1 + TINY} outside the closed domain"),
+            (THIRDS, ((F(1, 3) - TINY,),), f"phantom {F(1, 3) - TINY} outside the closed domain"),
+            (THIRDS, ((F(2, 3) + TINY,),), f"phantom {F(2, 3) + TINY} outside the closed domain"),
+            (
+                UNIT,
+                ((F(1, 2) + TINY, F(1, 2)),),
+                f"phantom column not sorted: {F(1, 2) + TINY} > 1/2",
+            ),
+            (
+                THIRDS,
+                ((F(1, 2) + TINY, F(1, 2) + TINY), (F(1, 2), F(2, 3))),
+                f"phantoms decrease across columns: {F(1, 2) + TINY} > 1/2",
+            ),
+        ],
+        ids=[
+            "lower-minus-2^-80",
+            "upper-plus-2^-80",
+            "third-minus-2^-80",
+            "two-thirds-plus-2^-80",
+            "column-2^-80-unsorted",
+            "columns-2^-80-decreasing",
+        ],
+    )
+    def test_edge_values_rejected(self, domain, columns, message):
+        with pytest.raises(ValueError) as caught:
+            PhantomMatrix(domain, columns)
+        assert str(caught.value) == message
+
     def test_shape_properties(self):
         matrix = PhantomMatrix(UNIT, ((F(0), F(1)), (F(0), F(1))))
         assert (matrix.n, matrix.m) == (3, 2)
+
+
+# Values that stress the order keys: near-ties closer than 2**-64 (which
+# share a key), negative values and values past 2**64, coprime
+# denominators, and plain small lattice points.
+PRIMES = (1_000_003, 1_000_033, 1_000_037, 1_000_039, 2**61 - 1)
+hard_values = st.one_of(
+    st.integers(-4, 4).map(lambda k: F(1, 2) + k * TINY),
+    st.integers(-4, 4).map(lambda k: F(-1, 3) + k * TINY),
+    st.integers(-(2**70), 2**70).map(F),
+    st.integers(-4, 4).map(lambda k: F(2**65, 3) + k * TINY),
+    st.builds(F, st.integers(-(10**7), 10**7), st.sampled_from(PRIMES)),
+    st.fractions(min_value=-1, max_value=1, max_denominator=16),
+)
+WIDE = Domain(F(-(2**71)), F(2**71))
+
+
+def heavy_duplicates(min_size, max_size):
+    """Lists drawn from a pool of at most five values: many exact repeats."""
+    return st.lists(hard_values, min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)
+    )
+
+
+@st.composite
+def hard_profiles(draw, n=None, m=None):
+    n = draw(st.integers(1, 7)) if n is None else n
+    m = draw(st.integers(1, 4)) if m is None else m
+    values = draw(heavy_duplicates(n * m, n * m))
+    rows = [tuple(sorted(values[i * m : (i + 1) * m])) for i in range(n)]
+    return Profile.from_rows(WIDE, rows)
+
+
+class TestSelectionMatchesSortedFractions:
+    """The key-ordered selection returns exactly what sorting fractions does."""
+
+    @given(values=heavy_duplicates(1, 40), data=st.data())
+    def test_order_statistics(self, values, data):
+        ranks = data.draw(st.lists(st.integers(1, len(values)), max_size=6))
+        assert order_statistics(values, ranks) == reference(values, ranks)
+
+    @given(profile=hard_profiles(), data=st.data())
+    def test_p_rule_both_directions(self, profile, data):
+        n, m = profile.n, profile.m
+        positions = PositionVector(
+            tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
+        )
+        columns = [profile.column(k) for k in range(1, m + 1)]
+        expected = [reference(c, [p])[0] for c, p in zip(columns, positions.positions)]
+        assert list(PRule(positions)(profile).values) == expected
+        reversed_expected = [
+            reference(columns[m - k], [n + 1 - p])[0]
+            for k, p in enumerate(positions.positions, start=1)
+        ]
+        assert list(apply_p_rule_reversed(profile, positions)) == reversed_expected
+
+    @given(profile=hard_profiles(), data=st.data())
+    def test_extended_median(self, profile, data):
+        n, m = profile.n, profile.m
+        rows = [
+            sorted(data.draw(heavy_duplicates(m, m))) for _ in range(n - 1)
+        ]
+        columns = tuple(tuple(sorted(column)) for column in zip(*rows)) or ((),) * m
+        out = ExtendedMedianRule(PhantomMatrix(WIDE, columns))(profile)
+        expected = [
+            reference(list(profile.column(k)) + list(columns[k - 1]), [n])[0]
+            for k in range(1, m + 1)
+        ]
+        assert list(out.values) == expected
+
+    @given(profile=st.integers(0, 3).flatmap(lambda h: hard_profiles(n=2 * h + 1)))
+    def test_multiset(self, profile):
+        n, m = profile.n, profile.m
+        pooled = [v for row in profile.values() for v in row]
+        ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, m + 1)]
+        assert list(MultisetRule()(profile).values) == reference(pooled, ranks)
 
 
 class TestExtendedMedian:
