@@ -35,6 +35,10 @@ from .errors import DomainMismatch, InvalidVocabulary, ParseError, ShapeMismatch
 
 RationalLike = Union[Fraction, int, str]
 
+# The common numeral forms, read straight into ``Fraction(int, int)``: an
+# optional sign, ASCII digits, then ``/digits`` or ``.digits``.  Anything
+# else is left to ``Fraction(str)`` itself.
+_SIMPLE_NUMERAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 # Decimal text past the interpreter's int-to-text limit goes through
 # ``Decimal``, which has no such limit, so values of any size convert without
 # touching ``sys.set_int_max_str_digits``.
@@ -47,18 +51,28 @@ def as_rational(value: RationalLike) -> Fraction:
     Accepts Fraction, int, and strings such as ``"3/7"`` or ``"48.33"``
     (decimal strings expand exactly, e.g. 48.33 becomes 4833/100).  Binary
     floats are rejected: they would smuggle rounding into an exact model.
+
+    Numeral text is read in one of two ways.  The common forms (an optional
+    sign, ASCII digits, then optionally ``/digits`` or ``.digits``) are
+    scanned directly into ``Fraction(numerator, denominator)``.  Everything
+    else goes to the running interpreter's ``Fraction(str)``: surrounding
+    whitespace, exponents, underscores, ``.5`` and ``5.``, non-ASCII
+    digits, a zero denominator, and digit runs past the interpreter's
+    int-from-text limit (which are then read through ``Decimal``).  The
+    accepted language and the values are therefore those of
+    ``Fraction(str)`` on the interpreter at hand, and every rejection raises
+    the same ``ParseError``.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ParseError(
-            f"refusing float {value!r}: pass a string or Fraction for exact input"
-        )
     if isinstance(value, str):
+        match = _SIMPLE_NUMERAL.fullmatch(value)
+        if match is not None:
+            whole, denominator, decimals = match.groups()
+            try:
+                if decimals is not None:
+                    return Fraction(int(whole + decimals), 10 ** len(decimals))
+                return Fraction(int(whole), int(denominator or 1))
+            except (ValueError, ZeroDivisionError):
+                pass  # too many digits for int(), or "/0": read as below
         text = value.strip()
         try:
             try:
@@ -70,7 +84,28 @@ def as_rational(value: RationalLike) -> Fraction:
                 return Fraction(Decimal(numerator)) / Fraction(Decimal(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational numeral: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ParseError(f"not a rational value: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ParseError(
+            f"refusing float {value!r}: pass a string or Fraction for exact input"
+        )
     raise ParseError(f"not a rational value: {value!r}")
+
+
+def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """``as_rational`` of each value, as a tuple.
+
+    A tuple that holds only exact ``Fraction``s is returned as it is, so
+    values read once are not coerced a second time.
+    """
+    if type(values) is tuple and {Fraction}.issuperset(map(type, values)):
+        return values
+    return tuple(map(as_rational, values))
 
 
 def rational_str(value: RationalLike) -> str:
@@ -170,7 +205,7 @@ class EndpointMultiset:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(as_rational(v) for v in self.values)
+        coerced = as_rationals(self.values)
         object.__setattr__(self, "values", coerced)
         keys = list(map(order_key, coerced))
         outside = first_outside(self.domain, coerced, keys)
@@ -230,7 +265,9 @@ class Vocabulary:
                 cleaned.append(None)
                 continue
             left, right = extent
-            cleaned.append((as_rational(left), as_rational(right)))
+            if type(left) is not Fraction or type(right) is not Fraction:
+                left, right = as_rational(left), as_rational(right)
+            cleaned.append((left, right))
         object.__setattr__(self, "extents", tuple(cleaned))
         active = [(j, e) for j, e in enumerate(self.extents) if e is not None]
         if not active:

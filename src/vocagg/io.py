@@ -15,6 +15,15 @@ Agents may instead carry ``"extents"`` (word name to ``[left, right]`` or
 (word names aligned with a shared top-level ``"exemplars"`` list).  Result
 documents are canonical: parsing a serialized result reproduces it field
 for field.
+
+Numerals are read by ``core.as_rational``: the common forms (sign, ASCII
+digits, ``/digits`` or ``.digits``) by a direct scan, everything else by the
+interpreter's ``Fraction(str)``.  Each document (profile, rule descriptor or
+result) is read with its own memo from numeral text to value, which lives
+only for that one call: a numeral repeated anywhere in the document is read
+once and then found by one dict lookup.  Only numerals that read correctly
+are kept, so a bad one raises at each place it occurs and the first bad
+place in the document is the one reported.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .core import (
     Profile,
     Vocabulary,
     as_rational,
+    as_rationals,
     decode_endpoints,
     encode_vocabulary,
     rational_str,
@@ -60,6 +70,31 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
     raise ParseError(f"{where}: expected an exact numeral, got {value!r}")
+
+
+class _Numerals:
+    """The numeral reader of one document: each distinct text is read once."""
+
+    def __init__(self) -> None:
+        self.seen: dict[str, Fraction] = {}
+
+    def read(self, value: object, where: str) -> Fraction:
+        """``parse_rational(value, where)``, looked up if read before."""
+        if type(value) is not str:
+            return parse_rational(value, where)
+        q = self.seen.get(value)
+        if q is None:
+            q = self.seen[value] = parse_rational(value, where)
+        return q
+
+    def read_list(self, values: list, where: str) -> tuple[Fraction, ...]:
+        """Each ``values[j]`` read as ``f"{where}[{j}]"``, in order."""
+        get = self.seen.get
+        out = [get(v) if type(v) is str else None for v in values]
+        for j, q in enumerate(out):
+            if q is None:
+                out[j] = self.read(values[j], f"{where}[{j}]")
+        return tuple(out)
 
 
 def load_json(text: str) -> object:
@@ -124,18 +159,28 @@ def default_words(count: int) -> tuple[str, ...]:
     return tuple(f"w{j}" for j in range(1, count + 1))
 
 
-def _parse_domain(payload: object) -> Domain:
+def _parse_domain(payload: object, numerals: _Numerals) -> Domain:
     if not isinstance(payload, dict):
         raise ParseError("domain: expected an object with lower and upper")
     for key in ("lower", "upper"):
         if key not in payload:
             raise ParseError(f"domain.{key}: missing")
-    lower = parse_rational(payload["lower"], "domain.lower")
-    upper = parse_rational(payload["upper"], "domain.upper")
+    lower = numerals.read(payload["lower"], "domain.lower")
+    upper = numerals.read(payload["upper"], "domain.upper")
     try:
         return Domain(lower, upper)
     except ValueError as exc:
         raise ParseError(f"domain: {exc}") from None
+
+
+def _parse_words(payload: object) -> tuple[str, ...]:
+    if not (
+        isinstance(payload, list)
+        and payload
+        and all(isinstance(w, str) for w in payload)
+    ):
+        raise ParseError("words: expected a nonempty list of strings")
+    return tuple(payload)
 
 
 def parse_profile(text: str) -> ParsedInput:
@@ -150,22 +195,17 @@ def parse_profile(text: str) -> ParsedInput:
         raise ParseError("expected a JSON object at the top level")
     if "domain" not in payload:
         raise ParseError("domain: missing")
-    domain = _parse_domain(payload["domain"])
+    numerals = _Numerals()
+    domain = _parse_domain(payload["domain"], numerals)
     agents = payload.get("agents")
     if not isinstance(agents, list) or not agents:
         raise ParseError("agents: expected a nonempty list")
     words_payload = payload.get("words")
     words: Optional[tuple[str, ...]] = None
     if words_payload is not None:
-        if (
-            not isinstance(words_payload, list)
-            or not words_payload
-            or not all(isinstance(w, str) for w in words_payload)
-        ):
-            raise ParseError("words: expected a nonempty list of strings")
-        if len(set(words_payload)) != len(words_payload):
+        words = _parse_words(words_payload)
+        if len(set(words)) != len(words):
             raise ParseError("words: names must be distinct")
-        words = tuple(words_payload)
     forms = set()
     for i, agent in enumerate(agents, start=1):
         if not isinstance(agent, dict):
@@ -180,14 +220,17 @@ def parse_profile(text: str) -> ParsedInput:
         raise ParseError("agents: all entries must use the same form")
     form = forms.pop()
     if form == "endpoints":
-        return _parse_endpoint_agents(domain, words, agents)
+        return _parse_endpoint_agents(domain, words, agents, numerals)
     if form == "extents":
-        return _parse_extent_agents(domain, words, agents)
-    return _parse_exemplar_agents(domain, words, payload, agents)
+        return _parse_extent_agents(domain, words, agents, numerals)
+    return _parse_exemplar_agents(domain, words, payload, agents, numerals)
 
 
 def _parse_endpoint_agents(
-    domain: Domain, words: Optional[tuple[str, ...]], agents: list
+    domain: Domain,
+    words: Optional[tuple[str, ...]],
+    agents: list,
+    numerals: _Numerals,
 ) -> ParsedInput:
     rows = []
     m: Optional[int] = None
@@ -196,9 +239,7 @@ def _parse_endpoint_agents(
         entries = agent["endpoints"]
         if not isinstance(entries, list):
             raise ParseError(f"{where}: expected a list")
-        values = tuple(
-            parse_rational(v, f"{where}[{j}]") for j, v in enumerate(entries)
-        )
+        values = numerals.read_list(entries, where)
         if m is None:
             m = len(values)
         elif len(values) != m:
@@ -216,7 +257,10 @@ def _parse_endpoint_agents(
 
 
 def _parse_extent_agents(
-    domain: Domain, words: Optional[tuple[str, ...]], agents: list
+    domain: Domain,
+    words: Optional[tuple[str, ...]],
+    agents: list,
+    numerals: _Numerals,
 ) -> ParsedInput:
     if words is None:
         raise ParseError("words: required for extent-form agents")
@@ -237,12 +281,7 @@ def _parse_extent_agents(
                 continue
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ParseError(f"{where}.{name}: expected [left, right] or null")
-            extents.append(
-                (
-                    parse_rational(entry[0], f"{where}.{name}[0]"),
-                    parse_rational(entry[1], f"{where}.{name}[1]"),
-                )
-            )
+            extents.append(numerals.read_list(entry, f"{where}.{name}"))
         try:
             vocabularies.append(Vocabulary(domain, tuple(extents)))
         except (ValueError, VocaggError) as exc:
@@ -261,15 +300,14 @@ def _parse_exemplar_agents(
     words: Optional[tuple[str, ...]],
     payload: dict,
     agents: list,
+    numerals: _Numerals,
 ) -> ParsedInput:
     if words is None:
         raise ParseError("words: required for exemplar-form agents")
     shared = payload.get("exemplars")
     if not isinstance(shared, list) or not shared:
         raise ParseError("exemplars: expected a nonempty list of values")
-    values = tuple(
-        parse_rational(v, f"exemplars[{j}]") for j, v in enumerate(shared)
-    )
+    values = numerals.read_list(shared, "exemplars")
     index_of = {name: j for j, name in enumerate(words)}
     rows = []
     for i, agent in enumerate(agents, start=1):
@@ -344,11 +382,9 @@ def rule_from_descriptor(
             isinstance(column, list) for column in columns
         ):
             raise ParseError("extended-median descriptor needs a list of columns")
+        numerals = _Numerals()
         parsed = tuple(
-            tuple(
-                parse_rational(q, f"columns[{k}][{j}]")
-                for j, q in enumerate(column)
-            )
+            numerals.read_list(column, f"columns[{k}]")
             for k, column in enumerate(columns)
         )
         try:
@@ -394,15 +430,16 @@ class ResultDocument:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rule", jsonify(self.rule))
         object.__setattr__(self, "words", tuple(self.words))
-        object.__setattr__(
-            self, "endpoints", tuple(as_rational(v) for v in self.endpoints)
-        )
+        object.__setattr__(self, "endpoints", as_rationals(self.endpoints))
         cleaned = []
         for extent in self.vocabulary:
             if extent is None:
                 cleaned.append(None)
-            else:
-                cleaned.append((as_rational(extent[0]), as_rational(extent[1])))
+                continue
+            left, right = extent[0], extent[1]
+            if type(left) is not Fraction or type(right) is not Fraction:
+                left, right = as_rational(left), as_rational(right)
+            cleaned.append((left, right))
         object.__setattr__(self, "vocabulary", tuple(cleaned))
         object.__setattr__(self, "reports", tuple(jsonify(r) for r in self.reports))
         object.__setattr__(self, "witnesses", tuple(jsonify(w) for w in self.witnesses))
@@ -453,12 +490,12 @@ def parse_result(text: str) -> ResultDocument:
     for key in ("rule", "domain", "words", "endpoints", "vocabulary"):
         if key not in payload:
             raise ParseError(f"{key}: missing")
-    domain = _parse_domain(payload["domain"])
-    words = tuple(payload["words"])
-    endpoints = tuple(
-        parse_rational(v, f"endpoints[{j}]")
-        for j, v in enumerate(payload["endpoints"])
-    )
+    numerals = _Numerals()
+    domain = _parse_domain(payload["domain"], numerals)
+    words = _parse_words(payload["words"])
+    if not isinstance(payload["endpoints"], list):
+        raise ParseError("endpoints: expected a list")
+    endpoints = numerals.read_list(payload["endpoints"], "endpoints")
     vocabulary_payload = payload["vocabulary"]
     if not isinstance(vocabulary_payload, dict):
         raise ParseError("vocabulary: expected an object keyed by word name")
@@ -467,13 +504,13 @@ def parse_result(text: str) -> ResultDocument:
         entry = vocabulary_payload.get(name)
         if entry is None:
             vocabulary.append(None)
-        else:
-            vocabulary.append(
-                (
-                    parse_rational(entry[0], f"vocabulary.{name}[0]"),
-                    parse_rational(entry[1], f"vocabulary.{name}[1]"),
-                )
-            )
+            continue
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ParseError(f"vocabulary.{name}: expected [left, right] or null")
+        vocabulary.append(numerals.read_list(entry, f"vocabulary.{name}"))
+    for key in ("reports", "witnesses"):
+        if not isinstance(payload.get(key, []), list):
+            raise ParseError(f"{key}: expected a list")
     return ResultDocument(
         rule=payload["rule"],
         domain=domain,

@@ -21,7 +21,7 @@ of sorting the fractions; no float is involved.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +29,7 @@ from .core import (
     Domain,
     EndpointMultiset,
     Profile,
-    as_rational,
+    as_rationals,
     first_descent,
     first_outside,
     order_key,
@@ -56,7 +56,13 @@ def order_statistics(
     for k in ranks:
         if not 1 <= k <= len(values):
             raise IndexOutOfRange(f"rank {k} outside 1..{len(values)}")
-    keys = list(map(order_key, values))
+    return _select(values, list(map(order_key, values)), ranks)
+
+
+def _select(
+    values: Sequence[Fraction], keys: Sequence[int], ranks: Sequence[int]
+) -> list[Fraction]:
+    """``order_statistics`` for ranks already checked, given the values' keys."""
     order = sorted(range(len(values)), key=keys.__getitem__)
     sorted_keys = [keys[i] for i in order]
     out = []
@@ -126,11 +132,11 @@ class PhantomMatrix:
 
     domain: Domain
     columns: tuple[tuple[Fraction, ...], ...]
+    # each column's order keys, kept from validation for the kernel
+    keys: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coerced = tuple(
-            tuple(as_rational(q) for q in column) for column in self.columns
-        )
+        coerced = tuple(as_rationals(column) for column in self.columns)
         object.__setattr__(self, "columns", coerced)
         if not coerced:
             raise ShapeMismatch("a phantom matrix needs at least one column")
@@ -139,7 +145,7 @@ class PhantomMatrix:
         for column in coerced:
             if len(column) != size:
                 raise ShapeMismatch("ragged phantom columns")
-            column_keys = list(map(order_key, column))
+            column_keys = tuple(map(order_key, column))
             outside = first_outside(self.domain, column, column_keys)
             if outside is not None:
                 raise ValueError(f"phantom {outside} outside the closed domain")
@@ -147,6 +153,7 @@ class PhantomMatrix:
             if descent is not None:
                 raise ValueError(f"phantom column not sorted: {descent[0]} > {descent[1]}")
             keys.append(column_keys)
+        object.__setattr__(self, "keys", tuple(keys))
         for left, right, left_keys, right_keys in zip(coerced, coerced[1:], keys, keys[1:]):
             descent = first_descent(left, right, left_keys, right_keys)
             if descent is not None:
@@ -306,11 +313,13 @@ class ExtendedMedianRule(Rule):
             )
         if phantoms.domain != profile.domain:
             raise DomainMismatch("phantom matrix over a different domain")
-        values = tuple(
-            extended_median(profile.column(k), phantoms.columns[k - 1])
-            for k in range(1, profile.m + 1)
-        )
-        return EndpointMultiset(profile.domain, values)
+        values = []
+        for k in range(1, profile.m + 1):
+            reports = profile.column(k)
+            keys = [*map(order_key, reports), *phantoms.keys[k - 1]]
+            pooled = reports + phantoms.columns[k - 1]
+            values.append(_select(pooled, keys, (profile.n,))[0])
+        return EndpointMultiset(profile.domain, tuple(values))
 
     def describe(self) -> dict:
         return {

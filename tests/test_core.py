@@ -1,8 +1,11 @@
 import math
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vocagg import (
     Domain,
@@ -22,6 +25,8 @@ from vocagg import (
 from vocagg.core import order_key
 
 UNIT = Domain(F(0), F(1))
+# the interpreter's int-from-text limit (0 when switched off)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
 # corners whose order keys floor(q * 2**64) equal those of values 2**-80 away
 THIRDS = Domain(F(1, 3), F(2, 3))
 TINY = F(1, 2**80)
@@ -54,6 +59,71 @@ class TestAsRational:
     @given(st.fractions(max_denominator=1000))
     def test_roundtrip_through_str(self, q):
         assert as_rational(str(q)) == q
+
+
+def reference_rational(text):
+    """The numeral language as the interpreter's ``Fraction(str)`` reads it.
+
+    Plain numerals too long for int-from-text go through ``Decimal``; None
+    stands for a rejection.
+    """
+    text = text.strip()
+    try:
+        return F(text)
+    except ZeroDivisionError:
+        return None
+    except ValueError:
+        if not re.fullmatch(r"[-+]?\d+(?:/\d+|\.\d*)?", text):
+            return None
+    numerator, _, denominator = text.partition("/")
+    try:
+        return F(Decimal(numerator)) / F(Decimal(denominator or 1))
+    except ZeroDivisionError:
+        return None
+
+
+# digit runs: plain, with leading zeros, underscores, non-ASCII digits, and
+# runs just short of and just past the int-from-text limit
+DIGIT_RUNS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=8),
+    st.text("00123456789_\u0663\uff15", min_size=0, max_size=6),
+    st.integers(INT_TEXT_LIMIT - 2, INT_TEXT_LIMIT + 2).map(lambda k: "7" * k),
+)
+NUMERALS = st.builds(
+    lambda space, sign, whole, separator, part, exponent, tail: (
+        f"{space}{sign}{whole}{separator}{part}{exponent}{tail}"
+    ),
+    st.sampled_from(["", " ", "\t\n", "\u00a0"]),
+    st.sampled_from(["", "-", "+", "+-"]),
+    DIGIT_RUNS,
+    st.sampled_from(["", "/", ".", " / ", "/-"]),
+    DIGIT_RUNS | st.sampled_from(["", "0", "00"]),
+    st.sampled_from(["", "e3", "E-2", "e"]),
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+class TestNumeralScanner:
+    @given(NUMERALS)
+    @example("1_0")
+    @example("\u0663/4")
+    @example(".5")
+    @example("5.")
+    @example("-1.5e3")
+    @example("1 / 2")
+    @example("7/0")
+    @example("-007/000")
+    @example("-0.000")
+    @example("1/" + "9" * (INT_TEXT_LIMIT + 1))
+    @example("-" + "9" * (INT_TEXT_LIMIT + 1) + ".5")
+    def test_agrees_with_the_interpreter_reading(self, text):
+        expected = reference_rational(text)
+        if expected is None:
+            with pytest.raises(ParseError):
+                as_rational(text)
+        else:
+            value = as_rational(text)
+            assert type(value) is F and value == expected
 
 
 class TestOrderKey:

@@ -200,6 +200,88 @@ class TestParseProfile:
         with pytest.raises(ParseError, match=message):
             parse_profile(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (
+                {
+                    "domain": {"lower": "0", "upper": "1"},
+                    "agents": [
+                        {"endpoints": ["1/4", "1/2"]},
+                        {"endpoints": ["1/4", "x/2"]},
+                        {"endpoints": ["x/2", "1/2"]},
+                    ],
+                },
+                "agents[2].endpoints[1]: not a rational numeral: 'x/2'",
+            ),
+            (
+                {
+                    "domain": {"lower": "0", "upper": "1"},
+                    "agents": [
+                        {"endpoints": ["1/4", "1/2"]},
+                        {"endpoints": ["1/2", "1/4"]},
+                        {"endpoints": ["1/2", "3/2"]},
+                    ],
+                },
+                "agents[2].endpoints: endpoints not sorted: 1/2 > 1/4",
+            ),
+            (
+                {
+                    "domain": {"lower": "0", "upper": "1"},
+                    "agents": [
+                        {"endpoints": ["1", "1/2"]},
+                        {"endpoints": ["1/2", True]},
+                    ],
+                },
+                "agents[1].endpoints: endpoints not sorted: 1 > 1/2",
+            ),
+            (
+                {
+                    "domain": {"lower": "0", "upper": "1"},
+                    "words": ["a", "b"],
+                    "agents": [
+                        {"extents": {"a": ["0", "1/2"], "b": ["1/2", "1"]}},
+                        {"extents": {"a": ["0", "1/2"], "b": ["1/2", "1/0"]}},
+                        {"extents": {"a": ["0", "1/0"], "b": ["1/2", "1"]}},
+                    ],
+                },
+                "agents[2].extents.b[1]: not a rational numeral: '1/0'",
+            ),
+            (
+                {
+                    "domain": {"lower": "0", "upper": "1"},
+                    "words": ["a", "b", "c"],
+                    "exemplars": ["1/4", "1/2", "1/4 4"],
+                    "agents": [{"exemplar_labels": ["a", "b", "c"]}],
+                },
+                "exemplars[2]: not a rational numeral: '1/4 4'",
+            ),
+        ],
+        ids=["bad-text-twice", "good-text-out-of-order", "bool-after-good", "extent", "exemplar"],
+    )
+    def test_first_bad_place_is_reported_when_numerals_repeat(self, doc, message):
+        with pytest.raises(ParseError) as caught:
+            parse_profile(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_each_document_reads_its_distinct_numerals_once(self, monkeypatch):
+        reads = []
+
+        def counting(value, where="value"):
+            reads.append(value)
+            return parse_rational(value, where)
+
+        monkeypatch.setattr(vocagg.io, "parse_rational", counting)
+        text = json.dumps(GRADING_DOC)
+        first = parse_profile(text)
+        assert sorted(reads) == sorted(
+            {"0", "100", "10", "20", "30", "40", "45", "50", "55", "60", "70", "80"}
+        )
+        # a second call shares no memo with the first: it reads them all again
+        second = parse_profile(text)
+        assert len(reads) == 24 and sorted(reads[:12]) == sorted(reads[12:])
+        assert first == second
+
     def test_extents_need_word_names(self):
         doc = {
             "domain": {"lower": "0", "upper": "1"},
@@ -355,6 +437,24 @@ class TestResultDocuments:
         text = serialize_result(doc)
         assert json.loads(text)["endpoints"][0] == "1/1" + "0" * 4998 + "7"
         assert parse_result(text) == doc
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("words", 5, "words: expected a nonempty list of strings"),
+            ("words", ["F", "D", 3, "B", "A"], "words: expected a nonempty list of strings"),
+            ("endpoints", 3, "endpoints: expected a list"),
+            ("vocabulary", {"F": ["0"]}, "vocabulary.F: expected \\[left, right\\] or null"),
+            ("endpoints", ["20", "40", "55", "7/0"], "endpoints\\[3\\]"),
+            ("reports", 5, "reports: expected a list"),
+            ("witnesses", None, "witnesses: expected a list"),
+        ],
+    )
+    def test_malformed_results_name_the_field(self, grading_profile, field, value, message):
+        payload = json.loads(serialize_result(self.build(grading_profile)))
+        payload[field] = value
+        with pytest.raises(ParseError, match=message):
+            parse_result(json.dumps(payload))
 
     def test_huge_integer_literals_load(self):
         assert load_json("[1" + "0" * 5000 + "]") == [10**5000]

@@ -24,6 +24,7 @@ from vocagg import (
     median_positions,
     order_statistic,
 )
+from vocagg.core import order_key
 from vocagg.rules import apply_p_rule_reversed, order_statistics
 
 UNIT = Domain(F(0), F(1))
@@ -280,6 +281,13 @@ class TestPhantomMatrix:
     def test_shape_properties(self):
         matrix = PhantomMatrix(UNIT, ((F(0), F(1)), (F(0), F(1))))
         assert (matrix.n, matrix.m) == (3, 2)
+
+    def test_keeps_its_order_keys_outside_equality(self):
+        matrix = PhantomMatrix(UNIT, ((F(0), F(1, 3)), ("1/3", F(1))))
+        assert matrix.keys == ((0, order_key(F(1, 3))), (order_key(F(1, 3)), 2**64))
+        same = PhantomMatrix(UNIT, ((F(0), F(1, 3)), (F(1, 3), F(1))))
+        assert matrix == same and hash(matrix) == hash(same)
+        assert "keys" not in repr(matrix)
 
 
 # Values that stress the order keys: near-ties closer than 2**-64 (which
