@@ -17,9 +17,9 @@ default sampling shape and the phantom probes read the rule itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from .core import Domain, EndpointMultiset, Profile
 from .errors import ShapeMismatch, UnknownFixture
@@ -33,6 +33,7 @@ from .rules import (
     extended_median,
 )
 from .sampling import (
+    first_hit,
     random_permutation,
     random_profile,
     require_trials,
@@ -136,6 +137,17 @@ class AxiomReport:
             raise ValueError("a violation report needs a witness")
 
 
+def sampled_report(
+    axiom: str, trials: int, seed: int, stream: str, trial: Callable[..., Optional[dict]]
+) -> AxiomReport:
+    """Run ``trial`` through ``first_hit``; the first witness it returns refutes ``axiom``."""
+    hit = first_hit(trials, seed, stream, trial)
+    if hit is None:
+        return AxiomReport(axiom, HOLDS, seed=seed, trials=trials)
+    t, witness = hit
+    return AxiomReport(axiom, VIOLATED, seed=seed, trials=t + 1, witness=witness)
+
+
 # ---------------------------------------------------------------------------
 # consistency
 
@@ -160,26 +172,16 @@ def check_consistency(
         raise ShapeMismatch("strict consistency needs the domain to test interiority")
     previous: Optional[Fraction] = None
     for k, value in enumerate(values, start=1):
-        if previous is not None:
-            if previous > value:
-                return AxiomReport(
-                    axiom,
-                    VIOLATED,
-                    witness={"index": k, "kind": "order", "left": previous, "right": value},
-                )
-            if strict and previous == value:
-                return AxiomReport(
-                    axiom,
-                    VIOLATED,
-                    witness={"index": k, "kind": "tie", "left": previous, "right": value},
-                )
-        if strict and not domain.contains(value):
-            return AxiomReport(
-                axiom,
-                VIOLATED,
-                witness={"index": k, "kind": "boundary", "value": value},
-            )
-        previous = value
+        if previous is not None and previous > value:
+            witness = {"index": k, "kind": "order", "left": previous, "right": value}
+        elif strict and previous == value:
+            witness = {"index": k, "kind": "tie", "left": previous, "right": value}
+        elif strict and not domain.contains(value):
+            witness = {"index": k, "kind": "boundary", "value": value}
+        else:
+            previous = value
+            continue
+        return AxiomReport(axiom, VIOLATED, witness=witness)
     return AxiomReport(axiom, HOLDS)
 
 
@@ -202,10 +204,9 @@ def check_unanimity(
     fills the remaining entries independently per agent, so unanimity is
     exercised both on fully unanimous profiles and column by column.
     """
-    require_trials(trials)
-    domain = domain or Domain.unit()
-    for t in range(trials):
-        rng = spawn(seed, "unanimity", t)
+    n, m, domain = sampling_shape(rule, n, m, domain)
+
+    def trial(rng, t):
         frozen = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
         frozen_set = set(frozen)
         base = sorted_between(rng, domain.lower, domain.upper, m, 32, include_ends=False)
@@ -230,20 +231,16 @@ def check_unanimity(
         output = rule(profile)
         for k in frozen:
             if output.values[k - 1] != base[k - 1]:
-                return AxiomReport(
-                    "unanimity",
-                    VIOLATED,
-                    seed=seed,
-                    trials=t + 1,
-                    witness={
-                        "profile": profile.values(),
-                        "column": k,
-                        "expected": base[k - 1],
-                        "actual": output.values[k - 1],
-                        "output": output.values,
-                    },
-                )
-    return AxiomReport("unanimity", HOLDS, seed=seed, trials=trials)
+                return {
+                    "profile": profile.values(),
+                    "column": k,
+                    "expected": base[k - 1],
+                    "actual": output.values[k - 1],
+                    "output": output.values,
+                }
+        return None
+
+    return sampled_report("unanimity", trials, seed, "unanimity", trial)
 
 
 def check_anonymity(
@@ -261,11 +258,11 @@ def check_anonymity(
     permutations, skipping the identity.
     """
     require_trials(trials)
-    domain = domain or Domain.unit()
+    n, m, domain = sampling_shape(rule, n, m, domain)
     if n < 2:
         return AxiomReport("anonymity", HOLDS, seed=seed, trials=0)
-    for t in range(trials):
-        rng = spawn(seed, "anonymity", t)
+
+    def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=32)
         if t == 0:
             perm = (2, 1) + tuple(range(3, n + 1))
@@ -276,20 +273,16 @@ def check_anonymity(
         permuted = Profile(tuple(profile.rows[i - 1] for i in perm))
         output = rule(profile)
         permuted_output = rule(permuted)
-        if output != permuted_output:
-            return AxiomReport(
-                "anonymity",
-                VIOLATED,
-                seed=seed,
-                trials=t + 1,
-                witness={
-                    "profile": profile.values(),
-                    "permutation": perm,
-                    "output": output.values,
-                    "permuted_output": permuted_output.values,
-                },
-            )
-    return AxiomReport("anonymity", HOLDS, seed=seed, trials=trials)
+        if output == permuted_output:
+            return None
+        return {
+            "profile": profile.values(),
+            "permutation": perm,
+            "output": output.values,
+            "permuted_output": permuted_output.values,
+        }
+
+    return sampled_report("anonymity", trials, seed, "anonymity", trial)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +357,15 @@ def check_stability_sampled(
     direction: str = "increasing",
 ) -> AxiomReport:
     """Stability over random profiles and random monotone relabelings."""
-    require_trials(trials)
-    domain = domain or Domain.unit()
+    n, m, domain = sampling_shape(rule, n, m, domain)
     axiom = "stability" if direction == "increasing" else "strong-stability"
-    for t in range(trials):
-        rng = spawn(seed, "stability-profile", t)
+
+    def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=32)
         phi = random_monotone_map(domain, f"{seed}:{t}", direction)
-        report = check_stability(rule, profile, phi)
-        if not report.holds:
-            return replace(report, seed=seed, trials=t + 1)
-    return AxiomReport(axiom, HOLDS, seed=seed, trials=trials)
+        return check_stability(rule, profile, phi).witness
+
+    return sampled_report(axiom, trials, seed, "stability-profile", trial)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +389,8 @@ def check_lipschitz(
     eps = Fraction(eps)
     base = rule(profile)
     domain = profile.domain
-    for t in range(trials):
-        rng = spawn(seed, "lipschitz", t)
+
+    def trial(rng, t):
         rows = []
         for row in profile.rows:
             moved = [
@@ -421,23 +412,19 @@ def check_lipschitz(
             (abs(a - b) for a, b in zip(base.values, output.values)),
             default=Fraction(0),
         )
-        if output_distance > input_distance:
-            return AxiomReport(
-                "continuity",
-                VIOLATED,
-                seed=seed,
-                trials=t + 1,
-                witness={
-                    "profile": profile.values(),
-                    "perturbed": perturbed.values(),
-                    "eps": eps,
-                    "input_distance": input_distance,
-                    "output_distance": output_distance,
-                    "output": base.values,
-                    "perturbed_output": output.values,
-                },
-            )
-    return AxiomReport("continuity", HOLDS, seed=seed, trials=trials)
+        if output_distance <= input_distance:
+            return None
+        return {
+            "profile": profile.values(),
+            "perturbed": perturbed.values(),
+            "eps": eps,
+            "input_distance": input_distance,
+            "output_distance": output_distance,
+            "output": base.values,
+            "perturbed_output": output.values,
+        }
+
+    return sampled_report("continuity", trials, seed, "lipschitz", trial)
 
 
 # ---------------------------------------------------------------------------
@@ -562,42 +549,34 @@ def search_extent_violation(
     """
     require_trials(trials)
     positions.validate_for(n)
-    domain = domain or Domain.unit()
     rule = PRule(positions)
-    m = positions.m
+    n, m, domain = sampling_shape(rule, n, positions.m, domain)
     lo, hi = majoritarian_band(n, weak)
-    t = n - lo + 1  # supporter count used by the targeted constructions
+    supporters = n - lo + 1  # majority size of the targeted constructions
+    threshold = n if weak else n + 1
     span = domain.upper - domain.lower
 
     def at(fraction: Fraction) -> Fraction:
         return domain.lower + span * fraction
 
-    targeted: list[Profile] = []
-    candidates: list[tuple[int, Fraction, Fraction]] = []
-    for k in range(1, m + 1):
-        p_k = positions.positions[k - 1]
-        if p_k > hi and 2 * t >= (n if weak else n + 1):
-            majority = (at(Fraction(1, 4)),) * k + (at(Fraction(3, 4)),) * (m - k)
-            minority = (at(Fraction(5, 8)),) * m
-            targeted.append(
-                Profile.from_rows(domain, [majority] * t + [minority] * (n - t))
-            )
-            candidates.append((k, at(Fraction(1, 2)), at(Fraction(3, 4))))
-        if p_k < lo and 2 * t >= (n if weak else n + 1):
-            majority = (at(Fraction(1, 4)),) * (k - 1) + (at(Fraction(3, 4)),) * (m - k + 1)
-            minority = (at(Fraction(3, 8)),) * m
-            targeted.append(
-                Profile.from_rows(domain, [majority] * t + [minority] * (n - t))
-            )
-            candidates.append((k - 1, at(Fraction(1, 2)), at(Fraction(3, 4))))
+    def construction(split: int, minority: Fraction) -> tuple[Profile, list]:
+        """Supporters put boundaries 1..split at 1/4 and the rest at 3/4."""
+        majority = (at(Fraction(1, 4)),) * split + (at(Fraction(3, 4)),) * (m - split)
+        rows = [majority] * supporters + [(at(minority),) * m] * (n - supporters)
+        return Profile.from_rows(domain, rows), [(split, at(Fraction(1, 2)), at(Fraction(3, 4)))]
 
-    threshold = n if weak else n + 1
-    for trial in range(trials):
-        if trial < len(targeted):
-            profile = targeted[trial]
-            pairs = [candidates[trial]]
+    targeted = []
+    if 2 * supporters >= threshold:
+        for k, p_k in enumerate(positions.positions, start=1):
+            if p_k > hi:
+                targeted.append(construction(k, Fraction(5, 8)))
+            if p_k < lo:
+                targeted.append(construction(k - 1, Fraction(3, 8)))
+
+    def trial(rng, t):
+        if t < len(targeted):
+            profile, pairs = targeted[t]
         else:
-            rng = spawn(seed, "extents", trial)
             profile = random_profile(rng, domain, n, m, denominator=16)
             pairs = []
             padded = [
@@ -627,10 +606,13 @@ def search_extent_violation(
                 "b": b,
                 "supporters": tuple(sorted(agents)),
                 "output": output.values,
-                "trial": trial,
+                "trial": t,
                 "seed": seed,
             }
-    return None
+        return None
+
+    hit = first_hit(trials, seed, "extents", trial)
+    return None if hit is None else hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +665,8 @@ def check_strict_responsiveness(
                             "after": after,
                         },
                     )
-    for t in range(trials):
-        rng = spawn(seed, "responsiveness", t)
+
+    def trial(rng, t):
         profile = random_profile(rng, domain, n, m, strict=True, denominator=64)
         k = rng.randint(1, m)
         rows = []
@@ -696,21 +678,17 @@ def check_strict_responsiveness(
         raised = Profile.from_rows(domain, rows)
         before = rule(profile)
         after = rule(raised)
-        if not before.values[k - 1] < after.values[k - 1]:
-            return AxiomReport(
-                "strict-responsiveness",
-                VIOLATED,
-                seed=seed,
-                trials=t + 1,
-                witness={
-                    "profile": profile.values(),
-                    "raised": raised.values(),
-                    "column": k,
-                    "before": before.values,
-                    "after": after.values,
-                },
-            )
-    return AxiomReport("strict-responsiveness", HOLDS, seed=seed, trials=trials)
+        if before.values[k - 1] < after.values[k - 1]:
+            return None
+        return {
+            "profile": profile.values(),
+            "raised": raised.values(),
+            "column": k,
+            "before": before.values,
+            "after": after.values,
+        }
+
+    return sampled_report("strict-responsiveness", trials, seed, "responsiveness", trial)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +785,7 @@ def run_axiom_battery(
     Every third continuity profile is drawn from a coarse lattice so that
     tied columns, where discontinuities hide, appear regularly.
     """
-    require_trials(trials)
-    domain = domain or Domain.unit()
+    n, m, domain = sampling_shape(rule, n, m, domain)
     reports = {
         "unanimity": check_unanimity(rule, trials, seed, domain=domain, n=n, m=m),
         "anonymity": check_anonymity(rule, trials, seed, domain=domain, n=n, m=m),
@@ -816,14 +793,13 @@ def run_axiom_battery(
             rule, trials, seed, domain=domain, n=n, m=m
         ),
     }
-    continuity = AxiomReport("continuity", HOLDS, seed=seed, trials=trials)
-    for t in range(trials):
-        rng = spawn(seed, "continuity-profile", t)
+
+    def continuity_trial(rng, t):
         denominator = 4 if t % 3 == 0 else 32
         profile = random_profile(rng, domain, n, m, denominator=denominator)
-        report = check_lipschitz(rule, profile, eps, trials=1, seed=f"{seed}:{t}")
-        if not report.holds:
-            continuity = replace(report, seed=seed, trials=t + 1)
-            break
-    reports["continuity"] = continuity
+        return check_lipschitz(rule, profile, eps, trials=1, seed=f"{seed}:{t}").witness
+
+    reports["continuity"] = sampled_report(
+        "continuity", trials, seed, "continuity-profile", continuity_trial
+    )
     return reports

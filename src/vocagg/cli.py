@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     axioms.add_argument("--rule", required=True, help=RULE_HELP)
     axioms.add_argument("--trials", type=_count(1), default=200)
     axioms.add_argument("--seed", type=int, default=0)
-    axioms.add_argument("--n", type=int, default=3, help="number of agents to sample")
-    axioms.add_argument("--m", type=int, default=3, help="number of boundaries to sample")
+    axioms.add_argument("--n", type=_count(1), default=3, help="number of agents to sample")
+    axioms.add_argument("--m", type=_count(1), default=3, help="number of boundaries to sample")
     axioms.add_argument("--domain", default="0:1", help="sampling domain LOWER:UPPER")
     axioms.add_argument(
         "--input",
@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp_check.add_argument(
         "--grid", type=_count(2), default=16, help="deviation lattice denominator"
     )
-    sp_check.add_argument("--n", type=int, default=3)
-    sp_check.add_argument("--m", type=int, default=3)
+    sp_check.add_argument("--n", type=_count(1), default=3)
+    sp_check.add_argument("--m", type=_count(1), default=3)
     sp_check.add_argument("--domain", default="0:1")
     sp_check.add_argument("--output", default=None)
     sp_check.set_defaults(handler=_cmd_sp_check)

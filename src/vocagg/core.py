@@ -110,7 +110,8 @@ def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
 
 def rational_str(value: RationalLike) -> str:
     """Canonical string form: ``"p/q"``, or just ``"p"`` for integers."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     numerator, denominator = value.numerator, value.denominator
     try:
         return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"

@@ -256,6 +256,24 @@ def _parse_endpoint_agents(
     )
 
 
+def _parse_extents(
+    payload: object, words: tuple[str, ...], where: str, numerals: _Numerals
+) -> tuple[Optional[tuple[Fraction, ...]], ...]:
+    """One ``[left, right]`` or ``None`` per word, from an object keyed by word name."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}: expected an object keyed by word name")
+    unknown = set(payload) - set(words)
+    if unknown:
+        raise ParseError(f"{where}: unknown words {sorted(unknown)}")
+    extents = []
+    for name in words:
+        entry = payload.get(name)
+        if entry is not None and not (isinstance(entry, list) and len(entry) == 2):
+            raise ParseError(f"{where}.{name}: expected [left, right] or null")
+        extents.append(None if entry is None else numerals.read_list(entry, f"{where}.{name}"))
+    return tuple(extents)
+
+
 def _parse_extent_agents(
     domain: Domain,
     words: Optional[tuple[str, ...]],
@@ -267,23 +285,9 @@ def _parse_extent_agents(
     vocabularies = []
     for i, agent in enumerate(agents, start=1):
         where = f"agents[{i}].extents"
-        payload = agent["extents"]
-        if not isinstance(payload, dict):
-            raise ParseError(f"{where}: expected an object keyed by word name")
-        unknown = set(payload) - set(words)
-        if unknown:
-            raise ParseError(f"{where}: unknown words {sorted(unknown)}")
-        extents = []
-        for name in words:
-            entry = payload.get(name)
-            if entry is None:
-                extents.append(None)
-                continue
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ParseError(f"{where}.{name}: expected [left, right] or null")
-            extents.append(numerals.read_list(entry, f"{where}.{name}"))
+        extents = _parse_extents(agent["extents"], words, where, numerals)
         try:
-            vocabularies.append(Vocabulary(domain, tuple(extents)))
+            vocabularies.append(Vocabulary(domain, extents))
         except (ValueError, VocaggError) as exc:
             raise ParseError(f"{where}: {exc}") from None
     try:
@@ -496,27 +500,23 @@ def parse_result(text: str) -> ResultDocument:
     if not isinstance(payload["endpoints"], list):
         raise ParseError("endpoints: expected a list")
     endpoints = numerals.read_list(payload["endpoints"], "endpoints")
-    vocabulary_payload = payload["vocabulary"]
-    if not isinstance(vocabulary_payload, dict):
-        raise ParseError("vocabulary: expected an object keyed by word name")
-    vocabulary = []
-    for name in words:
-        entry = vocabulary_payload.get(name)
-        if entry is None:
-            vocabulary.append(None)
-            continue
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError(f"vocabulary.{name}: expected [left, right] or null")
-        vocabulary.append(numerals.read_list(entry, f"vocabulary.{name}"))
+    vocabulary = _parse_extents(payload["vocabulary"], words, "vocabulary", numerals)
     for key in ("reports", "witnesses"):
         if not isinstance(payload.get(key, []), list):
             raise ParseError(f"{key}: expected a list")
-    return ResultDocument(
+    doc = ResultDocument(
         rule=payload["rule"],
         domain=domain,
         words=words,
         endpoints=endpoints,
-        vocabulary=tuple(vocabulary),
+        vocabulary=vocabulary,
         reports=tuple(payload.get("reports", ())),
         witnesses=tuple(payload.get("witnesses", ())),
     )
+    try:
+        collective = EndpointMultiset(domain, doc.endpoints)
+    except ValueError as exc:
+        raise ParseError(f"endpoints: {exc}") from None
+    if decode_endpoints(collective).extents != doc.vocabulary:
+        raise ParseError("vocabulary: does not match the decoded endpoints")
+    return doc

@@ -1,20 +1,30 @@
-"""Seed-driven samplers shared by the randomized checkers.
+"""Seed-driven samplers and the trial engine shared by the randomized checkers.
 
 Every sampler draws from ``random.Random`` instances created via ``spawn``,
 which hashes the seed together with a stream label.  String seeding keeps
 the draws independent of ``PYTHONHASHSEED``, so a fixed seed reproduces the
 exact same profiles, maps, and deviations on every run.  All sampled values
 are rationals on a lattice, never floats.
+
+Every sampled checker runs its trials through ``first_hit``: trial t draws
+from ``spawn(seed, stream, t)`` alone, the run stops at the first violation,
+and a violated report's ``trials`` is that trial's 1-based index.  Streams:
+``unanimity``, ``anonymity``, ``stability-profile``, ``lipschitz``,
+``continuity-profile``, ``responsiveness``, ``extents``, ``separability``,
+``sp-fuzz``, ``uncompromising``.  A trial counts even when it evaluates no
+rule, as when ``sp_fuzz`` draws a misreport equal to the peak.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .core import Domain, Profile
 from .rules import Rule
+
+_T = TypeVar("_T")
 
 
 def spawn(seed: int, *stream: object) -> random.Random:
@@ -29,19 +39,35 @@ def require_trials(trials: int) -> None:
         raise ValueError(f"trials must be nonnegative, got {trials}")
 
 
+def first_hit(
+    trials: int, seed: object, stream: str, trial: Callable[[random.Random, int], Optional[_T]]
+) -> Optional[tuple[int, _T]]:
+    """Run ``trial(spawn(seed, stream, t), t)`` for t < trials; ``(t, finding)`` on the first find."""
+    require_trials(trials)
+    for t in range(trials):
+        found = trial(spawn(seed, stream, t), t)
+        if found is not None:
+            return t, found
+    return None
+
+
 def sampling_shape(
     rule: Callable,
     n: Optional[int],
     m: Optional[int],
     domain: Optional[Domain],
 ) -> tuple[int, int, Domain]:
-    """The (n, m, domain) to sample: the caller's, else the rule's default.
+    """The (n, m, domain) to sample: each the caller's, or the rule's default if ``None``.
 
     A bare callable standing in for a rule gets the default of ``Rule``.
     """
     own = rule if isinstance(rule, Rule) else Rule()
     default_n, default_m, default_domain = own.default_shape()
-    return n or default_n, m or default_m, domain or default_domain
+    return (
+        default_n if n is None else n,
+        default_m if m is None else m,
+        default_domain if domain is None else domain,
+    )
 
 
 def rational_between(

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .axioms import HOLDS, VIOLATED, AxiomReport
+from .axioms import AxiomReport, sampled_report
 from .core import Domain, EndpointMultiset, Profile, between
 from .errors import DomainMismatch, ShapeMismatch
 from .rules import ExtendedMedianRule, Rule
 from .sampling import (
+    first_hit,
     random_profile,
     random_weights,
-    require_trials,
     sampling_shape,
     sorted_between,
-    spawn,
 )
 
 
@@ -157,10 +156,9 @@ def sp_fuzz(
     phantom, a corner, or a lattice point) or an entirely fresh row.  The
     first profitable deviation is verified by replay and returned.
     """
-    require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
-    for t in range(trials):
-        rng = spawn(seed, "sp-fuzz", t)
+
+    def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=deviation_grid)
         agent = rng.randint(1, n)
         preference = SinglePeakedPreference(
@@ -177,7 +175,7 @@ def sp_fuzz(
                 rng, domain.lower, domain.upper, m, deviation_grid
             )
         if misreport_values == peak:
-            continue
+            return None
         misreport = EndpointMultiset(domain, misreport_values)
         truthful_outcome = rule(profile)
         manipulated_outcome = rule(profile.with_row(agent, misreport))
@@ -197,7 +195,10 @@ def sp_fuzz(
             if witness.replay(rule) != gain:
                 raise AssertionError("manipulation witness failed to replay")
             return witness
-    return None
+        return None
+
+    hit = first_hit(trials, seed, "sp-fuzz", trial)
+    return None if hit is None else hit[1]
 
 
 def uncompromising_fuzz(
@@ -210,10 +211,9 @@ def uncompromising_fuzz(
     m: Optional[int] = None,
 ) -> Optional[UncompromisingVerdict]:
     """Sample unilateral deviations and return the first bracketing failure."""
-    require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
-    for t in range(trials):
-        rng = spawn(seed, "uncompromising", t)
+
+    def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=16)
         agent = rng.randint(1, n)
         deviation = EndpointMultiset(
@@ -222,9 +222,10 @@ def uncompromising_fuzz(
         )
         boundary = rng.randint(1, m)
         verdict = check_uncompromising(rule, profile, agent, deviation, boundary)
-        if verdict.case == "violated":
-            return verdict
-    return None
+        return verdict if verdict.case == "violated" else None
+
+    hit = first_hit(trials, seed, "uncompromising", trial)
+    return None if hit is None else hit[1]
 
 
 def check_separability_on_deviations(
@@ -242,10 +243,9 @@ def check_separability_on_deviations(
     else row by row within the brackets that keep the rows sorted.  The
     pooled-multiset rule fails this quickly; columnwise rules never do.
     """
-    require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
-    for t in range(trials):
-        rng = spawn(seed, "separability", t)
+
+    def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=16)
         k = rng.randint(1, m)
         rows = []
@@ -257,18 +257,14 @@ def check_separability_on_deviations(
         resampled = Profile.from_rows(domain, rows)
         before = rule(profile).values[k - 1]
         after = rule(resampled).values[k - 1]
-        if before != after:
-            return AxiomReport(
-                "separability",
-                VIOLATED,
-                seed=seed,
-                trials=t + 1,
-                witness={
-                    "profile": profile.values(),
-                    "resampled": resampled.values(),
-                    "column": k,
-                    "before": before,
-                    "after": after,
-                },
-            )
-    return AxiomReport("separability", HOLDS, seed=seed, trials=trials)
+        if before == after:
+            return None
+        return {
+            "profile": profile.values(),
+            "resampled": resampled.values(),
+            "column": k,
+            "before": before,
+            "after": after,
+        }
+
+    return sampled_report("separability", trials, seed, "separability", trial)

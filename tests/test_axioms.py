@@ -414,6 +414,58 @@ class TestTrialCounts:
             search_extent_violation(PositionVector((2, 2, 2)), 3, -1, 0)
 
 
+GRADES = Domain(F(0), F(100))
+
+
+class TestShapePolicy:
+    """A checker given no domain samples the rule's own, like sp_fuzz does."""
+
+    @pytest.fixture
+    def graded_median(self):
+        from vocagg import boundary_phantoms
+
+        return ExtendedMedianRule(boundary_phantoms(median_positions(3, 3), 3, GRADES))
+
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            check_unanimity,
+            check_anonymity,
+            check_stability_sampled,
+            check_strict_responsiveness,
+            check_separability_on_deviations,
+        ],
+    )
+    def test_checkers_sample_the_rule_domain(self, graded_median, checker):
+        report = checker(graded_median, 40, 3)
+        assert report.holds and report.trials == 40
+        assert report == checker(graded_median, 40, 3, domain=GRADES)
+
+    def test_battery_samples_the_rule_domain(self, graded_median):
+        battery = run_axiom_battery(graded_median, 40, 3)
+        assert all(report.holds for report in battery.values())
+        assert battery == run_axiom_battery(graded_median, 40, 3, domain=GRADES)
+
+    def test_fuzzers_sample_the_rule_domain(self, graded_median):
+        assert sp_fuzz(graded_median, 200, 3) is None
+        assert uncompromising_fuzz(graded_median, 200, 3) is None
+
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            check_unanimity,
+            check_strict_responsiveness,
+            check_separability_on_deviations,
+            sp_fuzz,
+            uncompromising_fuzz,
+        ],
+    )
+    def test_an_explicit_count_is_kept(self, checker):
+        # zero agents is the caller's choice, refused, not replaced by a default
+        with pytest.raises(ShapeMismatch, match="at least one agent"):
+            checker(MEDIAN_3x3, 5, 0, n=0)
+
+
 class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(UnknownFixture):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -456,6 +457,27 @@ class TestResultDocuments:
         with pytest.raises(ParseError, match=message):
             parse_result(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "endpoints,vocabulary,message",
+        [
+            (["3", "2"], {"a": ["5", "0"]}, "endpoints: endpoint 3 outside"),
+            (["1/2"], {"a": ["0", "1/3"], "b": ["1/3", "1"]}, "vocabulary: does not match"),
+            (["1/2"], {"a": ["0", "1/2"]}, "vocabulary: does not match"),
+            (["1/2"], {"a": ["0", "1/2"], "b": ["1/2", "1"], "z": None}, "vocabulary: unknown words"),
+        ],
+    )
+    def test_inconsistent_results_name_the_field(self, endpoints, vocabulary, message):
+        words = ["a", "b", "c"][: len(endpoints) + 1]
+        payload = {
+            "rule": {"kind": "mean"},
+            "domain": {"lower": "0", "upper": "1"},
+            "words": words,
+            "endpoints": endpoints,
+            "vocabulary": vocabulary,
+        }
+        with pytest.raises(ParseError, match=message):
+            parse_result(json.dumps(payload))
+
     def test_huge_integer_literals_load(self):
         assert load_json("[1" + "0" * 5000 + "]") == [10**5000]
 
@@ -717,6 +739,10 @@ class TestCli:
             ["sp-check", "--rule", "median", "--trials", "-1"],
             ["axioms", "--rule", "median", "--trials", "-5"],
             ["axioms", "--rule", "median", "--trials", "0"],
+            ["axioms", "--rule", "mean", "--n", "0"],
+            ["axioms", "--rule", "mean", "--m", "0"],
+            ["sp-check", "--rule", "mean", "--n", "0"],
+            ["sp-check", "--rule", "dictator:1", "--m", "0"],
         ],
     )
     def test_count_flags_are_bounded(self, argv, capsys):
@@ -742,3 +768,60 @@ class TestCli:
         assert main(["axioms", "--rule", "median", "--domain", "zero-one",
                      "--trials", "1"]) == 2
         assert "LOWER:UPPER" in capsys.readouterr().err
+
+
+# stdout sha256 and exit code of README-style calls: any change to the CLI's
+# output bytes, a checker's draws or a witness changes a digest, so update
+# one only for an intended change of output.
+PINNED_CALLS = {
+    "aggregate-median": (
+        ["aggregate", "--rule", "median", "--input", "{grades}"], 0,
+        "6dab015e7860843a83da0ec2fdc2cf49ee05871033ff2341aad75337e54f3dff",
+    ),
+    "aggregate-mean": (
+        ["aggregate", "--rule", "mean", "--input", "{grades}"], 0,
+        "34a63198b8163491d22a03483244a084166f19e775c94b84d5703a1951ac0ff7",
+    ),
+    "axioms-mean": (
+        ["axioms", "--rule", "mean", "--trials", "60", "--seed", "7"], 1,
+        "7155fb528be409677799f79c9ef5b4ea073532a9bf64d3163bf3cd63fd60c3c0",
+    ),
+    "axioms-median": (
+        ["axioms", "--rule", "median", "--trials", "60", "--seed", "7"], 0,
+        "766eff11ae460d0299997381789181376d0bcb38d8bb0daa3f6d927b1f6a4e0a",
+    ),
+    "sp-check-median": (
+        ["sp-check", "--rule", "median", "--trials", "200", "--seed", "7"], 0,
+        "cede70346a8834906f43738441f80d3de781215192359a12853560f7db2995a8",
+    ),
+    "sp-check-mean": (
+        ["sp-check", "--rule", "mean", "--trials", "200", "--seed", "7"], 1,
+        "9522a875de2a70c37cdc33ce81ac9ca24ff6f1ece63e915eec6d15815ac9325f",
+    ),
+    "induce": (
+        ["induce", "--input", "{observations}"], 0,
+        "fe9d4570a38e6fd2c5363b1f797022dece791a223fedaff4c6c61626bf286f36",
+    ),
+    "render-ascii": (
+        ["render", "--input", "{grades}"], 0,
+        "9cdf799edb362a26b2d4976a5f2349ca968cb040dca47d4eac3f02ca041d8c44",
+    ),
+    "render-svg": (
+        ["render", "--input", "{grades}", "--rule", "median", "--format", "svg"], 0,
+        "e8710aa33c23ec22320c515701ed3706f2b913ecde1e68de44972b1c4409b0f2",
+    ),
+}
+
+
+class TestPinnedCliOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_CALLS))
+    def test_stdout_and_exit_code(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("VOCAGG_SEED", raising=False)
+        paths = {
+            "grades": write(tmp_path, "grades.json", GRADING_DOC),
+            "observations": write(tmp_path, "observations.json", EXEMPLAR_DOC),
+        }
+        argv, code, digest = PINNED_CALLS[name]
+        assert main([arg.format(**paths) for arg in argv]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
