@@ -6,190 +6,130 @@ aggregates many such vocabularies into a collective one through positional
 endpoint rules and their relatives, and machine-checks the axioms and
 strategic properties those rules are supposed to satisfy.  All arithmetic
 is exact (:class:`fractions.Fraction` throughout).
-"""
 
-from .core import (
-    Domain,
-    EndpointMultiset,
-    Profile,
-    Vocabulary,
-    as_rational,
-    between,
-    decode_endpoints,
-    encode_vocabulary,
-    profile_between,
-)
-from .errors import (
-    DomainMismatch,
-    EvenAgentCount,
-    InconsistentLabels,
-    IndexOutOfRange,
-    InvalidVocabulary,
-    MalformedGaps,
-    ParityViolation,
-    ParseError,
-    ShapeMismatch,
-    UnknownFixture,
-    VocaggError,
-)
-from .rules import (
-    DictatorRule,
-    ExtendedMedianRule,
-    MeanRule,
-    MultisetRule,
-    PhantomMatrix,
-    PositionVector,
-    PRule,
-    apply_rule,
-    boundary_phantoms,
-    extended_median,
-    is_symmetric,
-    median_positions,
-    order_statistic,
-)
-from .axioms import (
-    FIXTURE_TARGETS,
-    HOLDS,
-    VIOLATED,
-    AxiomReport,
-    PiecewiseLinearMap,
-    check_anonymity,
-    check_consistency,
-    check_lipschitz,
-    check_majoritarian_extents,
-    check_majoritarian_words,
-    check_stability,
-    check_strict_responsiveness,
-    check_unanimity,
-    fixture_rule,
-    majoritarian_band,
-    run_axiom_battery,
-    search_extent_violation,
-)
-from .strategic import (
-    ManipulationWitness,
-    SinglePeakedPreference,
-    UncompromisingVerdict,
-    check_separability_on_deviations,
-    check_uncompromising,
-    sp_fuzz,
-    uncompromising_fuzz,
-    utility,
-)
-from .exemplars import (
-    GapSequence,
-    InducedVocabulary,
-    IncrementalReport,
-    LabeledExemplars,
-    aggregate_gaps,
-    check_incremental_consistency,
-    collective_incomplete,
-    gaps_of,
-    induce,
-)
-from .io import (
-    ParsedInput,
-    ResultDocument,
-    build_result,
-    default_words,
-    describe_rule,
-    jsonify,
-    load_json,
-    parse_profile,
-    parse_rational,
-    parse_result,
-    rational_str,
-    report_to_json,
-    rule_from_descriptor,
-    serialize_result,
-)
-from .render import render_ascii, render_diagram, render_svg
+Each public name has one home module, listed in ``_EXPORTS``.  Importing
+the package loads none of them: the first access to a name imports its home
+module and binds the name here, so ``vocagg.X is vocagg.<home>.X`` and later
+accesses are plain attribute lookups (PEP 562).
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AxiomReport",
-    "DictatorRule",
-    "Domain",
-    "DomainMismatch",
-    "EndpointMultiset",
-    "EvenAgentCount",
-    "ExtendedMedianRule",
-    "FIXTURE_TARGETS",
-    "GapSequence",
-    "HOLDS",
-    "InconsistentLabels",
-    "IndexOutOfRange",
-    "InducedVocabulary",
-    "IncrementalReport",
-    "InvalidVocabulary",
-    "LabeledExemplars",
-    "MalformedGaps",
-    "ManipulationWitness",
-    "MeanRule",
-    "MultisetRule",
-    "PRule",
-    "ParityViolation",
-    "ParseError",
-    "ParsedInput",
-    "PhantomMatrix",
-    "PiecewiseLinearMap",
-    "PositionVector",
-    "Profile",
-    "ResultDocument",
-    "ShapeMismatch",
-    "SinglePeakedPreference",
-    "UncompromisingVerdict",
-    "UnknownFixture",
-    "VIOLATED",
-    "Vocabulary",
-    "VocaggError",
-    "aggregate_gaps",
-    "apply_rule",
-    "as_rational",
-    "between",
-    "boundary_phantoms",
-    "build_result",
-    "check_anonymity",
-    "check_consistency",
-    "check_incremental_consistency",
-    "check_lipschitz",
-    "check_majoritarian_extents",
-    "check_majoritarian_words",
-    "check_separability_on_deviations",
-    "check_stability",
-    "check_strict_responsiveness",
-    "check_unanimity",
-    "check_uncompromising",
-    "collective_incomplete",
-    "decode_endpoints",
-    "default_words",
-    "describe_rule",
-    "encode_vocabulary",
-    "extended_median",
-    "fixture_rule",
-    "gaps_of",
-    "induce",
-    "is_symmetric",
-    "jsonify",
-    "load_json",
-    "majoritarian_band",
-    "median_positions",
-    "order_statistic",
-    "parse_profile",
-    "parse_rational",
-    "parse_result",
-    "profile_between",
-    "rational_str",
-    "render_ascii",
-    "render_diagram",
-    "render_svg",
-    "report_to_json",
-    "rule_from_descriptor",
-    "run_axiom_battery",
-    "search_extent_violation",
-    "serialize_result",
-    "sp_fuzz",
-    "uncompromising_fuzz",
-    "utility",
-]
+_EXPORTS = {
+    "core": (
+        "Domain",
+        "EndpointMultiset",
+        "Profile",
+        "Vocabulary",
+        "as_rational",
+        "between",
+        "decode_endpoints",
+        "encode_vocabulary",
+        "profile_between",
+        "rational_str",
+    ),
+    "errors": (
+        "DomainMismatch",
+        "EvenAgentCount",
+        "InconsistentLabels",
+        "IndexOutOfRange",
+        "InvalidVocabulary",
+        "MalformedGaps",
+        "ParityViolation",
+        "ParseError",
+        "ShapeMismatch",
+        "UnknownFixture",
+        "VocaggError",
+    ),
+    "rules": (
+        "DictatorRule",
+        "ExtendedMedianRule",
+        "FIXTURE_TARGETS",
+        "MeanRule",
+        "MultisetRule",
+        "PhantomMatrix",
+        "PositionVector",
+        "PRule",
+        "apply_rule",
+        "boundary_phantoms",
+        "extended_median",
+        "fixture_rule",
+        "is_symmetric",
+        "median_positions",
+        "order_statistic",
+    ),
+    "axioms": (
+        "HOLDS",
+        "VIOLATED",
+        "AxiomReport",
+        "PiecewiseLinearMap",
+        "check_anonymity",
+        "check_consistency",
+        "check_lipschitz",
+        "check_majoritarian_extents",
+        "check_majoritarian_words",
+        "check_stability",
+        "check_strict_responsiveness",
+        "check_unanimity",
+        "majoritarian_band",
+        "run_axiom_battery",
+        "search_extent_violation",
+    ),
+    "strategic": (
+        "ManipulationWitness",
+        "SinglePeakedPreference",
+        "UncompromisingVerdict",
+        "check_separability_on_deviations",
+        "check_uncompromising",
+        "sp_fuzz",
+        "uncompromising_fuzz",
+        "utility",
+    ),
+    "exemplars": (
+        "GapSequence",
+        "InducedVocabulary",
+        "IncrementalReport",
+        "LabeledExemplars",
+        "aggregate_gaps",
+        "check_incremental_consistency",
+        "collective_incomplete",
+        "gaps_of",
+        "induce",
+    ),
+    "io": (
+        "ParsedInput",
+        "ResultDocument",
+        "build_result",
+        "default_words",
+        "describe_rule",
+        "jsonify",
+        "load_json",
+        "parse_profile",
+        "parse_rational",
+        "parse_result",
+        "report_to_json",
+        "rule_from_descriptor",
+        "serialize_result",
+    ),
+    "render": ("render_ascii", "render_diagram", "render_svg"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    """Import ``name``'s home module on first access and bind the name here."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import Domain, EndpointMultiset, Profile
-from .errors import ShapeMismatch, UnknownFixture
+from .errors import ShapeMismatch
 from .rules import (
-    DictatorRule,
     ExtendedMedianRule,
-    MeanRule,
     PRule,
     PositionVector,
     Rule,
@@ -689,81 +687,6 @@ def check_strict_responsiveness(
         }
 
     return sampled_report("strict-responsiveness", trials, seed, "responsiveness", trial)
-
-
-# ---------------------------------------------------------------------------
-# benchmark fixtures: each one breaks exactly one of the four core axioms
-
-
-class _Fixture(Rule):
-    """A benchmark rule, described by its fixture name."""
-
-    name: ClassVar[str]
-
-    def describe(self) -> dict:
-        return {"kind": "fixture", "name": self.name}
-
-
-@dataclass(frozen=True)
-class InfRule(_Fixture):
-    """First boundary pinned at the lower corner, the rest the minimum report."""
-
-    name: ClassVar[str] = "inf-rule"
-
-    def __call__(self, profile: Profile) -> EndpointMultiset:
-        values = (profile.domain.lower,) + tuple(
-            min(profile.column(k)) for k in range(2, profile.m + 1)
-        )
-        return EndpointMultiset(profile.domain, values)
-
-
-@dataclass(frozen=True)
-class DiscontinuousRule(_Fixture):
-    """Column 1 takes its minimum while all reports differ, its maximum on ties."""
-
-    name: ClassVar[str] = "discontinuous-rule"
-
-    def __call__(self, profile: Profile) -> EndpointMultiset:
-        if profile.n < 3:
-            raise ShapeMismatch("the jump fixture needs at least three agents")
-        first = profile.column(1)
-        head = min(first) if len(set(first)) == len(first) else max(first)
-        values = (head,) + tuple(
-            max(profile.column(k)) for k in range(2, profile.m + 1)
-        )
-        return EndpointMultiset(profile.domain, values)
-
-
-FIXTURE_TARGETS = {
-    "inf-rule": "unanimity",
-    "dictator": "anonymity",
-    "mean": "stability",
-    "discontinuous-rule": "continuity",
-}
-
-
-def fixture_rule(name: str) -> Rule:
-    """One of the four benchmark rules, each failing exactly one core axiom.
-
-    * ``inf-rule``: first boundary pinned at the lower corner, the rest take
-      the minimum report; never unanimous in its first component.
-    * ``dictator``: agent 1's report verbatim; not anonymous.
-    * ``mean``: columnwise mean; not stable under non-affine relabelings.
-    * ``discontinuous-rule``: minimum of column 1 while its reports are all
-      distinct, maximum on ties; the switch is a jump.
-    """
-    fixtures: dict[str, Rule] = {
-        "inf-rule": InfRule(),
-        "dictator": DictatorRule(1),
-        "mean": MeanRule(),
-        "discontinuous-rule": DiscontinuousRule(),
-    }
-    try:
-        return fixtures[name]
-    except KeyError:
-        raise UnknownFixture(
-            f"no fixture {name!r}; choose from {sorted(fixtures)}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,13 @@ stability / continuity battery; ``sp-check`` fuzzes for profitable
 misreports and bracketing failures; ``induce`` runs the exemplar pipeline
 from labeled observations to an attributed collective vocabulary;
 ``render`` draws diagrams.  Exit codes: 0 success, 1 violation witnesses
-found, 2 input error.  The environment variable ``VOCAGG_SEED`` (a
-decimal integer) overrides any ``--seed`` flag.
+found, 2 input error (a malformed document, flag or argument, a file that
+cannot be read or is not UTF-8).  The environment variable ``VOCAGG_SEED``
+(a decimal integer) overrides any ``--seed`` flag.
+
+At the top this module imports only ``core``, ``errors``, ``io`` and
+``rules``; each handler imports the rest of what it runs, so a command loads
+only its own modules.
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ import os
 import sys
 from typing import Optional
 
-from .axioms import VIOLATED, check_majoritarian_words, run_axiom_battery
 from .core import Domain, as_rational, decode_endpoints
 from .errors import ParseError, VocaggError
-from .exemplars import aggregate_gaps, collective_incomplete, gaps_of, induce
 from .io import (
     ParsedInput,
     build_result,
@@ -33,9 +36,7 @@ from .io import (
     rule_from_descriptor,
     serialize_result,
 )
-from .render import render_diagram
 from .rules import PRule, Rule
-from .strategic import sp_fuzz, uncompromising_fuzz
 
 RULE_HELP = (
     "median | mean | multiset | dictator:i | p:2,3,4 | emed:FILE | fixture:NAME"
@@ -43,10 +44,14 @@ RULE_HELP = (
 
 
 def _read_text(path: Optional[str]) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        source = "stdin" if path is None or path == "-" else repr(path)
+        raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -127,6 +132,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
+    from .axioms import VIOLATED, check_majoritarian_words, run_axiom_battery
+
     seed = _effective_seed(args.seed)
     extra_profile = None
     if args.input is not None:
@@ -153,6 +160,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def _cmd_sp_check(args: argparse.Namespace) -> int:
+    from .strategic import sp_fuzz, uncompromising_fuzz
+
     seed = _effective_seed(args.seed)
     domain = _parse_domain_flag(args.domain)
     rule = _resolve_rule(args.rule, args.n, args.m, domain)
@@ -192,6 +201,8 @@ def _cmd_sp_check(args: argparse.Namespace) -> int:
 
 
 def _induced_pipeline(parsed: ParsedInput, rule_text: str, order: str):
+    from .exemplars import aggregate_gaps, collective_incomplete, gaps_of, induce
+
     m = len(parsed.words) - 1
     vocabularies = [induce(exemplars, m) for exemplars in parsed.exemplars]
     gap_rows = [gaps_of(vocabulary) for vocabulary in vocabularies]
@@ -228,6 +239,9 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .exemplars import induce
+    from .render import render_diagram
+
     parsed = parse_profile(_read_text(args.input))
     if parsed.kind == "exemplars":
         m = len(parsed.words) - 1

@@ -108,6 +108,21 @@ def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(as_rational, values))
 
 
+def as_extents(
+    extents: Iterable[Optional[Sequence[RationalLike]]],
+) -> tuple[Optional[tuple[Fraction, Fraction]], ...]:
+    """Each extent as an exact ``(left, right)`` pair; ``None`` stays ``None``."""
+    cleaned = []
+    for extent in extents:
+        if extent is not None:
+            left, right = extent
+            if type(left) is not Fraction or type(right) is not Fraction:
+                left, right = as_rational(left), as_rational(right)
+            extent = (left, right)
+        cleaned.append(extent)
+    return tuple(cleaned)
+
+
 def rational_str(value: RationalLike) -> str:
     """Canonical string form: ``"p/q"``, or just ``"p"`` for integers."""
     if type(value) is not Fraction:
@@ -260,16 +275,7 @@ class Vocabulary:
     extents: tuple[Optional[tuple[Fraction, Fraction]], ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for extent in self.extents:
-            if extent is None:
-                cleaned.append(None)
-                continue
-            left, right = extent
-            if type(left) is not Fraction or type(right) is not Fraction:
-                left, right = as_rational(left), as_rational(right)
-            cleaned.append((left, right))
-        object.__setattr__(self, "extents", tuple(cleaned))
+        object.__setattr__(self, "extents", as_extents(self.extents))
         active = [(j, e) for j, e in enumerate(self.extents) if e is not None]
         if not active:
             raise InvalidVocabulary("no active word")

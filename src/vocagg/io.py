@@ -32,14 +32,14 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .axioms import AxiomReport, fixture_rule
 from .core import (
     Domain,
     EndpointMultiset,
     Profile,
     Vocabulary,
+    as_extents,
     as_rational,
     as_rationals,
     decode_endpoints,
@@ -47,7 +47,6 @@ from .core import (
     rational_str,
 )
 from .errors import ParseError, VocaggError
-from .exemplars import LabeledExemplars
 from .rules import (
     DictatorRule,
     ExtendedMedianRule,
@@ -57,8 +56,12 @@ from .rules import (
     PositionVector,
     PRule,
     Rule,
+    fixture_rule,
     median_positions,
 )
+
+if TYPE_CHECKING:
+    from .exemplars import LabeledExemplars
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
@@ -129,7 +132,8 @@ def jsonify(value: object) -> object:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-def report_to_json(report: AxiomReport) -> dict:
+def report_to_json(report) -> dict:
+    """An ``axioms.AxiomReport`` as a JSON object."""
     return {
         "axiom": report.axiom,
         "verdict": report.verdict,
@@ -306,6 +310,8 @@ def _parse_exemplar_agents(
     agents: list,
     numerals: _Numerals,
 ) -> ParsedInput:
+    from .exemplars import LabeledExemplars
+
     if words is None:
         raise ParseError("words: required for exemplar-form agents")
     shared = payload.get("exemplars")
@@ -435,16 +441,7 @@ class ResultDocument:
         object.__setattr__(self, "rule", jsonify(self.rule))
         object.__setattr__(self, "words", tuple(self.words))
         object.__setattr__(self, "endpoints", as_rationals(self.endpoints))
-        cleaned = []
-        for extent in self.vocabulary:
-            if extent is None:
-                cleaned.append(None)
-                continue
-            left, right = extent[0], extent[1]
-            if type(left) is not Fraction or type(right) is not Fraction:
-                left, right = as_rational(left), as_rational(right)
-            cleaned.append((left, right))
-        object.__setattr__(self, "vocabulary", tuple(cleaned))
+        object.__setattr__(self, "vocabulary", as_extents(self.vocabulary))
         object.__setattr__(self, "reports", tuple(jsonify(r) for r in self.reports))
         object.__setattr__(self, "witnesses", tuple(jsonify(w) for w in self.witnesses))
         if len(self.words) != len(self.endpoints) + 1:
@@ -456,21 +453,14 @@ class ResultDocument:
 
 
 def build_result(
-    rule: Rule,
-    words: Sequence[str],
-    endpoints: EndpointMultiset,
-    reports: Sequence[AxiomReport] = (),
-    witnesses: Sequence[dict] = (),
+    rule: Rule, words: Sequence[str], endpoints: EndpointMultiset
 ) -> ResultDocument:
-    vocabulary = decode_endpoints(endpoints)
     return ResultDocument(
         rule=describe_rule(rule),
         domain=endpoints.domain,
         words=tuple(words),
         endpoints=endpoints.values,
-        vocabulary=vocabulary.extents,
-        reports=tuple(report_to_json(r) for r in reports),
-        witnesses=tuple(witnesses),
+        vocabulary=decode_endpoints(endpoints).extents,
     )
 
 

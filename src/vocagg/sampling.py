@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
 from .core import Domain, Profile
+from .errors import ShapeMismatch
 from .rules import Rule
 
 _T = TypeVar("_T")
@@ -60,14 +61,18 @@ def sampling_shape(
     """The (n, m, domain) to sample: each the caller's, or the rule's default if ``None``.
 
     A bare callable standing in for a rule gets the default of ``Rule``.
+    A count below one is refused: there would be no agent or no boundary to
+    sample, and a check over it would hold vacuously or fail inside a sampler.
     """
     own = rule if isinstance(rule, Rule) else Rule()
     default_n, default_m, default_domain = own.default_shape()
-    return (
-        default_n if n is None else n,
-        default_m if m is None else m,
-        default_domain if domain is None else domain,
-    )
+    n = default_n if n is None else n
+    m = default_m if m is None else m
+    if n < 1:
+        raise ShapeMismatch(f"a sampled profile needs at least one agent, got n={n}")
+    if m < 1:
+        raise ShapeMismatch(f"a sampled profile needs at least one boundary, got m={m}")
+    return n, m, default_domain if domain is None else domain
 
 
 def rational_between(

@@ -416,6 +416,18 @@ class TestTrialCounts:
 
 GRADES = Domain(F(0), F(100))
 
+# every sampled checker that takes the caller's n and m
+COUNTED_CHECKERS = [
+    check_unanimity,
+    check_anonymity,
+    check_stability_sampled,
+    check_strict_responsiveness,
+    check_separability_on_deviations,
+    run_axiom_battery,
+    sp_fuzz,
+    uncompromising_fuzz,
+]
+
 
 class TestShapePolicy:
     """A checker given no domain samples the rule's own, like sp_fuzz does."""
@@ -450,20 +462,21 @@ class TestShapePolicy:
         assert sp_fuzz(graded_median, 200, 3) is None
         assert uncompromising_fuzz(graded_median, 200, 3) is None
 
-    @pytest.mark.parametrize(
-        "checker",
-        [
-            check_unanimity,
-            check_strict_responsiveness,
-            check_separability_on_deviations,
-            sp_fuzz,
-            uncompromising_fuzz,
-        ],
-    )
+    @pytest.mark.parametrize("checker", COUNTED_CHECKERS)
     def test_an_explicit_count_is_kept(self, checker):
         # zero agents is the caller's choice, refused, not replaced by a default
         with pytest.raises(ShapeMismatch, match="at least one agent"):
             checker(MEDIAN_3x3, 5, 0, n=0)
+
+    @pytest.mark.parametrize("checker", COUNTED_CHECKERS)
+    def test_an_explicit_boundary_count_is_kept(self, checker):
+        with pytest.raises(ShapeMismatch, match="at least one boundary"):
+            checker(MEDIAN_3x3, 5, 0, m=0)
+
+    def test_zero_agents_never_reach_the_phantom_probe(self):
+        interior = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(1, 3), F(1, 2)),)))
+        with pytest.raises(ShapeMismatch, match="at least one agent"):
+            check_strict_responsiveness(interior, 5, 0, n=0)
 
 
 class TestFixtures:

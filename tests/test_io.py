@@ -604,6 +604,25 @@ class TestCli:
         assert main(["aggregate", "--rule", "median", "--input", missing]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["input", "stdin", "emed"])
+    def test_non_utf8_input_is_an_input_error(self, route, tmp_path, capsys, monkeypatch):
+        import io as stdio
+
+        raw = b"\xff\xfe" + json.dumps(GRADING_DOC).encode()
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(raw)
+        doc = write(tmp_path, "profile.json", GRADING_DOC)
+        monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(raw), encoding="utf-8"))
+        argv = {
+            "input": ["--rule", "median", "--input", str(bad)],
+            "stdin": ["--rule", "median", "--input", "-"],
+            "emed": ["--rule", f"emed:{bad}", "--input", doc],
+        }[route]
+        assert main(["aggregate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+        assert ("stdin" if route == "stdin" else str(bad)) in err
+
     def test_axioms_median_passes(self, tmp_path, capsys):
         out = tmp_path / "axioms.json"
         code = main(
