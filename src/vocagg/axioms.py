@@ -13,6 +13,9 @@ rules here satisfy and which a single jump breaks.
 A checker only calls its rule on profiles, so any callable from a
 ``Profile`` to an ``EndpointMultiset`` can stand in for a ``Rule``; only the
 default sampling shape and the phantom probes read the rule itself.
+
+Every report is built by ``_report``: ``HOLDS`` without a witness,
+``VIOLATED`` with one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Domain, EndpointMultiset, Profile
+from .core import Domain, EndpointMultiset, Profile, as_rational
 from .errors import ShapeMismatch
 from .rules import (
     ExtendedMedianRule,
@@ -58,7 +61,7 @@ class PiecewiseLinearMap:
     points: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in self.points)
+        pts = tuple((as_rational(x), as_rational(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("a piecewise-linear map needs at least the two corners")
@@ -135,15 +138,20 @@ class AxiomReport:
             raise ValueError("a violation report needs a witness")
 
 
+def _report(axiom: str, witness: Optional[dict], **run) -> AxiomReport:
+    """The one report builder: ``HOLDS`` if ``witness`` is ``None``, else ``VIOLATED``."""
+    return AxiomReport(axiom, HOLDS if witness is None else VIOLATED, witness=witness, **run)
+
+
 def sampled_report(
     axiom: str, trials: int, seed: int, stream: str, trial: Callable[..., Optional[dict]]
 ) -> AxiomReport:
     """Run ``trial`` through ``first_hit``; the first witness it returns refutes ``axiom``."""
     hit = first_hit(trials, seed, stream, trial)
     if hit is None:
-        return AxiomReport(axiom, HOLDS, seed=seed, trials=trials)
+        return _report(axiom, None, seed=seed, trials=trials)
     t, witness = hit
-    return AxiomReport(axiom, VIOLATED, seed=seed, trials=t + 1, witness=witness)
+    return _report(axiom, witness, seed=seed, trials=t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +187,8 @@ def check_consistency(
         else:
             previous = value
             continue
-        return AxiomReport(axiom, VIOLATED, witness=witness)
-    return AxiomReport(axiom, HOLDS)
+        return _report(axiom, witness)
+    return _report(axiom, None)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +201,8 @@ def check_unanimity(
     seed: int,
     *,
     domain: Optional[Domain] = None,
-    n: int = 3,
-    m: int = 3,
+    n: Optional[int] = None,
+    m: Optional[int] = None,
 ) -> AxiomReport:
     """Columns on which all agents agree must come back unchanged.
 
@@ -247,8 +255,8 @@ def check_anonymity(
     seed: int,
     *,
     domain: Optional[Domain] = None,
-    n: int = 3,
-    m: int = 3,
+    n: Optional[int] = None,
+    m: Optional[int] = None,
 ) -> AxiomReport:
     """Permuting the agents must not change the output.
 
@@ -258,7 +266,7 @@ def check_anonymity(
     require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
     if n < 2:
-        return AxiomReport("anonymity", HOLDS, seed=seed, trials=0)
+        return _report("anonymity", None, seed=seed, trials=0)
 
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=32)
@@ -308,11 +316,9 @@ def random_monotone_map(
         )
         for x, y in zip(xs, ys)
     )
-    if direction == "increasing":
-        corners = ((domain.lower, domain.lower), (domain.upper, domain.upper))
-    else:
-        corners = ((domain.lower, domain.upper), (domain.upper, domain.lower))
-    return PiecewiseLinearMap(domain, (corners[0],) + interior + (corners[1],))
+    ends = PiecewiseLinearMap.identity if direction == "increasing" else PiecewiseLinearMap.reversal
+    left, right = ends(domain).points
+    return PiecewiseLinearMap(domain, (left,) + interior + (right,))
 
 
 def check_stability(
@@ -328,20 +334,19 @@ def check_stability(
     output = rule(profile)
     transformed = tuple(sorted(phi(v) for v in output.values))
     output_of_transformed = rule(phi.map_profile(profile))
-    if transformed != output_of_transformed.values:
-        return AxiomReport(
-            axiom,
-            VIOLATED,
-            witness={
-                "profile": profile.values(),
-                "map": phi.points,
-                "direction": phi.direction,
-                "output": output.values,
-                "transformed_output": transformed,
-                "output_of_transformed": output_of_transformed.values,
-            },
-        )
-    return AxiomReport(axiom, HOLDS)
+    if transformed == output_of_transformed.values:
+        return _report(axiom, None)
+    return _report(
+        axiom,
+        {
+            "profile": profile.values(),
+            "map": phi.points,
+            "direction": phi.direction,
+            "output": output.values,
+            "transformed_output": transformed,
+            "output_of_transformed": output_of_transformed.values,
+        },
+    )
 
 
 def check_stability_sampled(
@@ -350,8 +355,8 @@ def check_stability_sampled(
     seed: int,
     *,
     domain: Optional[Domain] = None,
-    n: int = 3,
-    m: int = 3,
+    n: Optional[int] = None,
+    m: Optional[int] = None,
     direction: str = "increasing",
 ) -> AxiomReport:
     """Stability over random profiles and random monotone relabelings."""
@@ -384,7 +389,7 @@ def check_lipschitz(
     distance is reported as a continuity violation.
     """
     require_trials(trials)
-    eps = Fraction(eps)
+    eps = as_rational(eps)
     base = rule(profile)
     domain = profile.domain
 
@@ -463,21 +468,34 @@ def majority_extent_agents(
 def check_majoritarian_words(rule: Rule, profile: Profile) -> AxiomReport:
     """Words active for a strict majority of agents must stay active."""
     output = rule(profile)
-    supports = majority_word_sets(profile)
-    for j, agents in enumerate(supports):
-        if 2 * len(agents) >= profile.n + 1:
-            if not output.bound(j) < output.bound(j + 1):
-                return AxiomReport(
-                    "majoritarian-words",
-                    VIOLATED,
-                    witness={
-                        "profile": profile.values(),
-                        "word": j,
-                        "supporters": tuple(sorted(agents)),
-                        "output": output.values,
-                    },
-                )
-    return AxiomReport("majoritarian-words", HOLDS)
+    for j, agents in enumerate(majority_word_sets(profile)):
+        if 2 * len(agents) >= profile.n + 1 and not output.bound(j) < output.bound(j + 1):
+            witness = {
+                "profile": profile.values(),
+                "word": j,
+                "supporters": tuple(sorted(agents)),
+                "output": output.values,
+            }
+            return _report("majoritarian-words", witness)
+    return _report("majoritarian-words", None)
+
+
+def _extent_witness(
+    profile: Profile, output: EndpointMultiset, word: int, a: Fraction, b: Fraction, threshold: int
+) -> Optional[dict]:
+    """The witness that ``output`` fails a word-``word`` extent (a, b) backed by
+    2|N| >= ``threshold`` agents, or ``None``."""
+    agents = majority_extent_agents(profile, word, a, b)
+    if 2 * len(agents) < threshold or (output.bound(word) <= a and b <= output.bound(word + 1)):
+        return None
+    return {
+        "profile": profile.values(),
+        "word": word,
+        "a": a,
+        "b": b,
+        "supporters": tuple(sorted(agents)),
+        "output": output.values,
+    }
 
 
 def check_majoritarian_extents(
@@ -494,26 +512,9 @@ def check_majoritarian_extents(
     also accepts an exact half (2|N| >= n).  Below the threshold the check
     holds vacuously.
     """
-    agents = majority_extent_agents(profile, word, a, b)
-    threshold = profile.n if weak else profile.n + 1
     axiom = "majoritarian-extents-weak" if weak else "majoritarian-extents"
-    if 2 * len(agents) < threshold:
-        return AxiomReport(axiom, HOLDS)
-    output = rule(profile)
-    if output.bound(word) <= a and b <= output.bound(word + 1):
-        return AxiomReport(axiom, HOLDS)
-    return AxiomReport(
-        axiom,
-        VIOLATED,
-        witness={
-            "profile": profile.values(),
-            "word": word,
-            "a": a,
-            "b": b,
-            "supporters": tuple(sorted(agents)),
-            "output": output.values,
-        },
-    )
+    threshold = profile.n if weak else profile.n + 1
+    return _report(axiom, _extent_witness(profile, rule(profile), word, a, b, threshold))
 
 
 def majoritarian_band(n: int, weak: bool = False) -> tuple[int, int]:
@@ -590,23 +591,9 @@ def search_extent_violation(
                             pairs.append((word, a, b))
         output = rule(profile)
         for word, a, b in pairs:
-            agents = majority_extent_agents(profile, word, a, b)
-            if 2 * len(agents) < threshold:
-                continue
-            if output.bound(word) <= a and b <= output.bound(word + 1):
-                continue
-            return {
-                "positions": positions.positions,
-                "weak": weak,
-                "profile": profile.values(),
-                "word": word,
-                "a": a,
-                "b": b,
-                "supporters": tuple(sorted(agents)),
-                "output": output.values,
-                "trial": t,
-                "seed": seed,
-            }
+            w = _extent_witness(profile, output, word, a, b, threshold)
+            if w is not None:
+                return {"positions": positions.positions, "weak": weak, **w, "trial": t, "seed": seed}
         return None
 
     hit = first_hit(trials, seed, "extents", trial)
@@ -650,19 +637,15 @@ def check_strict_responsiveness(
                 before = extended_median(column, column_phantoms)
                 after = extended_median(shifted, column_phantoms)
                 if not before < after:
-                    return AxiomReport(
-                        "strict-responsiveness",
-                        VIOLATED,
-                        seed=seed,
-                        witness={
-                            "column_index": k,
-                            "phantom": q,
-                            "column": column,
-                            "shifted_column": shifted,
-                            "before": before,
-                            "after": after,
-                        },
-                    )
+                    witness = {
+                        "column_index": k,
+                        "phantom": q,
+                        "column": column,
+                        "shifted_column": shifted,
+                        "before": before,
+                        "after": after,
+                    }
+                    return _report("strict-responsiveness", witness, seed=seed)
 
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, strict=True, denominator=64)
@@ -699,8 +682,8 @@ def run_axiom_battery(
     seed: int,
     *,
     domain: Optional[Domain] = None,
-    n: int = 3,
-    m: int = 3,
+    n: Optional[int] = None,
+    m: Optional[int] = None,
     eps: Fraction = Fraction(1, 16),
 ) -> dict[str, AxiomReport]:
     """Run unanimity, anonymity, stability, and the continuity surrogate.

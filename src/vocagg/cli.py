@@ -46,7 +46,8 @@ RULE_HELP = (
 def _read_text(path: Optional[str]) -> str:
     try:
         if path is None or path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)  # absent on a text-only stand-in
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Domain, as_rational
+from .core import Domain, as_extents, as_rational
 from .errors import (
     DomainMismatch,
     InconsistentLabels,
@@ -89,18 +89,12 @@ class InducedVocabulary:
     extents: tuple[Optional[tuple[Fraction, Fraction]], ...]
 
     def __post_init__(self) -> None:
-        cleaned: list[Optional[tuple[Fraction, Fraction]]] = []
-        for extent in self.extents:
-            if extent is None:
-                cleaned.append(None)
-                continue
-            lo, hi = as_rational(extent[0]), as_rational(extent[1])
+        object.__setattr__(self, "extents", as_extents(self.extents))
+        for lo, hi in filter(None, self.extents):
             if not lo <= hi:
                 raise ValueError(f"hull with {lo} > {hi}")
             if not (self.domain.contains_closed(lo) and self.domain.contains_closed(hi)):
                 raise ValueError(f"hull [{lo}, {hi}] outside the closed domain")
-            cleaned.append((lo, hi))
-        object.__setattr__(self, "extents", tuple(cleaned))
         if not self.extents:
             raise ShapeMismatch("a vocabulary needs at least one word")
         previous: Optional[Fraction] = None

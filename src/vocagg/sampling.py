@@ -4,7 +4,11 @@ Every sampler draws from ``random.Random`` instances created via ``spawn``,
 which hashes the seed together with a stream label.  String seeding keeps
 the draws independent of ``PYTHONHASHSEED``, so a fixed seed reproduces the
 exact same profiles, maps, and deviations on every run.  All sampled values
-are rationals on a lattice, never floats.
+are rationals on a lattice, never floats: the samplers draw integer lattice
+indices, sort them, and build each ``Fraction`` once.
+
+``sampling_shape`` is the one shape policy: a sampled checker's ``n``, ``m``
+or ``domain`` left ``None`` comes from ``rule.default_shape()``.
 
 Every sampled checker runs its trials through ``first_hit``: trial t draws
 from ``spawn(seed, stream, t)`` alone, the run stops at the first violation,
@@ -75,23 +79,6 @@ def sampling_shape(
     return n, m, default_domain if domain is None else domain
 
 
-def rational_between(
-    rng: random.Random,
-    lo: Fraction,
-    hi: Fraction,
-    denominator: int = 64,
-    include_ends: bool = False,
-) -> Fraction:
-    """A lattice point of [lo, hi], interior unless ``include_ends``."""
-    if lo == hi:
-        return lo
-    if include_ends:
-        j = rng.randint(0, denominator)
-    else:
-        j = rng.randint(1, denominator - 1)
-    return lo + (hi - lo) * Fraction(j, denominator)
-
-
 def sorted_between(
     rng: random.Random,
     lo: Fraction,
@@ -100,12 +87,19 @@ def sorted_between(
     denominator: int = 64,
     include_ends: bool = True,
 ) -> tuple[Fraction, ...]:
-    """``count`` nondecreasing lattice points of [lo, hi]."""
-    draws = [
-        rational_between(rng, lo, hi, denominator, include_ends)
-        for _ in range(count)
-    ]
-    return tuple(sorted(draws))
+    """``count`` nondecreasing lattice points of [lo, hi], interior unless ``include_ends``.
+
+    The integer indices j are drawn and sorted first, and each becomes one
+    ``Fraction`` lo + (hi - lo) * j / denominator; the map is increasing, so
+    this gives the values of sorting one ``Fraction`` per draw.  ``lo == hi``
+    draws nothing.
+    """
+    if lo == hi:
+        return (lo,) * count
+    first, last = (0, denominator) if include_ends else (1, denominator - 1)
+    picks = sorted([rng.randint(first, last) for _ in range(count)])
+    span = hi - lo
+    return tuple(lo + span * Fraction(j, denominator) for j in picks)
 
 
 def strict_row(
@@ -127,7 +121,6 @@ def random_profile(
     *,
     strict: bool = False,
     denominator: int = 64,
-    include_ends: bool = False,
 ) -> Profile:
     """n independent sorted rows of m endpoints each.
 
@@ -140,9 +133,7 @@ def random_profile(
             rows.append(strict_row(rng, domain, m, denominator))
         else:
             rows.append(
-                sorted_between(
-                    rng, domain.lower, domain.upper, m, denominator, include_ends
-                )
+                sorted_between(rng, domain.lower, domain.upper, m, denominator, False)
             )
     return Profile.from_rows(domain, rows)
 
@@ -154,8 +145,6 @@ def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def random_weights(
-    rng: random.Random, m: int, limit: int = 5
-) -> tuple[Fraction, ...]:
-    """m strictly positive integer weights for a separable preference."""
-    return tuple(Fraction(rng.randint(1, limit)) for _ in range(m))
+def random_weights(rng: random.Random, m: int) -> tuple[Fraction, ...]:
+    """m integer weights in 1..5 for a separable preference."""
+    return tuple(Fraction(rng.randint(1, 5)) for _ in range(m))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .axioms import AxiomReport, sampled_report
-from .core import Domain, EndpointMultiset, Profile, between
+from .core import Domain, EndpointMultiset, Profile, as_rationals, between
 from .errors import DomainMismatch, ShapeMismatch
 from .rules import ExtendedMedianRule, Rule
 from .sampling import (
@@ -36,7 +36,7 @@ class SinglePeakedPreference:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights", as_rationals(self.weights))
         if len(self.weights) != self.peak.m:
             raise ShapeMismatch(
                 f"{len(self.weights)} weights for {self.peak.m} boundaries"

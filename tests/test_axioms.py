@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vocagg import (
     AxiomReport,
@@ -14,7 +16,9 @@ from vocagg import (
     PositionVector,
     Profile,
     PRule,
+    ParseError,
     ShapeMismatch,
+    SinglePeakedPreference,
     UnknownFixture,
     VIOLATED,
     apply_rule,
@@ -42,7 +46,7 @@ from vocagg.axioms import (
     random_monotone_map,
 )
 from vocagg.rules import ExtendedMedianRule, PhantomMatrix
-from vocagg.sampling import sampling_shape
+from vocagg.sampling import sampling_shape, sorted_between
 
 from conftest import shared_endpoint_profile
 
@@ -93,6 +97,20 @@ class TestPiecewiseLinearMap:
         assert a == b
         assert a != c
         assert random_monotone_map(UNIT, 7, "decreasing").direction == "decreasing"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0), (0.1, 0.3), (1, 1))),
+        lambda: SinglePeakedPreference(EndpointMultiset(UNIT, (F(1, 4),)), (0.5,)),
+        lambda: check_lipschitz(MEDIAN_3x3, Profile.from_rows(UNIT, [(F(1, 2),) * 3] * 3), 0.1, 1),
+    ],
+    ids=["map-points", "preference-weights", "lipschitz-eps"],
+)
+def test_binary_floats_are_refused(build):
+    with pytest.raises(ParseError, match="float"):
+        build()
 
 
 class TestAxiomReport:
@@ -416,6 +434,15 @@ class TestTrialCounts:
 
 GRADES = Domain(F(0), F(100))
 
+# rules whose own shape is not 3x3
+OFF_SQUARE_RULES = {
+    "p-rule-1-2": PRule(PositionVector((1, 2))),
+    "dictator-5": DictatorRule(5),
+    "two-column-emed": ExtendedMedianRule(
+        PhantomMatrix(UNIT, ((F(1, 4), F(1, 3)), (F(1, 2), F(3, 4))))
+    ),
+}
+
 # every sampled checker that takes the caller's n and m
 COUNTED_CHECKERS = [
     check_unanimity,
@@ -458,6 +485,15 @@ class TestShapePolicy:
         assert all(report.holds for report in battery.values())
         assert battery == run_axiom_battery(graded_median, 40, 3, domain=GRADES)
 
+    @pytest.mark.parametrize("rule", OFF_SQUARE_RULES.values(), ids=OFF_SQUARE_RULES)
+    @pytest.mark.parametrize(
+        "checker",
+        [check_unanimity, check_anonymity, check_stability_sampled, run_axiom_battery],
+    )
+    def test_checkers_sample_the_rule_shape(self, rule, checker):
+        n, m, domain = rule.default_shape()
+        assert checker(rule, 40, 3) == checker(rule, 40, 3, n=n, m=m, domain=domain)
+
     def test_fuzzers_sample_the_rule_domain(self, graded_median):
         assert sp_fuzz(graded_median, 200, 3) is None
         assert uncompromising_fuzz(graded_median, 200, 3) is None
@@ -472,6 +508,30 @@ class TestShapePolicy:
     def test_an_explicit_boundary_count_is_kept(self, checker):
         with pytest.raises(ShapeMismatch, match="at least one boundary"):
             checker(MEDIAN_3x3, 5, 0, m=0)
+
+    @given(
+        st.integers(0, 2**32),
+        st.fractions(-3, 3),
+        st.fractions(0, 3),
+        st.integers(0, 6),
+        st.integers(2, 64),
+        st.booleans(),
+    )
+    def test_sorted_between_matches_per_draw_fractions(
+        self, seed, lo, width, count, denominator, ends
+    ):
+        hi = lo + width
+
+        def oracle(rng):
+            if lo == hi:
+                return (lo,) * count
+            first, last = (0, denominator) if ends else (1, denominator - 1)
+            draws = [lo + (hi - lo) * F(rng.randint(first, last), denominator) for _ in range(count)]
+            return tuple(sorted(draws))
+
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert sorted_between(ours, lo, hi, count, denominator, ends) == oracle(theirs)
+        assert ours.getstate() == theirs.getstate()
 
     def test_zero_agents_never_reach_the_phantom_probe(self):
         interior = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(1, 3), F(1, 2)),)))

@@ -99,6 +99,8 @@ class TestInduce:
             InducedVocabulary(UNIT, ((F(0), F(2)),))
         with pytest.raises(ValueError):
             InducedVocabulary(UNIT, ((B, C), (A, A)))
+        with pytest.raises(ValueError):
+            InducedVocabulary(UNIT, ((0, "1/2", 7), None))
         with pytest.raises(ShapeMismatch):
             InducedVocabulary(UNIT, ())
 

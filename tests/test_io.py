@@ -623,6 +623,18 @@ class TestCli:
         assert err.startswith("error:") and "not UTF-8" in err
         assert ("stdin" if route == "stdin" else str(bad)) in err
 
+    def test_non_utf8_stdin_bytes_are_an_input_error(self):
+        raw = b"\xff\xfe" + json.dumps(GRADING_DOC).encode()
+        env = dict(os.environ, PYTHONPATH=str(Path(vocagg.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "vocagg", "aggregate", "--rule", "median"],
+            input=raw,
+            capture_output=True,
+            env=env,
+        )
+        assert done.returncode == 2
+        assert done.stderr.decode().startswith("error: stdin: not UTF-8 text")
+
     def test_axioms_median_passes(self, tmp_path, capsys):
         out = tmp_path / "axioms.json"
         code = main(
