@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Domain, EndpointMultiset, Profile, as_rational
-from .errors import ShapeMismatch
+from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational
+from .errors import ShapeMismatch, VocaggError
 from .rules import (
     ExtendedMedianRule,
     PRule,
@@ -61,17 +61,17 @@ class PiecewiseLinearMap:
     points: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((as_rational(x), as_rational(y)) for x, y in self.points)
+        pts = tuple(as_pair(point, j) for j, point in enumerate(self.points))
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
-            raise ValueError("a piecewise-linear map needs at least the two corners")
+            raise VocaggError("a piecewise-linear map needs at least the two corners")
         xs = [x for x, _ in pts]
         ys = [y for _, y in pts]
         if xs[0] != self.domain.lower or xs[-1] != self.domain.upper:
-            raise ValueError("breakpoints must span the closed domain")
+            raise VocaggError("breakpoints must span the closed domain")
         for a, b in zip(xs, xs[1:]):
             if not a < b:
-                raise ValueError(f"breakpoint abscissae not increasing: {a}, {b}")
+                raise VocaggError(f"breakpoint abscissae not increasing: {a}, {b}")
         increasing = ys[0] < ys[-1]
         expected = (
             (self.domain.lower, self.domain.upper)
@@ -79,12 +79,12 @@ class PiecewiseLinearMap:
             else (self.domain.upper, self.domain.lower)
         )
         if (ys[0], ys[-1]) != expected:
-            raise ValueError("a bijection of the domain must map corners to corners")
+            raise VocaggError("a bijection of the domain must map corners to corners")
         for a, b in zip(ys, ys[1:]):
             if increasing and not a < b:
-                raise ValueError(f"ordinates not increasing: {a}, {b}")
+                raise VocaggError(f"ordinates not increasing: {a}, {b}")
             if not increasing and not a > b:
-                raise ValueError(f"ordinates not decreasing: {a}, {b}")
+                raise VocaggError(f"ordinates not decreasing: {a}, {b}")
 
     @property
     def direction(self) -> str:
@@ -100,7 +100,7 @@ class PiecewiseLinearMap:
 
     def __call__(self, x: Fraction) -> Fraction:
         if not self.domain.contains_closed(x):
-            raise ValueError(f"{x} outside the closed domain")
+            raise VocaggError(f"{x} outside the closed domain")
         pts = self.points
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x <= x1:
@@ -133,9 +133,9 @@ class AxiomReport:
 
     def __post_init__(self) -> None:
         if self.verdict not in (HOLDS, VIOLATED):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+            raise VocaggError(f"unknown verdict {self.verdict!r}")
         if self.verdict == VIOLATED and self.witness is None:
-            raise ValueError("a violation report needs a witness")
+            raise VocaggError("a violation report needs a witness")
 
 
 def _report(axiom: str, witness: Optional[dict], **run) -> AxiomReport:
@@ -300,7 +300,7 @@ def random_monotone_map(
 ) -> PiecewiseLinearMap:
     """A random piecewise-linear bijection with 1..6 interior breakpoints."""
     if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"unknown direction {direction!r}")
+        raise VocaggError(f"unknown direction {direction!r}")
     rng = spawn(seed, "monotone-map", direction)
     breaks = rng.randint(1, 6)
     denominator = 97
@@ -453,9 +453,9 @@ def majority_extent_agents(
 ) -> frozenset[int]:
     """Agents whose word ``word`` covers the whole interval (a, b)."""
     if not a < b:
-        raise ValueError(f"need a < b, got {a} >= {b}")
+        raise VocaggError(f"need a < b, got {a} >= {b}")
     if not (profile.domain.contains(a) and profile.domain.contains(b)):
-        raise ValueError("a and b must be interior points")
+        raise VocaggError("a and b must be interior points")
     if not 0 <= word <= profile.m:
         raise ShapeMismatch(f"word index {word} outside 0..{profile.m}")
     return frozenset(

@@ -7,8 +7,12 @@ misreports and bracketing failures; ``induce`` runs the exemplar pipeline
 from labeled observations to an attributed collective vocabulary;
 ``render`` draws diagrams.  Exit codes: 0 success, 1 violation witnesses
 found, 2 input error (a malformed document, flag or argument, a file that
-cannot be read or is not UTF-8).  The environment variable ``VOCAGG_SEED``
-(a decimal integer) overrides any ``--seed`` flag.
+cannot be read or is not UTF-8), 3 internal error.  The environment variable
+``VOCAGG_SEED`` (a decimal integer) overrides any ``--seed`` flag.
+
+``main`` reports each failure once, on one stderr line: a ``VocaggError`` or
+``OSError`` as ``error: ...`` (exit 2), any other exception, a fault of this
+program and never a finding, as ``internal error: <Type>: ...`` (exit 3).
 
 At the top this module imports only ``core``, ``errors``, ``io`` and
 ``rules``; each handler imports the rest of what it runs, so a command loads
@@ -38,9 +42,7 @@ from .io import (
 )
 from .rules import PRule, Rule
 
-RULE_HELP = (
-    "median | mean | multiset | dictator:i | p:2,3,4 | emed:FILE | fixture:NAME"
-)
+RULE_HELP = "median | mean | multiset | dictator:i | p:2,3,4 | emed:FILE | fixture:NAME"
 
 
 def _read_text(path: Optional[str]) -> str:
@@ -77,9 +79,10 @@ def _parse_domain_flag(text: str) -> Domain:
     lower, sep, upper = text.partition(":")
     if not sep:
         raise ParseError(f"domain flag needs LOWER:UPPER, got {text!r}")
+    lower, upper = as_rational(lower), as_rational(upper)
     try:
-        return Domain(as_rational(lower), as_rational(upper))
-    except ValueError as exc:
+        return Domain(lower, upper)
+    except VocaggError as exc:
         raise ParseError(f"bad domain {text!r}: {exc}") from None
 
 
@@ -88,7 +91,7 @@ def _resolve_rule(text: str, n: int, m: int, domain: Domain) -> Rule:
         payload = load_json(_read_text(text[len("emed:") :]))
         if isinstance(payload, list):
             payload = {"columns": payload}
-        if isinstance(payload, dict) and "kind" not in payload:
+        if isinstance(payload, dict):
             payload = {"kind": "extended-median", **payload}
         return rule_from_descriptor(payload, n, m, domain)
     return rule_from_descriptor(text, n, m, domain)
@@ -104,14 +107,6 @@ def _count(least: int):
         return value
 
     return count
-
-
-def _positions_rule(rule: Rule) -> PRule:
-    if not isinstance(rule, PRule):
-        raise ParseError(
-            "gap aggregation needs a positional rule (median or p:...)"
-        )
-    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -166,38 +161,30 @@ def _cmd_sp_check(args: argparse.Namespace) -> int:
     seed = _effective_seed(args.seed)
     domain = _parse_domain_flag(args.domain)
     rule = _resolve_rule(args.rule, args.n, args.m, domain)
-    witness = sp_fuzz(
-        rule, args.trials, seed, args.grid, domain=domain, n=args.n, m=args.m
-    )
-    verdict = uncompromising_fuzz(
-        rule, args.trials, seed, domain=domain, n=args.n, m=args.m
-    )
+    witness = sp_fuzz(rule, args.trials, seed, args.grid, domain=domain, n=args.n, m=args.m)
+    verdict = uncompromising_fuzz(rule, args.trials, seed, domain=domain, n=args.n, m=args.m)
     bundle = {
         "rule": describe_rule(rule),
         "seed": seed,
         "trials": args.trials,
-        "manipulation": None
-        if witness is None
-        else {
+        "manipulation": None if witness is None else {
             "agent": witness.agent,
-            "peak": jsonify(witness.preference.peak),
-            "weights": jsonify(witness.preference.weights),
-            "profile": jsonify(witness.profile),
-            "misreport": jsonify(witness.misreport),
-            "truthful_outcome": jsonify(witness.truthful_outcome),
-            "manipulated_outcome": jsonify(witness.manipulated_outcome),
-            "gain": jsonify(witness.gain),
+            "peak": witness.preference.peak,
+            "weights": witness.preference.weights,
+            "profile": witness.profile,
+            "misreport": witness.misreport,
+            "truthful_outcome": witness.truthful_outcome,
+            "manipulated_outcome": witness.manipulated_outcome,
+            "gain": witness.gain,
         },
-        "uncompromising": None
-        if verdict is None
-        else {
+        "uncompromising": None if verdict is None else {
             "case": verdict.case,
             "boundary": verdict.boundary,
-            "outcome": jsonify(verdict.outcome),
-            "deviated_outcome": jsonify(verdict.deviated_outcome),
+            "outcome": verdict.outcome,
+            "deviated_outcome": verdict.deviated_outcome,
         },
     }
-    _write_text(args.output, json.dumps(bundle, indent=2) + "\n")
+    _write_text(args.output, json.dumps(jsonify(bundle), indent=2) + "\n")
     return 1 if witness is not None or verdict is not None else 0
 
 
@@ -207,9 +194,9 @@ def _induced_pipeline(parsed: ParsedInput, rule_text: str, order: str):
     m = len(parsed.words) - 1
     vocabularies = [induce(exemplars, m) for exemplars in parsed.exemplars]
     gap_rows = [gaps_of(vocabulary) for vocabulary in vocabularies]
-    rule = _positions_rule(
-        _resolve_rule(rule_text, len(gap_rows), m, parsed.domain)
-    )
+    rule = _resolve_rule(rule_text, len(gap_rows), m, parsed.domain)
+    if not isinstance(rule, PRule):
+        raise ParseError("gap aggregation needs a positional rule (median or p:...)")
     collective_gaps = aggregate_gaps(gap_rows, rule.positions, order=order)
     collective = collective_incomplete(collective_gaps)
     return vocabularies, gap_rows, rule, collective_gaps, collective
@@ -222,20 +209,20 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     vocabularies, gap_rows, rule, collective_gaps, collective = _induced_pipeline(
         parsed, args.rule, args.order
     )
-    words = list(parsed.words)
+    words = parsed.words
     payload = {
         "rule": describe_rule(rule),
         "order": args.order,
-        "domain": jsonify({"lower": parsed.domain.lower, "upper": parsed.domain.upper}),
+        "domain": {"lower": parsed.domain.lower, "upper": parsed.domain.upper},
         "words": words,
         "agents": [
-            {"extents": dict(zip(words, jsonify(v.extents))), "gaps": jsonify(g.gaps)}
+            {"extents": dict(zip(words, v.extents)), "gaps": g.gaps}
             for v, g in zip(vocabularies, gap_rows)
         ],
-        "collective_gaps": jsonify(collective_gaps.gaps),
-        "vocabulary": dict(zip(words, jsonify(collective.extents))),
+        "collective_gaps": collective_gaps.gaps,
+        "vocabulary": dict(zip(words, collective.extents)),
     }
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, json.dumps(jsonify(payload), indent=2) + "\n")
     return 0
 
 
@@ -244,32 +231,25 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .render import render_diagram
 
     parsed = parse_profile(_read_text(args.input))
+    profile = parsed.profile
+    if args.rule is not None:
+        if parsed.kind == "exemplars":
+            collective = _induced_pipeline(parsed, args.rule, args.order)[4]
+        else:
+            rule = _resolve_rule(args.rule, profile.n, profile.m, parsed.domain)
+            collective = decode_endpoints(rule(profile))
+        _write_text(args.output, render_diagram(collective, args.format, parsed.words))
+        return 0
     if parsed.kind == "exemplars":
         m = len(parsed.words) - 1
         diagrams = [induce(exemplars, m) for exemplars in parsed.exemplars]
-        collective = None
-        if args.rule is not None:
-            collective = _induced_pipeline(parsed, args.rule, args.order)[4]
     else:
-        diagrams = [decode_endpoints(row) for row in parsed.profile.rows]
-        collective = None
-        if args.rule is not None:
-            rule = _resolve_rule(
-                args.rule, parsed.profile.n, parsed.profile.m, parsed.domain
-            )
-            collective = decode_endpoints(rule(parsed.profile))
-    if collective is not None:
-        _write_text(
-            args.output, render_diagram(collective, args.format, parsed.words)
-        )
-        return 0
+        diagrams = [decode_endpoints(row) for row in profile.rows]
     if args.agent is not None:
         if not 1 <= args.agent <= len(diagrams):
             raise ParseError(f"agent {args.agent} outside 1..{len(diagrams)}")
-        _write_text(
-            args.output,
-            render_diagram(diagrams[args.agent - 1], args.format, parsed.words),
-        )
+        diagram = diagrams[args.agent - 1]
+        _write_text(args.output, render_diagram(diagram, args.format, parsed.words))
         return 0
     if args.format == "svg":
         raise ParseError("svg renders one diagram; pass --agent or --rule")
@@ -367,12 +347,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except VocaggError as exc:
+    except (VocaggError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,9 +29,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DomainMismatch, InvalidVocabulary, ParseError, ShapeMismatch
+from .errors import DomainMismatch, InvalidVocabulary, ParseError, ShapeMismatch, VocaggError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -108,19 +108,32 @@ def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(as_rational, values))
 
 
+def as_integer(value: object) -> int:
+    """``value`` if it is an ``int`` but not a ``bool``: ``1.9`` is refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise VocaggError(f"not an integer: {value!r}")
+
+
+def as_pair(entry: object, index: int, read_second: Callable = as_rational) -> tuple:
+    """``entry`` as ``(as_rational(first), read_second(second))``; a non-pair
+    raises ``VocaggError`` naming ``index``, its 0-based place in a sequence."""
+    try:
+        first, second = entry
+    except (TypeError, ValueError):
+        raise VocaggError(f"entry {index}: expected a pair, got {entry!r}") from None
+    return as_rational(first), read_second(second)
+
+
 def as_extents(
     extents: Iterable[Optional[Sequence[RationalLike]]],
 ) -> tuple[Optional[tuple[Fraction, Fraction]], ...]:
-    """Each extent as an exact ``(left, right)`` pair; ``None`` stays ``None``."""
-    cleaned = []
-    for extent in extents:
-        if extent is not None:
-            left, right = extent
-            if type(left) is not Fraction or type(right) is not Fraction:
-                left, right = as_rational(left), as_rational(right)
-            extent = (left, right)
-        cleaned.append(extent)
-    return tuple(cleaned)
+    """Each extent as an exact ``(left, right)`` pair; ``None`` and exact pairs pass as they are."""
+    return tuple(
+        e if e is None or (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is Fraction)
+        else as_pair(e, j)
+        for j, e in enumerate(extents)
+    )
 
 
 def rational_str(value: RationalLike) -> str:
@@ -173,7 +186,7 @@ class Domain:
         object.__setattr__(self, "lower", as_rational(self.lower))
         object.__setattr__(self, "upper", as_rational(self.upper))
         if not self.lower < self.upper:
-            raise ValueError(f"empty domain: ({self.lower}, {self.upper})")
+            raise VocaggError(f"empty domain: ({self.lower}, {self.upper})")
 
     @classmethod
     def unit(cls) -> "Domain":
@@ -226,12 +239,12 @@ class EndpointMultiset:
         keys = list(map(order_key, coerced))
         outside = first_outside(self.domain, coerced, keys)
         if outside is not None:
-            raise ValueError(
+            raise VocaggError(
                 f"endpoint {outside} outside [{self.domain.lower}, {self.domain.upper}]"
             )
         descent = first_descent(coerced, coerced[1:], keys, keys[1:])
         if descent is not None:
-            raise ValueError(f"endpoints not sorted: {descent[0]} > {descent[1]}")
+            raise VocaggError(f"endpoints not sorted: {descent[0]} > {descent[1]}")
 
     @property
     def m(self) -> int:

@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the library raises on bad input is a ``VocaggError``, and so a
+``ValueError``; a check with no kind of its own raises ``VocaggError`` itself.
+Programming errors and broken internal invariants stay outside the family.
+"""
 
 
-class VocaggError(Exception):
-    """Base class for every error raised by this library."""
+class VocaggError(ValueError):
+    """Base class for every error raised by this library on bad input."""
 
 
 class ParseError(VocaggError):

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Domain, as_extents, as_rational
+from .core import Domain, as_extents, as_integer, as_pair
 from .errors import (
     DomainMismatch,
     InconsistentLabels,
     MalformedGaps,
     ShapeMismatch,
+    VocaggError,
 )
 from .rules import PositionVector
 
@@ -46,16 +47,16 @@ class LabeledExemplars:
     points: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple((as_rational(e), int(w)) for e, w in self.points)
+        cleaned = tuple(as_pair(p, j, as_integer) for j, p in enumerate(self.points))
         object.__setattr__(self, "points", cleaned)
         for e, w in cleaned:
             if not self.domain.contains(e):
-                raise ValueError(f"exemplar {e} outside the open domain")
+                raise VocaggError(f"exemplar {e} outside the open domain")
             if w < 0:
-                raise ValueError(f"negative word index {w}")
+                raise VocaggError(f"negative word index {w}")
         for (e1, w1), (e2, w2) in zip(cleaned, cleaned[1:]):
             if not e1 < e2:
-                raise ValueError(f"exemplars not strictly increasing: {e1}, {e2}")
+                raise VocaggError(f"exemplars not strictly increasing: {e1}, {e2}")
             if w1 > w2:
                 raise InconsistentLabels(
                     f"exemplar {e2} labeled word {w2} after {e1} labeled word {w1}"
@@ -92,9 +93,9 @@ class InducedVocabulary:
         object.__setattr__(self, "extents", as_extents(self.extents))
         for lo, hi in filter(None, self.extents):
             if not lo <= hi:
-                raise ValueError(f"hull with {lo} > {hi}")
+                raise VocaggError(f"hull with {lo} > {hi}")
             if not (self.domain.contains_closed(lo) and self.domain.contains_closed(hi)):
-                raise ValueError(f"hull [{lo}, {hi}] outside the closed domain")
+                raise VocaggError(f"hull [{lo}, {hi}] outside the closed domain")
         if not self.extents:
             raise ShapeMismatch("a vocabulary needs at least one word")
         previous: Optional[Fraction] = None
@@ -102,7 +103,7 @@ class InducedVocabulary:
             if extent is None:
                 continue
             if previous is not None and previous > extent[0]:
-                raise ValueError(
+                raise VocaggError(
                     f"known extents out of order: {previous} > {extent[0]}"
                 )
             previous = extent[1]
@@ -133,9 +134,7 @@ class GapSequence:
     gaps: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(
-            (as_rational(left), as_rational(right)) for left, right in self.gaps
-        )
+        cleaned = tuple(as_pair(gap, j) for j, gap in enumerate(self.gaps))
         object.__setattr__(self, "gaps", cleaned)
         for left, right in cleaned:
             if not (

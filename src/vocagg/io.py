@@ -24,6 +24,9 @@ only for that one call: a numeral repeated anywhere in the document is read
 once and then found by one dict lookup.  Only numerals that read correctly
 are kept, so a bad one raises at each place it occurs and the first bad
 place in the document is the one reported.
+
+The objects built here raise a ``VocaggError`` on bad input; ``_at`` alone
+adds the place in the document, re-raising it as ``ParseError("<where>: ...")``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
 
 from .core import (
     Domain,
@@ -63,15 +66,20 @@ from .rules import (
 if TYPE_CHECKING:
     from .exemplars import LabeledExemplars
 
+_T = TypeVar("_T")
+
+
+def _at(where: str, build: Callable[..., _T], *args: object) -> _T:
+    """``build(*args)``, a ``VocaggError`` from it re-raised as ``ParseError`` at ``where``."""
+    try:
+        return build(*args)
+    except VocaggError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: expected an exact numeral, got {value!r}")
-    if isinstance(value, (int, str, Fraction)):
-        try:
-            return as_rational(value)
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+        return _at(where, as_rational, value)
     raise ParseError(f"{where}: expected an exact numeral, got {value!r}")
 
 
@@ -101,14 +109,11 @@ class _Numerals:
 
 
 def load_json(text: str) -> object:
-    """Parse JSON keeping float literals as their raw strings."""
+    """Parse JSON keeping float literals as raw strings; integers of any length read exactly."""
     try:
-        return json.loads(text, parse_float=str)
+        return json.loads(text, parse_float=str, parse_int=lambda digits: int(Decimal(digits)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError:
-        # an integer literal past the interpreter's int-to-text limit
-        return json.loads(text, parse_float=str, parse_int=lambda digits: int(Decimal(digits)))
 
 
 def jsonify(value: object) -> object:
@@ -171,10 +176,7 @@ def _parse_domain(payload: object, numerals: _Numerals) -> Domain:
             raise ParseError(f"domain.{key}: missing")
     lower = numerals.read(payload["lower"], "domain.lower")
     upper = numerals.read(payload["upper"], "domain.upper")
-    try:
-        return Domain(lower, upper)
-    except ValueError as exc:
-        raise ParseError(f"domain: {exc}") from None
+    return _at("domain", Domain, lower, upper)
 
 
 def _parse_words(payload: object) -> tuple[str, ...]:
@@ -248,10 +250,7 @@ def _parse_endpoint_agents(
             m = len(values)
         elif len(values) != m:
             raise ParseError(f"{where}: {len(values)} endpoints, expected {m}")
-        try:
-            rows.append(EndpointMultiset(domain, values))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        rows.append(_at(where, EndpointMultiset, domain, values))
     if words is not None and len(words) != m + 1:
         raise ParseError(f"words: {len(words)} names for {m + 1} words")
     profile = Profile(tuple(rows))
@@ -290,14 +289,8 @@ def _parse_extent_agents(
     for i, agent in enumerate(agents, start=1):
         where = f"agents[{i}].extents"
         extents = _parse_extents(agent["extents"], words, where, numerals)
-        try:
-            vocabularies.append(Vocabulary(domain, extents))
-        except (ValueError, VocaggError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    try:
-        profile = Profile(tuple(encode_vocabulary(v) for v in vocabularies))
-    except (ValueError, VocaggError) as exc:
-        raise ParseError(f"agents: {exc}") from None
+        vocabularies.append(_at(where, Vocabulary, domain, extents))
+    profile = _at("agents", lambda: Profile(tuple(map(encode_vocabulary, vocabularies))))
     return ParsedInput(
         "extents", domain, words, profile=profile, vocabularies=tuple(vocabularies)
     )
@@ -332,10 +325,7 @@ def _parse_exemplar_agents(
             if not isinstance(label, str) or label not in index_of:
                 raise ParseError(f"{where}[{j}]: unknown word {label!r}")
             points.append((values[j], index_of[label]))
-        try:
-            rows.append(LabeledExemplars(domain, tuple(points)))
-        except (ValueError, VocaggError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        rows.append(_at(where, LabeledExemplars, domain, tuple(points)))
     return ParsedInput("exemplars", domain, words, exemplars=tuple(rows))
 
 
@@ -383,7 +373,7 @@ def rule_from_descriptor(
         try:
             positions = PositionVector(tuple(int(p) for p in descriptor["positions"]))
             positions.validate_for(n)
-        except (KeyError, TypeError, ValueError, VocaggError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad p-rule descriptor: {exc}") from None
         return PRule(positions)
     if kind == "extended-median":
@@ -397,10 +387,7 @@ def rule_from_descriptor(
             numerals.read_list(column, f"columns[{k}]")
             for k, column in enumerate(columns)
         )
-        try:
-            return ExtendedMedianRule(PhantomMatrix(domain, parsed))
-        except (ValueError, VocaggError) as exc:
-            raise ParseError(f"bad phantom matrix: {exc}") from None
+        return ExtendedMedianRule(_at("bad phantom matrix", PhantomMatrix, domain, parsed))
     if kind == "mean":
         return MeanRule()
     if kind == "multiset":
@@ -409,9 +396,7 @@ def rule_from_descriptor(
         try:
             return DictatorRule(int(descriptor["agent"]))
         except (KeyError, TypeError, ValueError):
-            raise ParseError(
-                f"dictator needs an agent index, got {descriptor.get('agent')!r}"
-            ) from None
+            raise ParseError(f"dictator needs an agent index, got {descriptor.get('agent')!r}") from None
     if kind == "fixture":
         return fixture_rule(str(descriptor.get("name")))
     raise ParseError(f"unknown rule kind {kind!r}")
@@ -503,10 +488,7 @@ def parse_result(text: str) -> ResultDocument:
         reports=tuple(payload.get("reports", ())),
         witnesses=tuple(payload.get("witnesses", ())),
     )
-    try:
-        collective = EndpointMultiset(domain, doc.endpoints)
-    except ValueError as exc:
-        raise ParseError(f"endpoints: {exc}") from None
+    collective = _at("endpoints", EndpointMultiset, domain, doc.endpoints)
     if decode_endpoints(collective).extents != doc.vocabulary:
         raise ParseError("vocabulary: does not match the decoded endpoints")
     return doc

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import Domain, Vocabulary, rational_str
+from .errors import VocaggError
 from .exemplars import InducedVocabulary
 
 WIDTH = 80
@@ -66,7 +67,7 @@ def _names_for(diagram: Diagram, names: Optional[Sequence[str]]) -> tuple[str, .
     if names is None:
         return tuple(f"w{j}" for j in range(1, count + 1))
     if len(names) != count:
-        raise ValueError(f"{len(names)} names for {count} words")
+        raise VocaggError(f"{len(names)} names for {count} words")
     return tuple(names)
 
 
@@ -177,4 +178,4 @@ def render_diagram(
         return render_ascii(diagram, names)
     if style == "svg":
         return render_svg(diagram, names)
-    raise ValueError(f"unknown render style {style!r}; choose ascii or svg")
+    raise VocaggError(f"unknown render style {style!r}; choose ascii or svg")

@@ -31,6 +31,7 @@ from .core import (
     Domain,
     EndpointMultiset,
     Profile,
+    as_integer,
     as_rationals,
     first_descent,
     first_outside,
@@ -44,6 +45,7 @@ from .errors import (
     ParityViolation,
     ShapeMismatch,
     UnknownFixture,
+    VocaggError,
 )
 
 
@@ -97,14 +99,14 @@ class PositionVector:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+        object.__setattr__(self, "positions", tuple(map(as_integer, self.positions)))
         if not self.positions:
             raise ShapeMismatch("a position vector needs at least one entry")
         if self.positions[0] < 1:
-            raise ValueError(f"positions are 1-based, got {self.positions[0]}")
+            raise VocaggError(f"positions are 1-based, got {self.positions[0]}")
         for a, b in zip(self.positions, self.positions[1:]):
             if a > b:
-                raise ValueError(f"positions not nondecreasing: {a} > {b}")
+                raise VocaggError(f"positions not nondecreasing: {a} > {b}")
 
     @property
     def m(self) -> int:
@@ -151,16 +153,16 @@ class PhantomMatrix:
             column_keys = tuple(map(order_key, column))
             outside = first_outside(self.domain, column, column_keys)
             if outside is not None:
-                raise ValueError(f"phantom {outside} outside the closed domain")
+                raise VocaggError(f"phantom {outside} outside the closed domain")
             descent = first_descent(column, column[1:], column_keys, column_keys[1:])
             if descent is not None:
-                raise ValueError(f"phantom column not sorted: {descent[0]} > {descent[1]}")
+                raise VocaggError(f"phantom column not sorted: {descent[0]} > {descent[1]}")
             keys.append(column_keys)
         object.__setattr__(self, "keys", tuple(keys))
         for left, right, left_keys, right_keys in zip(coerced, coerced[1:], keys, keys[1:]):
             descent = first_descent(left, right, left_keys, right_keys)
             if descent is not None:
-                raise ValueError(
+                raise VocaggError(
                     f"phantoms decrease across columns: {descent[0]} > {descent[1]}"
                 )
 
@@ -372,6 +374,9 @@ class DictatorRule(Rule):
     """Return agent i's report unchanged, i in 1..n."""
 
     agent: int
+
+    def __post_init__(self) -> None:
+        as_integer(self.agent)
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
         if not 1 <= self.agent <= profile.n:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
 from .core import Domain, Profile
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, VocaggError
 from .rules import Rule
 
 _T = TypeVar("_T")
@@ -41,7 +41,7 @@ def spawn(seed: int, *stream: object) -> random.Random:
 def require_trials(trials: int) -> None:
     """Refuse a negative trial count, which would pass a check vacuously."""
     if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+        raise VocaggError(f"trials must be nonnegative, got {trials}")
 
 
 def first_hit(
@@ -107,7 +107,7 @@ def strict_row(
 ) -> tuple[Fraction, ...]:
     """m strictly increasing interior lattice points (all words active)."""
     if m > denominator - 1:
-        raise ValueError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
+        raise VocaggError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
     picks = sorted(rng.sample(range(1, denominator), m))
     span = domain.upper - domain.lower
     return tuple(domain.lower + span * Fraction(j, denominator) for j in picks)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .axioms import AxiomReport, sampled_report
 from .core import Domain, EndpointMultiset, Profile, as_rationals, between
-from .errors import DomainMismatch, ShapeMismatch
+from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import ExtendedMedianRule, Rule
 from .sampling import (
     first_hit,
@@ -26,6 +25,9 @@ from .sampling import (
     sampling_shape,
     sorted_between,
 )
+
+if TYPE_CHECKING:
+    from .axioms import AxiomReport
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class SinglePeakedPreference:
             )
         for w in self.weights:
             if w <= 0:
-                raise ValueError(f"weights must be positive, got {w}")
+                raise VocaggError(f"weights must be positive, got {w}")
 
 
 def utility(
@@ -243,6 +245,8 @@ def check_separability_on_deviations(
     else row by row within the brackets that keep the rows sorted.  The
     pooled-multiset rule fails this quickly; columnwise rules never do.
     """
+    from .axioms import sampled_report
+
     n, m, domain = sampling_shape(rule, n, m, domain)
 
     def trial(rng, t):

@@ -1,8 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from vocagg import Domain, Profile
+
+# A deeper search for CI: ``pytest --hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 A_VALUES = {
     "a": F(1, 10),

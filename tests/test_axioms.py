@@ -45,7 +45,7 @@ from vocagg.axioms import (
     majority_word_sets,
     random_monotone_map,
 )
-from vocagg.rules import ExtendedMedianRule, PhantomMatrix
+from vocagg.rules import ExtendedMedianRule, InfRule, PhantomMatrix
 from vocagg.sampling import sampling_shape, sorted_between
 
 from conftest import shared_endpoint_profile
@@ -194,6 +194,11 @@ class TestAnonymity:
         assert report.verdict == VIOLATED
         assert report.trials == 1
         assert report.witness["permutation"] == (2, 1, 3)
+
+    def test_one_agent_holds_without_a_trial(self):
+        report = check_anonymity(PRule(PositionVector((1, 1))), 60, seed=5, n=1)
+        assert report.verdict == HOLDS
+        assert (report.seed, report.trials, report.witness) == (5, 0, None)
 
 
 class TestStability:
@@ -399,6 +404,19 @@ class TestStrictResponsiveness:
             ExtendedMedianRule(matrix), trials=40, seed=2
         )
         assert report.holds
+
+    def test_random_trial_witness_replays(self):
+        rule = InfRule()
+        report = check_strict_responsiveness(rule, 10, 0, n=3, m=3)
+        assert (report.verdict, report.seed, report.trials) == (VIOLATED, 0, 2)
+        witness = report.witness
+        assert witness["column"] == 1
+        before = rule(Profile.from_rows(UNIT, witness["profile"]))
+        after = rule(Profile.from_rows(UNIT, witness["raised"]))
+        assert (before.values, after.values) == (witness["before"], witness["after"])
+        assert not before.values[0] < after.values[0]
+        for old, new in zip(witness["profile"], witness["raised"]):
+            assert old[0] < new[0] and old[1:] == new[1:]
 
     def test_default_shape_matches_the_strategic_checkers(self):
         dictator = DictatorRule(5)

@@ -1,0 +1,193 @@
+"""One error family: every check on bad input raises a ``VocaggError``."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from vocagg import (
+    VIOLATED,
+    AxiomReport,
+    DictatorRule,
+    Domain,
+    EndpointMultiset,
+    GapSequence,
+    InducedVocabulary,
+    LabeledExemplars,
+    ParseError,
+    PhantomMatrix,
+    PiecewiseLinearMap,
+    PositionVector,
+    Profile,
+    SinglePeakedPreference,
+    VocaggError,
+    decode_endpoints,
+    render_ascii,
+    render_diagram,
+)
+from vocagg.axioms import majority_extent_agents, random_monotone_map
+from vocagg.sampling import require_trials, strict_row
+
+UNIT = Domain(F(0), F(1))
+HALF = EndpointMultiset(UNIT, (F(1, 2),))
+PROFILE = Profile((HALF, HALF))
+TWO_WORDS = decode_endpoints(HALF)
+Q, H, T = F(1, 4), F(1, 2), F(3, 4)
+
+# one bad input per check, with the message it gives
+CASES = {
+    # core
+    "empty-domain": (lambda: Domain(F(1), F(0)), "empty domain: (1, 0)"),
+    "endpoint-outside": (lambda: EndpointMultiset(UNIT, (F(2),)), "endpoint 2 outside [0, 1]"),
+    "endpoints-unsorted": (
+        lambda: EndpointMultiset(UNIT, (H, Q)),
+        "endpoints not sorted: 1/2 > 1/4",
+    ),
+    # rules
+    "position-zero": (lambda: PositionVector((0, 1)), "positions are 1-based, got 0"),
+    "positions-descend": (
+        lambda: PositionVector((2, 1)),
+        "positions not nondecreasing: 2 > 1",
+    ),
+    "phantom-outside": (
+        lambda: PhantomMatrix(UNIT, ((F(2),),)),
+        "phantom 2 outside the closed domain",
+    ),
+    "phantom-column-unsorted": (
+        lambda: PhantomMatrix(UNIT, ((H, Q),)),
+        "phantom column not sorted: 1/2 > 1/4",
+    ),
+    "phantoms-decrease": (
+        lambda: PhantomMatrix(UNIT, ((H,), (Q,))),
+        "phantoms decrease across columns: 1/2 > 1/4",
+    ),
+    # axioms
+    "map-one-point": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0),)),
+        "a piecewise-linear map needs at least the two corners",
+    ),
+    "map-short": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0), (H, 1))),
+        "breakpoints must span the closed domain",
+    ),
+    "map-abscissae": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0), (H, Q), (H, H), (1, 1))),
+        "breakpoint abscissae not increasing: 1/2, 1/2",
+    ),
+    "map-corners": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0), (1, H))),
+        "a bijection of the domain must map corners to corners",
+    ),
+    "map-not-increasing": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0), (Q, H), (H, H), (1, 1))),
+        "ordinates not increasing: 1/2, 1/2",
+    ),
+    "map-not-decreasing": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 1), (Q, H), (H, H), (1, 0))),
+        "ordinates not decreasing: 1/2, 1/2",
+    ),
+    "map-argument-outside": (
+        lambda: PiecewiseLinearMap.identity(UNIT)(F(2)),
+        "2 outside the closed domain",
+    ),
+    "report-verdict": (lambda: AxiomReport("x", "maybe"), "unknown verdict 'maybe'"),
+    "report-witness": (
+        lambda: AxiomReport("x", VIOLATED),
+        "a violation report needs a witness",
+    ),
+    "map-direction": (
+        lambda: random_monotone_map(UNIT, 0, "sideways"),
+        "unknown direction 'sideways'",
+    ),
+    "extent-interval": (
+        lambda: majority_extent_agents(PROFILE, 0, H, Q),
+        "need a < b, got 1/2 >= 1/4",
+    ),
+    "extent-interior": (
+        lambda: majority_extent_agents(PROFILE, 0, F(0), H),
+        "a and b must be interior points",
+    ),
+    # exemplars
+    "exemplar-outside": (
+        lambda: LabeledExemplars(UNIT, ((F(2), 0),)),
+        "exemplar 2 outside the open domain",
+    ),
+    "exemplar-negative-label": (
+        lambda: LabeledExemplars(UNIT, ((H, -1),)),
+        "negative word index -1",
+    ),
+    "exemplars-unsorted": (
+        lambda: LabeledExemplars(UNIT, ((H, 0), (Q, 0))),
+        "exemplars not strictly increasing: 1/2, 1/4",
+    ),
+    "hull-reversed": (lambda: InducedVocabulary(UNIT, ((H, Q),)), "hull with 1/2 > 1/4"),
+    "hull-outside": (
+        lambda: InducedVocabulary(UNIT, ((F(0), F(2)),)),
+        "hull [0, 2] outside the closed domain",
+    ),
+    "hulls-out-of-order": (
+        lambda: InducedVocabulary(UNIT, ((0, H), (Q, 1))),
+        "known extents out of order: 1/2 > 1/4",
+    ),
+    # render
+    "render-names": (lambda: render_ascii(TWO_WORDS, ["a"]), "1 names for 2 words"),
+    "render-style": (
+        lambda: render_diagram(TWO_WORDS, "png"),
+        "unknown render style 'png'; choose ascii or svg",
+    ),
+    # sampling
+    "negative-trials": (lambda: require_trials(-1), "trials must be nonnegative, got -1"),
+    "lattice-too-small": (
+        lambda: strict_row(random.Random(0), UNIT, 4, denominator=4),
+        "lattice with 3 interior points cannot hold 4 distinct values",
+    ),
+    # strategic
+    "weight-zero": (
+        lambda: SinglePeakedPreference(HALF, (F(0),)),
+        "weights must be positive, got 0",
+    ),
+    # entries that are not pairs
+    "extent-not-a-pair": (
+        lambda: InducedVocabulary(UNIT, (5,)),
+        "entry 0: expected a pair, got 5",
+    ),
+    "gap-not-a-pair": (
+        lambda: GapSequence(UNIT, ((Q, Q), (0,))),
+        "entry 1: expected a pair, got (0,)",
+    ),
+    "breakpoint-not-a-pair": (
+        lambda: PiecewiseLinearMap(UNIT, ((0, 0), 1)),
+        "entry 1: expected a pair, got 1",
+    ),
+    "exemplar-not-a-pair": (
+        lambda: LabeledExemplars(UNIT, ("1/2",)),
+        "entry 0: expected a pair, got '1/2'",
+    ),
+    # integer arguments are exact
+    "position-not-integer": (lambda: PositionVector((1.9, 2.5)), "not an integer: 1.9"),
+    "position-bool": (lambda: PositionVector((True,)), "not an integer: True"),
+    "label-not-integer": (
+        lambda: LabeledExemplars(UNIT, ((H, 1.7),)),
+        "not an integer: 1.7",
+    ),
+    "dictator-not-integer": (lambda: DictatorRule(1.0), "not an integer: 1.0"),
+}
+
+
+def test_the_family_is_a_value_error():
+    assert issubclass(VocaggError, ValueError)
+    assert issubclass(ParseError, VocaggError)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_check_raises_the_family(name):
+    call, message = CASES[name]
+    with pytest.raises(VocaggError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integer_arguments_stay_integers():
+    assert PositionVector((1, 2)).positions == (1, 2)
+    assert LabeledExemplars(UNIT, ((H, 1),)).labels == (1,)
+    assert DictatorRule(2)(Profile((HALF, EndpointMultiset(UNIT, (T,))))).values == (T,)

@@ -800,6 +800,24 @@ class TestCli:
                      "--trials", "1"]) == 2
         assert "LOWER:UPPER" in capsys.readouterr().err
 
+    def test_domain_flag_numeral_error_has_no_prefix(self, capsys):
+        assert main(["sp-check", "--rule", "median", "--domain", "0:x", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: not a rational numeral: 'x'\n"
+
+    def test_an_internal_fault_is_not_a_finding(self, capsys, monkeypatch):
+        from vocagg import strategic
+
+        def replay_fails(*args, **kwargs):
+            raise AssertionError("manipulation witness failed to replay")
+
+        monkeypatch.setattr(strategic, "sp_fuzz", replay_fails)
+        assert main(["sp-check", "--rule", "mean", "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: AssertionError: manipulation witness failed to replay\n"
+        )
+
 
 # stdout sha256 and exit code of README-style calls: any change to the CLI's
 # output bytes, a checker's draws or a witness changes a digest, so update

@@ -123,3 +123,23 @@ def test_aggregate_loads_only_what_it_runs(tmp_path):
         "vocagg.rules",
     ]
     assert json.loads((tmp_path / "result.json").read_text())["endpoints"] == ["1/2"]
+
+
+def test_sp_check_loads_only_what_it_runs(tmp_path):
+    code = (
+        "from vocagg import cli\n"
+        "assert cli.main(['sp-check', '--rule', 'median', '--trials', '5',"
+        " '--output', 'bundle.json']) == 0"
+    )
+    assert _loaded_after(code, tmp_path) == [
+        "random",
+        "vocagg",
+        "vocagg.cli",
+        "vocagg.core",
+        "vocagg.errors",
+        "vocagg.io",
+        "vocagg.rules",
+        "vocagg.sampling",
+        "vocagg.strategic",
+    ]
+    assert json.loads((tmp_path / "bundle.json").read_text())["manipulation"] is None
