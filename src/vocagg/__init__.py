@@ -58,10 +58,8 @@ _EXPORTS = {
         "median_positions",
         "order_statistic",
     ),
+    "sampling": ("HOLDS", "VIOLATED", "AxiomReport"),
     "axioms": (
-        "HOLDS",
-        "VIOLATED",
-        "AxiomReport",
         "PiecewiseLinearMap",
         "check_anonymity",
         "check_consistency",

@@ -14,17 +14,17 @@ A checker only calls its rule on profiles, so any callable from a
 ``Profile`` to an ``EndpointMultiset`` can stand in for a ``Rule``; only the
 default sampling shape and the phantom probes read the rule itself.
 
-Every report is built by ``_report``: ``HOLDS`` without a witness,
-``VIOLATED`` with one.
+Every report is built by ``sampling.axiom_report``, and every sampled one
+by ``sampling.sampled_report``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational
+from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, shown
 from .errors import ShapeMismatch, VocaggError
 from .rules import (
     ExtendedMedianRule,
@@ -33,18 +33,21 @@ from .rules import (
     Rule,
     extended_median,
 )
-from .sampling import (
+from .sampling import (  # HOLDS and VIOLATED are imported for callers of this module
+    HOLDS,
+    VIOLATED,
+    AxiomReport,
+    axiom_report,
     first_hit,
     random_permutation,
     random_profile,
     require_trials,
+    sampled_report,
     sampling_shape,
     sorted_between,
     spawn,
+    strict_row,
 )
-
-HOLDS = "holds-on-sample"
-VIOLATED = "violated"
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class PiecewiseLinearMap:
             raise VocaggError("breakpoints must span the closed domain")
         for a, b in zip(xs, xs[1:]):
             if not a < b:
-                raise VocaggError(f"breakpoint abscissae not increasing: {a}, {b}")
+                raise VocaggError(f"breakpoint abscissae not increasing: {shown(a)}, {shown(b)}")
         increasing = ys[0] < ys[-1]
         expected = (
             (self.domain.lower, self.domain.upper)
@@ -82,9 +85,9 @@ class PiecewiseLinearMap:
             raise VocaggError("a bijection of the domain must map corners to corners")
         for a, b in zip(ys, ys[1:]):
             if increasing and not a < b:
-                raise VocaggError(f"ordinates not increasing: {a}, {b}")
+                raise VocaggError(f"ordinates not increasing: {shown(a)}, {shown(b)}")
             if not increasing and not a > b:
-                raise VocaggError(f"ordinates not decreasing: {a}, {b}")
+                raise VocaggError(f"ordinates not decreasing: {shown(a)}, {shown(b)}")
 
     @property
     def direction(self) -> str:
@@ -100,7 +103,7 @@ class PiecewiseLinearMap:
 
     def __call__(self, x: Fraction) -> Fraction:
         if not self.domain.contains_closed(x):
-            raise VocaggError(f"{x} outside the closed domain")
+            raise VocaggError(f"{shown(x)} outside the closed domain")
         pts = self.points
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x <= x1:
@@ -115,43 +118,6 @@ class PiecewiseLinearMap:
 
     def map_profile(self, profile: Profile) -> Profile:
         return Profile(tuple(self.map_endpoints(row) for row in profile.rows))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of one checker run, with a replayable witness when violated."""
-
-    axiom: str
-    verdict: str
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    witness: Optional[dict] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict != VIOLATED
-
-    def __post_init__(self) -> None:
-        if self.verdict not in (HOLDS, VIOLATED):
-            raise VocaggError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == VIOLATED and self.witness is None:
-            raise VocaggError("a violation report needs a witness")
-
-
-def _report(axiom: str, witness: Optional[dict], **run) -> AxiomReport:
-    """The one report builder: ``HOLDS`` if ``witness`` is ``None``, else ``VIOLATED``."""
-    return AxiomReport(axiom, HOLDS if witness is None else VIOLATED, witness=witness, **run)
-
-
-def sampled_report(
-    axiom: str, trials: int, seed: int, stream: str, trial: Callable[..., Optional[dict]]
-) -> AxiomReport:
-    """Run ``trial`` through ``first_hit``; the first witness it returns refutes ``axiom``."""
-    hit = first_hit(trials, seed, stream, trial)
-    if hit is None:
-        return _report(axiom, None, seed=seed, trials=trials)
-    t, witness = hit
-    return _report(axiom, witness, seed=seed, trials=t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +153,8 @@ def check_consistency(
         else:
             previous = value
             continue
-        return _report(axiom, witness)
-    return _report(axiom, None)
+        return axiom_report(axiom, witness)
+    return axiom_report(axiom, None)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +180,15 @@ def check_unanimity(
 
     def trial(rng, t):
         frozen = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
-        frozen_set = set(frozen)
         base = sorted_between(rng, domain.lower, domain.upper, m, 32, include_ends=False)
+        padded = (domain.lower, *base, domain.upper)
+        cuts = (0, *frozen, m + 1)  # the corners count as frozen columns 0 and m + 1
+        free_runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]  # columns a+1..b-1
         rows = []
         for _ in range(n):
-            row: list[Optional[Fraction]] = [None] * m
-            for k in frozen:
-                row[k - 1] = base[k - 1]
-            k = 1
-            while k <= m:
-                if k in frozen_set:
-                    k += 1
-                    continue
-                start = k
-                while k <= m and k not in frozen_set:
-                    k += 1
-                lo = row[start - 2] if start > 1 else domain.lower
-                hi = row[k - 1] if k <= m else domain.upper
-                row[start - 1 : k - 1] = sorted_between(rng, lo, hi, k - start, 16)
+            row = list(base)
+            for a, b in free_runs:
+                row[a : b - 1] = sorted_between(rng, padded[a], padded[b], b - a - 1, 16)
             rows.append(tuple(row))
         profile = Profile.from_rows(domain, rows)
         output = rule(profile)
@@ -266,7 +223,7 @@ def check_anonymity(
     require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
     if n < 2:
-        return _report("anonymity", None, seed=seed, trials=0)
+        return axiom_report("anonymity", None, seed=seed, trials=0)
 
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=32)
@@ -303,22 +260,13 @@ def random_monotone_map(
         raise VocaggError(f"unknown direction {direction!r}")
     rng = spawn(seed, "monotone-map", direction)
     breaks = rng.randint(1, 6)
-    denominator = 97
-    span = domain.upper - domain.lower
-    xs = sorted(rng.sample(range(1, denominator), breaks))
-    ys = sorted(rng.sample(range(1, denominator), breaks))
+    xs = strict_row(rng, domain, breaks, 97)
+    ys = strict_row(rng, domain, breaks, 97)
     if direction == "decreasing":
         ys = ys[::-1]
-    interior = tuple(
-        (
-            domain.lower + span * Fraction(x, denominator),
-            domain.lower + span * Fraction(y, denominator),
-        )
-        for x, y in zip(xs, ys)
-    )
     ends = PiecewiseLinearMap.identity if direction == "increasing" else PiecewiseLinearMap.reversal
     left, right = ends(domain).points
-    return PiecewiseLinearMap(domain, (left,) + interior + (right,))
+    return PiecewiseLinearMap(domain, (left, *zip(xs, ys), right))
 
 
 def check_stability(
@@ -335,8 +283,8 @@ def check_stability(
     transformed = tuple(sorted(phi(v) for v in output.values))
     output_of_transformed = rule(phi.map_profile(profile))
     if transformed == output_of_transformed.values:
-        return _report(axiom, None)
-    return _report(
+        return axiom_report(axiom, None)
+    return axiom_report(
         axiom,
         {
             "profile": profile.values(),
@@ -453,7 +401,7 @@ def majority_extent_agents(
 ) -> frozenset[int]:
     """Agents whose word ``word`` covers the whole interval (a, b)."""
     if not a < b:
-        raise VocaggError(f"need a < b, got {a} >= {b}")
+        raise VocaggError(f"need a < b, got {shown(a)} >= {shown(b)}")
     if not (profile.domain.contains(a) and profile.domain.contains(b)):
         raise VocaggError("a and b must be interior points")
     if not 0 <= word <= profile.m:
@@ -476,8 +424,8 @@ def check_majoritarian_words(rule: Rule, profile: Profile) -> AxiomReport:
                 "supporters": tuple(sorted(agents)),
                 "output": output.values,
             }
-            return _report("majoritarian-words", witness)
-    return _report("majoritarian-words", None)
+            return axiom_report("majoritarian-words", witness)
+    return axiom_report("majoritarian-words", None)
 
 
 def _extent_witness(
@@ -514,7 +462,7 @@ def check_majoritarian_extents(
     """
     axiom = "majoritarian-extents-weak" if weak else "majoritarian-extents"
     threshold = profile.n if weak else profile.n + 1
-    return _report(axiom, _extent_witness(profile, rule(profile), word, a, b, threshold))
+    return axiom_report(axiom, _extent_witness(profile, rule(profile), word, a, b, threshold))
 
 
 def majoritarian_band(n: int, weak: bool = False) -> tuple[int, int]:
@@ -645,10 +593,10 @@ def check_strict_responsiveness(
                         "before": before,
                         "after": after,
                     }
-                    return _report("strict-responsiveness", witness, seed=seed)
+                    return axiom_report("strict-responsiveness", witness, seed=seed)
 
     def trial(rng, t):
-        profile = random_profile(rng, domain, n, m, strict=True, denominator=64)
+        profile = Profile.from_rows(domain, [strict_row(rng, domain, m) for _ in range(n)])
         k = rng.randint(1, m)
         rows = []
         for row in profile.rows:
@@ -684,12 +632,12 @@ def run_axiom_battery(
     domain: Optional[Domain] = None,
     n: Optional[int] = None,
     m: Optional[int] = None,
-    eps: Fraction = Fraction(1, 16),
 ) -> dict[str, AxiomReport]:
     """Run unanimity, anonymity, stability, and the continuity surrogate.
 
-    Every third continuity profile is drawn from a coarse lattice so that
-    tied columns, where discontinuities hide, appear regularly.
+    The continuity surrogate moves every endpoint by at most 1/16.  Every
+    third continuity profile is drawn from a coarse lattice so that tied
+    columns, where discontinuities hide, appear regularly.
     """
     n, m, domain = sampling_shape(rule, n, m, domain)
     reports = {
@@ -703,7 +651,7 @@ def run_axiom_battery(
     def continuity_trial(rng, t):
         denominator = 4 if t % 3 == 0 else 32
         profile = random_profile(rng, domain, n, m, denominator=denominator)
-        return check_lipschitz(rule, profile, eps, trials=1, seed=f"{seed}:{t}").witness
+        return check_lipschitz(rule, profile, Fraction(1, 16), trials=1, seed=f"{seed}:{t}").witness
 
     reports["continuity"] = sampled_report(
         "continuity", trials, seed, "continuity-profile", continuity_trial

@@ -128,7 +128,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
-    from .axioms import VIOLATED, check_majoritarian_words, run_axiom_battery
+    from .axioms import check_majoritarian_words, run_axiom_battery
 
     seed = _effective_seed(args.seed)
     extra_profile = None
@@ -152,7 +152,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         "reports": [report_to_json(report) for report in reports],
     }
     _write_text(args.output, json.dumps(bundle, indent=2) + "\n")
-    return 1 if any(report.verdict == VIOLATED for report in reports) else 0
+    return 0 if all(report.holds for report in reports) else 1
 
 
 def _cmd_sp_check(args: argparse.Namespace) -> int:
@@ -342,9 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_domain(argv: list[str]) -> list[str]:
+    """``axioms``/``sp-check`` argv with ``--domain -1:1`` as ``--domain=-1:1``.
+
+    argparse reads a separate value that starts with ``-`` as a flag, so a
+    domain with a negative lower end would otherwise need the ``=`` form.
+    """
+    if argv[:1] not in (["axioms"], ["sp-check"]):
+        return argv
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--domain" and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"--domain={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_domain(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (VocaggError, OSError) as exc:

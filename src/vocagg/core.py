@@ -31,7 +31,14 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DomainMismatch, InvalidVocabulary, ParseError, ShapeMismatch, VocaggError
+from .errors import (
+    DomainMismatch,
+    IndexOutOfRange,
+    InvalidVocabulary,
+    ParseError,
+    ShapeMismatch,
+    VocaggError,
+)
 
 RationalLike = Union[Fraction, int, str]
 
@@ -43,6 +50,39 @@ _SIMPLE_NUMERAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 # ``Decimal``, which has no such limit, so values of any size convert without
 # touching ``sys.set_int_max_str_digits``.
 _PLAIN_NUMERAL = re.compile(r"[-+]?\d+(?:/\d+|\.\d*)?")
+
+# Numeral text may write a numerator or denominator of at most this many
+# decimal digits.  Reading and printing a rational costs time quadratic in its
+# digits (20,000 digits take milliseconds, 200,000 over a second), and an
+# exponent writes 10**exponent, so larger numerals are refused unread.
+MAX_NUMERAL_DIGITS = 20_000
+# The parts of anything ``Fraction(str)`` accepts on any supported interpreter,
+# matched after stripping surrounding whitespace (which keeps the match linear).
+_NUMERAL_PARTS = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?(?:\s*/\s*([\d_]+))?")
+
+
+def _refuse_oversized(text: str) -> None:
+    """Raise ``ParseError`` if ``text`` writes a numerator or denominator of more
+    than ``MAX_NUMERAL_DIGITS`` digits, counted without leading zeros and before
+    reduction.  No number longer than seven digits is converted to decide."""
+    parts = _NUMERAL_PARTS.fullmatch(text.strip())
+    if parts is None:
+        return  # not a numeral: the reader refuses it
+    whole, decimals, exponent, denominator = (
+        (part or "").replace("_", "") for part in parts.groups()
+    )
+    if len(exponent.lstrip("+-").lstrip("0")) > 7:  # |exponent| >= 10**7
+        shift = -(10**7) if exponent.startswith("-") else 10**7
+    else:
+        shift = int(exponent or 0)
+    numerator = len((whole + decimals).lstrip("0")) + max(shift, 0)
+    if denominator:
+        digits = max(numerator, len(denominator.lstrip("0")))
+    else:
+        digits = max(numerator, 1 + len(decimals) - min(shift, 0))
+    if digits > MAX_NUMERAL_DIGITS:
+        excerpt = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ParseError(f"numeral past {MAX_NUMERAL_DIGITS:,} digits: {excerpt}")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -61,11 +101,14 @@ def as_rational(value: RationalLike) -> Fraction:
     int-from-text limit (which are then read through ``Decimal``).  The
     accepted language and the values are therefore those of
     ``Fraction(str)`` on the interpreter at hand, and every rejection raises
-    the same ``ParseError``.
+    the same ``ParseError``.  Text that writes a numerator or denominator of
+    more than ``MAX_NUMERAL_DIGITS`` digits is refused before it is read.
     """
     if isinstance(value, str):
         match = _SIMPLE_NUMERAL.fullmatch(value)
-        if match is not None:
+        if match is None or len(value) > MAX_NUMERAL_DIGITS:
+            _refuse_oversized(value)  # a simple numeral writes no more digits than its length
+        else:
             whole, denominator, decimals = match.groups()
             try:
                 if decimals is not None:
@@ -94,7 +137,7 @@ def as_rational(value: RationalLike) -> Fraction:
         raise ParseError(
             f"refusing float {value!r}: pass a string or Fraction for exact input"
         )
-    raise ParseError(f"not a rational value: {value!r}")
+    raise ParseError(f"not a rational value: {shown(value)}")
 
 
 def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -112,7 +155,7 @@ def as_integer(value: object) -> int:
     """``value`` if it is an ``int`` but not a ``bool``: ``1.9`` is refused, not truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise VocaggError(f"not an integer: {value!r}")
+    raise VocaggError(f"not an integer: {shown(value)}")
 
 
 def as_pair(entry: object, index: int, read_second: Callable = as_rational) -> tuple:
@@ -121,7 +164,7 @@ def as_pair(entry: object, index: int, read_second: Callable = as_rational) -> t
     try:
         first, second = entry
     except (TypeError, ValueError):
-        raise VocaggError(f"entry {index}: expected a pair, got {entry!r}") from None
+        raise VocaggError(f"entry {index}: expected a pair, got {shown(entry)}") from None
     return as_rational(first), read_second(second)
 
 
@@ -146,6 +189,17 @@ def rational_str(value: RationalLike) -> str:
     except ValueError:
         text = str(Decimal(numerator))
         return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
+
+
+def shown(value: object) -> str:
+    """``value`` as an error message prints it, whatever its size: a number as
+    ``rational_str`` writes it, anything else by ``repr``."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return rational_str(value)
+    try:
+        return repr(value)
+    except ValueError:  # it holds an int past the interpreter's int-to-text limit
+        return f"<{type(value).__name__} holding an integer too long to print>"
 
 
 def order_key(q: Fraction) -> int:
@@ -186,7 +240,7 @@ class Domain:
         object.__setattr__(self, "lower", as_rational(self.lower))
         object.__setattr__(self, "upper", as_rational(self.upper))
         if not self.lower < self.upper:
-            raise VocaggError(f"empty domain: ({self.lower}, {self.upper})")
+            raise VocaggError(f"empty domain: ({shown(self.lower)}, {shown(self.upper)})")
 
     @classmethod
     def unit(cls) -> "Domain":
@@ -240,11 +294,12 @@ class EndpointMultiset:
         outside = first_outside(self.domain, coerced, keys)
         if outside is not None:
             raise VocaggError(
-                f"endpoint {outside} outside [{self.domain.lower}, {self.domain.upper}]"
+                f"endpoint {shown(outside)} outside"
+                f" [{shown(self.domain.lower)}, {shown(self.domain.upper)}]"
             )
         descent = first_descent(coerced, coerced[1:], keys, keys[1:])
         if descent is not None:
-            raise VocaggError(f"endpoints not sorted: {descent[0]} > {descent[1]}")
+            raise VocaggError(f"endpoints not sorted: {shown(descent[0])} > {shown(descent[1])}")
 
     @property
     def m(self) -> int:
@@ -258,7 +313,7 @@ class EndpointMultiset:
             return self.domain.upper
         if 1 <= k <= self.m:
             return self.values[k - 1]
-        raise IndexError(f"boundary index {k} outside 0..{self.m + 1}")
+        raise IndexOutOfRange(f"boundary index {k} outside 0..{self.m + 1}")
 
     def active_words(self) -> tuple[int, ...]:
         """0-based indices j with a nonempty extent [bound(j), bound(j+1))."""
@@ -296,13 +351,16 @@ class Vocabulary:
         for _, (left, right) in active:
             if left != cursor:
                 raise InvalidVocabulary(
-                    f"extent [{left}, {right}) does not continue the tiling at {cursor}"
+                    f"extent [{shown(left)}, {shown(right)})"
+                    f" does not continue the tiling at {shown(cursor)}"
                 )
             if not left < right:
-                raise InvalidVocabulary(f"empty extent [{left}, {right})")
+                raise InvalidVocabulary(f"empty extent [{shown(left)}, {shown(right)})")
             cursor = right
         if cursor != self.domain.upper:
-            raise InvalidVocabulary(f"tiling stops at {cursor}, not {self.domain.upper}")
+            raise InvalidVocabulary(
+                f"tiling stops at {shown(cursor)}, not {shown(self.domain.upper)}"
+            )
 
     @property
     def word_count(self) -> int:

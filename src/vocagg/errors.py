@@ -26,8 +26,11 @@ class DomainMismatch(VocaggError):
     """Objects defined over different intervals were combined."""
 
 
-class IndexOutOfRange(VocaggError):
-    """An order-statistic rank or agent index outside its valid range."""
+class IndexOutOfRange(VocaggError, IndexError):
+    """An order-statistic rank, agent index or boundary index outside its valid range.
+
+    Also an ``IndexError``, so a caller catching that still catches it.
+    """
 
 
 class ParityViolation(VocaggError):

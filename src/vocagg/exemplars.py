@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Domain, as_extents, as_integer, as_pair
+from .core import Domain, as_extents, as_integer, as_pair, shown
 from .errors import (
     DomainMismatch,
     InconsistentLabels,
@@ -51,15 +51,16 @@ class LabeledExemplars:
         object.__setattr__(self, "points", cleaned)
         for e, w in cleaned:
             if not self.domain.contains(e):
-                raise VocaggError(f"exemplar {e} outside the open domain")
+                raise VocaggError(f"exemplar {shown(e)} outside the open domain")
             if w < 0:
-                raise VocaggError(f"negative word index {w}")
+                raise VocaggError(f"negative word index {shown(w)}")
         for (e1, w1), (e2, w2) in zip(cleaned, cleaned[1:]):
             if not e1 < e2:
-                raise VocaggError(f"exemplars not strictly increasing: {e1}, {e2}")
+                raise VocaggError(f"exemplars not strictly increasing: {shown(e1)}, {shown(e2)}")
             if w1 > w2:
                 raise InconsistentLabels(
-                    f"exemplar {e2} labeled word {w2} after {e1} labeled word {w1}"
+                    f"exemplar {shown(e2)} labeled word {shown(w2)}"
+                    f" after {shown(e1)} labeled word {shown(w1)}"
                 )
 
     @property
@@ -93,9 +94,9 @@ class InducedVocabulary:
         object.__setattr__(self, "extents", as_extents(self.extents))
         for lo, hi in filter(None, self.extents):
             if not lo <= hi:
-                raise VocaggError(f"hull with {lo} > {hi}")
+                raise VocaggError(f"hull with {shown(lo)} > {shown(hi)}")
             if not (self.domain.contains_closed(lo) and self.domain.contains_closed(hi)):
-                raise VocaggError(f"hull [{lo}, {hi}] outside the closed domain")
+                raise VocaggError(f"hull [{shown(lo)}, {shown(hi)}] outside the closed domain")
         if not self.extents:
             raise ShapeMismatch("a vocabulary needs at least one word")
         previous: Optional[Fraction] = None
@@ -104,7 +105,7 @@ class InducedVocabulary:
                 continue
             if previous is not None and previous > extent[0]:
                 raise VocaggError(
-                    f"known extents out of order: {previous} > {extent[0]}"
+                    f"known extents out of order: {shown(previous)} > {shown(extent[0])}"
                 )
             previous = extent[1]
 
@@ -141,13 +142,16 @@ class GapSequence:
                 self.domain.contains_closed(left)
                 and self.domain.contains_closed(right)
             ):
-                raise MalformedGaps(f"gap ({left}, {right}) outside the closed domain")
+                raise MalformedGaps(
+                    f"gap ({shown(left)}, {shown(right)}) outside the closed domain"
+                )
             if left > right:
-                raise MalformedGaps(f"gap with {left} > {right}")
+                raise MalformedGaps(f"gap with {shown(left)} > {shown(right)}")
         for (l1, r1), (l2, r2) in zip(cleaned, cleaned[1:]):
             if l1 > l2 or r1 > r2:
                 raise MalformedGaps(
-                    f"gap ends decrease: ({l1}, {r1}) before ({l2}, {r2})"
+                    f"gap ends decrease: ({shown(l1)}, {shown(r1)})"
+                    f" before ({shown(l2)}, {shown(r2)})"
                 )
 
     @property

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
 
 from .core import (
+    MAX_NUMERAL_DIGITS,
     Domain,
     EndpointMultiset,
     Profile,
@@ -48,6 +49,7 @@ from .core import (
     decode_endpoints,
     encode_vocabulary,
     rational_str,
+    shown,
 )
 from .errors import ParseError, VocaggError
 from .rules import (
@@ -80,7 +82,7 @@ def _at(where: str, build: Callable[..., _T], *args: object) -> _T:
 def parse_rational(value: object, where: str = "value") -> Fraction:
     if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
         return _at(where, as_rational, value)
-    raise ParseError(f"{where}: expected an exact numeral, got {value!r}")
+    raise ParseError(f"{where}: expected an exact numeral, got {shown(value)}")
 
 
 class _Numerals:
@@ -108,10 +110,19 @@ class _Numerals:
         return tuple(out)
 
 
+def _read_int(literal: str) -> int:
+    """A JSON integer literal of at most ``MAX_NUMERAL_DIGITS`` digits, read exactly."""
+    digits = len(literal.lstrip("-"))
+    if digits > MAX_NUMERAL_DIGITS:
+        raise ParseError(f"integer literal of {digits} digits, past {MAX_NUMERAL_DIGITS:,}")
+    return int(Decimal(literal))
+
+
 def load_json(text: str) -> object:
-    """Parse JSON keeping float literals as raw strings; integers of any length read exactly."""
+    """Parse JSON keeping float literals as raw strings; integers up to
+    ``MAX_NUMERAL_DIGITS`` digits read exactly, longer ones refused."""
     try:
-        return json.loads(text, parse_float=str, parse_int=lambda digits: int(Decimal(digits)))
+        return json.loads(text, parse_float=str, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
@@ -138,7 +149,7 @@ def jsonify(value: object) -> object:
 
 
 def report_to_json(report) -> dict:
-    """An ``axioms.AxiomReport`` as a JSON object."""
+    """A ``sampling.AxiomReport`` as a JSON object."""
     return {
         "axiom": report.axiom,
         "verdict": report.verdict,
@@ -323,7 +334,7 @@ def _parse_exemplar_agents(
         points = []
         for j, label in enumerate(labels):
             if not isinstance(label, str) or label not in index_of:
-                raise ParseError(f"{where}[{j}]: unknown word {label!r}")
+                raise ParseError(f"{where}[{j}]: unknown word {shown(label)}")
             points.append((values[j], index_of[label]))
         rows.append(_at(where, LabeledExemplars, domain, tuple(points)))
     return ParsedInput("exemplars", domain, words, exemplars=tuple(rows))
@@ -365,7 +376,7 @@ def rule_from_descriptor(
     if isinstance(descriptor, str):
         descriptor = _string_descriptor(descriptor)
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise ParseError(f"rule descriptor needs a kind: {descriptor!r}")
+        raise ParseError(f"rule descriptor needs a kind: {shown(descriptor)}")
     kind = descriptor["kind"]
     if kind == "median":
         return PRule(median_positions(n, m))
@@ -396,10 +407,12 @@ def rule_from_descriptor(
         try:
             return DictatorRule(int(descriptor["agent"]))
         except (KeyError, TypeError, ValueError):
-            raise ParseError(f"dictator needs an agent index, got {descriptor.get('agent')!r}") from None
+            agent = shown(descriptor.get("agent"))
+            raise ParseError(f"dictator needs an agent index, got {agent}") from None
     if kind == "fixture":
-        return fixture_rule(str(descriptor.get("name")))
-    raise ParseError(f"unknown rule kind {kind!r}")
+        name = descriptor.get("name")
+        return fixture_rule(name if isinstance(name, str) else shown(name))
+    raise ParseError(f"unknown rule kind {shown(kind)}")
 
 
 # ---------------------------------------------------------------------------

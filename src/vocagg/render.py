@@ -40,9 +40,8 @@ def _value_row(values: Sequence[Fraction], domain: Domain) -> str:
     for value in sorted(set(values)):
         text = rational_str(value)
         start = max(_column(value, domain) - len(text) // 2, cursor)
-        start = min(start, WIDTH - len(text))
-        for offset, char in enumerate(text):
-            row[start + offset] = char
+        start = max(min(start, WIDTH - len(text)), 0)  # a text wider than the row starts at 0
+        row[start : start + len(text)] = text  # and widens the row
         cursor = start + len(text) + 1
     return "".join(row).rstrip()
 
@@ -119,9 +118,10 @@ _SVG_AXIS_Y = 80
 
 
 def _svg_x(value: Fraction, domain: Domain) -> str:
+    """The x coordinate of ``value`` to two decimals, rounded half to even on the exact value."""
     span = domain.upper - domain.lower
-    x = _SVG_LEFT + _SVG_SPAN * (value - domain.lower) / span
-    return f"{float(x):.2f}"
+    hundredths = round(100 * (_SVG_LEFT + _SVG_SPAN * (value - domain.lower) / span))
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def render_svg(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:

@@ -37,6 +37,7 @@ from .core import (
     first_outside,
     order_key,
     rational_str,
+    shown,
 )
 from .errors import (
     DomainMismatch,
@@ -60,7 +61,7 @@ def order_statistics(
     """
     for k in ranks:
         if not 1 <= k <= len(values):
-            raise IndexOutOfRange(f"rank {k} outside 1..{len(values)}")
+            raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
     return _select(values, list(map(order_key, values)), ranks)
 
 
@@ -103,10 +104,10 @@ class PositionVector:
         if not self.positions:
             raise ShapeMismatch("a position vector needs at least one entry")
         if self.positions[0] < 1:
-            raise VocaggError(f"positions are 1-based, got {self.positions[0]}")
+            raise VocaggError(f"positions are 1-based, got {shown(self.positions[0])}")
         for a, b in zip(self.positions, self.positions[1:]):
             if a > b:
-                raise VocaggError(f"positions not nondecreasing: {a} > {b}")
+                raise VocaggError(f"positions not nondecreasing: {shown(a)} > {shown(b)}")
 
     @property
     def m(self) -> int:
@@ -115,7 +116,7 @@ class PositionVector:
     def validate_for(self, n: int) -> None:
         if self.positions[-1] > n:
             raise IndexOutOfRange(
-                f"position {self.positions[-1]} exceeds agent count {n}"
+                f"position {shown(self.positions[-1])} exceeds agent count {n}"
             )
 
     def check_profile(self, profile: Profile) -> None:
@@ -153,17 +154,19 @@ class PhantomMatrix:
             column_keys = tuple(map(order_key, column))
             outside = first_outside(self.domain, column, column_keys)
             if outside is not None:
-                raise VocaggError(f"phantom {outside} outside the closed domain")
+                raise VocaggError(f"phantom {shown(outside)} outside the closed domain")
             descent = first_descent(column, column[1:], column_keys, column_keys[1:])
             if descent is not None:
-                raise VocaggError(f"phantom column not sorted: {descent[0]} > {descent[1]}")
+                raise VocaggError(
+                    f"phantom column not sorted: {shown(descent[0])} > {shown(descent[1])}"
+                )
             keys.append(column_keys)
         object.__setattr__(self, "keys", tuple(keys))
         for left, right, left_keys, right_keys in zip(coerced, coerced[1:], keys, keys[1:]):
             descent = first_descent(left, right, left_keys, right_keys)
             if descent is not None:
                 raise VocaggError(
-                    f"phantoms decrease across columns: {descent[0]} > {descent[1]}"
+                    f"phantoms decrease across columns: {shown(descent[0])} > {shown(descent[1])}"
                 )
 
     @property
@@ -381,7 +384,7 @@ class DictatorRule(Rule):
     def __call__(self, profile: Profile) -> EndpointMultiset:
         if not 1 <= self.agent <= profile.n:
             raise IndexOutOfRange(
-                f"dictator index {self.agent} outside 1..{profile.n}"
+                f"dictator index {shown(self.agent)} outside 1..{profile.n}"
             )
         return profile.row(self.agent)
 

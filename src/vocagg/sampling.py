@@ -1,4 +1,4 @@
-"""Seed-driven samplers and the trial engine shared by the randomized checkers.
+"""Seed-driven samplers, the trial engine and the verdict of every checker.
 
 Every sampler draws from ``random.Random`` instances created via ``spawn``,
 which hashes the seed together with a stream label.  String seeding keeps
@@ -17,11 +17,16 @@ and a violated report's ``trials`` is that trial's 1-based index.  Streams:
 ``continuity-profile``, ``responsiveness``, ``extents``, ``separability``,
 ``sp-fuzz``, ``uncompromising``.  A trial counts even when it evaluates no
 rule, as when ``sp_fuzz`` draws a misreport equal to the peak.
+
+Every ``AxiomReport`` is built here, by ``axiom_report``: ``HOLDS``
+without a witness, ``VIOLATED`` with one.  ``sampled_report`` turns a
+``first_hit`` run into one.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
@@ -30,6 +35,35 @@ from .errors import ShapeMismatch, VocaggError
 from .rules import Rule
 
 _T = TypeVar("_T")
+
+HOLDS = "holds-on-sample"
+VIOLATED = "violated"
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """Outcome of one checker run, with a replayable witness when violated."""
+
+    axiom: str
+    verdict: str
+    seed: Optional[int] = None
+    trials: Optional[int] = None
+    witness: Optional[dict] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.verdict != VIOLATED
+
+    def __post_init__(self) -> None:
+        if self.verdict not in (HOLDS, VIOLATED):
+            raise VocaggError(f"unknown verdict {self.verdict!r}")
+        if self.verdict == VIOLATED and self.witness is None:
+            raise VocaggError("a violation report needs a witness")
+
+
+def axiom_report(axiom: str, witness: Optional[dict], **run) -> AxiomReport:
+    """The one report builder: ``HOLDS`` if ``witness`` is ``None``, else ``VIOLATED``."""
+    return AxiomReport(axiom, HOLDS if witness is None else VIOLATED, witness=witness, **run)
 
 
 def spawn(seed: int, *stream: object) -> random.Random:
@@ -54,6 +88,17 @@ def first_hit(
         if found is not None:
             return t, found
     return None
+
+
+def sampled_report(
+    axiom: str, trials: int, seed: int, stream: str, trial: Callable[..., Optional[dict]]
+) -> AxiomReport:
+    """Run ``trial`` through ``first_hit``; the first witness it returns refutes ``axiom``."""
+    hit = first_hit(trials, seed, stream, trial)
+    if hit is None:
+        return axiom_report(axiom, None, seed=seed, trials=trials)
+    t, witness = hit
+    return axiom_report(axiom, witness, seed=seed, trials=t + 1)
 
 
 def sampling_shape(
@@ -114,27 +159,17 @@ def strict_row(
 
 
 def random_profile(
-    rng: random.Random,
-    domain: Domain,
-    n: int,
-    m: int,
-    *,
-    strict: bool = False,
-    denominator: int = 64,
+    rng: random.Random, domain: Domain, n: int, m: int, *, denominator: int = 64
 ) -> Profile:
-    """n independent sorted rows of m endpoints each.
+    """n independent sorted rows of m interior endpoints each.
 
     A coarse ``denominator`` makes ties across agents likely, which matters
     for checkers hunting discontinuities at tied columns.
     """
-    rows = []
-    for _ in range(n):
-        if strict:
-            rows.append(strict_row(rng, domain, m, denominator))
-        else:
-            rows.append(
-                sorted_between(rng, domain.lower, domain.upper, m, denominator, False)
-            )
+    rows = [
+        sorted_between(rng, domain.lower, domain.upper, m, denominator, False)
+        for _ in range(n)
+    ]
     return Profile.from_rows(domain, rows)
 
 

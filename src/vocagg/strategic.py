@@ -13,21 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .core import Domain, EndpointMultiset, Profile, as_rationals, between
+from .core import Domain, EndpointMultiset, Profile, as_rationals, between, shown
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import ExtendedMedianRule, Rule
 from .sampling import (
+    AxiomReport,
     first_hit,
     random_profile,
     random_weights,
+    sampled_report,
     sampling_shape,
     sorted_between,
 )
-
-if TYPE_CHECKING:
-    from .axioms import AxiomReport
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class SinglePeakedPreference:
             )
         for w in self.weights:
             if w <= 0:
-                raise VocaggError(f"weights must be positive, got {w}")
+                raise VocaggError(f"weights must be positive, got {shown(w)}")
 
 
 def utility(
@@ -245,8 +244,6 @@ def check_separability_on_deviations(
     else row by row within the brackets that keep the rows sorted.  The
     pooled-multiset rule fails this quickly; columnwise rules never do.
     """
-    from .axioms import sampled_report
-
     n, m, domain = sampling_shape(rule, n, m, domain)
 
     def trial(rng, t):

@@ -1,15 +1,18 @@
 """Every command line ends in 0, 1 or 2, never in a traceback.
 
 Generated argv for all five commands over valid and mutated documents,
-rule strings and extended-median files.  Exit 1 is reserved for violation
+rule strings and extended-median files, with numerals and integer literals
+around and far past the 20,000-digit bound.  Exit 1 is reserved for violation
 witnesses, exit 2 comes with exactly one ``error:`` line, and exit 3 (an
 internal error) never happens.  Run more examples with
 ``--hypothesis-profile=ci``.
 """
 
 import contextlib
+import copy
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,10 +23,23 @@ from vocagg.cli import main
 MAX_N = MAX_M = 6
 MAX_TRIALS = 3
 
+# numerals around and far past the 20,000-digit bound: long digit runs and
+# exponents up to 10**9
+HUGE = st.one_of(
+    st.integers(19_990, 40_000).map(lambda k: "7" * k),
+    st.integers(19_990, 40_000).map(lambda k: "1/" + "3" * k),
+    st.integers(-(10**9), 10**9).map(lambda e: f"1e{e}"),
+)
+# JSON integer literals around the bound; ``json.dumps`` cannot write an int
+# past the interpreter's int-to-text limit, so a marker stands in for each
+HUGE_INTS = st.integers(19_990, 20_010).map(lambda k: f"<{k}-digit integer literal>")
+
 # JSON values a mutation may put anywhere in a document
 JUNK = st.sampled_from(
     [None, True, 7, -1, "x", "", "1/0", "0.5", "-3/4", "1e5", [], {}, ["1", "2"], {"lower": "0"}]
-) | st.integers(-(10**40) + 1, 10**40 - 1) | st.integers(-(10**40) + 1, 10**40 - 1).map(str)
+) | st.integers(-(10**40) + 1, 10**40 - 1) | st.integers(-(10**40) + 1, 10**40 - 1).map(str) | (
+    HUGE | HUGE_INTS
+)
 
 
 def numeral(q: F) -> str:
@@ -135,12 +151,14 @@ def mutated(draw, payload):
         container, key = slots[draw(st.integers(0, len(slots) - 1))]
         edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
         if edit == "replace":
-            container[key] = draw(JUNK)
+            container[key] = copy.deepcopy(draw(JUNK))  # JUNK's lists and dicts are shared
         elif edit == "delete":
             del container[key]
         elif isinstance(container, list):
             container.insert(key, container[key])
-    text = json.dumps(payload)
+    text = re.sub(
+        r'"<(\d+)-digit integer literal>"', lambda match: "9" * int(match[1]), json.dumps(payload)
+    )
     cut = draw(st.sampled_from([None] * 7 + [len(text) // 2]))
     return text if cut is None else text[:cut]
 
@@ -155,6 +173,7 @@ def rule_texts(draw):
              "emed:phantoms.json", "emed:phantoms.json", "emed:missing.json"]
         )
         | st.integers(-1, MAX_N + 1).map(lambda i: f"dictator:{i}")
+        | st.integers(19_990, 20_010).map(lambda k: "dictator:" + "9" * k)
         | st.lists(st.integers(0, MAX_N + 1), max_size=MAX_M + 1)
         .map(lambda ps: "p:" + ",".join(map(str, sorted(ps))))
     )
@@ -170,7 +189,7 @@ def _shape_flags(draw, domain):
         lower, upper = domain
         flags += ["--domain", draw(st.sampled_from([
             f"{numeral(lower)}:{numeral(upper)}", f"{numeral(upper)}:{numeral(lower)}",
-            "0:x", "01", "0:1"]))]
+            "0:x", "01", "0:1", "-1:1"]) | HUGE.map(lambda q: f"0:{q}"))]
     return flags
 
 

@@ -126,6 +126,40 @@ class TestNumeralScanner:
             assert type(value) is F and value == expected
 
 
+class TestNumeralBound:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1e19999", id="1e19999"),
+            pytest.param("5e-19998", id="5e-19998"),
+            pytest.param("9" * 20_000, id="20000-nines"),
+            pytest.param("-0." + "0" * 19_998 + "1", id="19999-decimals"),
+            pytest.param("1/" + "0" * 30_000 + "7", id="zero-padded-denominator"),
+            pytest.param("0" * 30_000 + "7", id="zero-padded-numerator"),
+        ],
+    )
+    def test_numerals_up_to_the_bound_read(self, text):
+        assert as_rational(text) == reference_rational(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1e20000", id="1e20000"),
+            pytest.param("1e-20000", id="1e-20000"),
+            pytest.param("0e999999999", id="0e999999999"),
+            pytest.param("7e-1_000_000_000", id="7e-1_000_000_000"),
+            pytest.param("1.5E+1000000000", id="1.5E+1000000000"),
+            pytest.param("1e" + "9" * 50_000, id="50000-digit-exponent"),
+            pytest.param("9" * 20_001, id="20001-nines"),
+            pytest.param("1/" + "7" * 20_001, id="20001-digit-denominator"),
+            pytest.param("1." + "0" * 20_000, id="20000-decimals"),
+        ],
+    )
+    def test_numerals_past_the_bound_are_refused(self, text):
+        with pytest.raises(ParseError, match="numeral past 20,000 digits"):
+            as_rational(text)
+
+
 class TestOrderKey:
     @given(st.fractions())
     def test_is_the_floor_of_q_times_two_to_the_64(self, q):
@@ -365,6 +399,10 @@ class TestProfile:
         other = EndpointMultiset(UNIT, (F(1, 4), F(1, 3), F(1, 2), F(2, 3)))
         with pytest.raises(DomainMismatch):
             grading_profile.with_row(1, other)
+
+    def test_with_row_indices_are_one_based(self, grading_profile):
+        with pytest.raises(ShapeMismatch, match="agent index 0 outside 1..3"):
+            grading_profile.with_row(0, grading_profile.row(1))
 
     def test_mixed_rows_rejected(self, grades):
         with pytest.raises(ShapeMismatch):

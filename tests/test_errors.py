@@ -38,6 +38,7 @@ Q, H, T = F(1, 4), F(1, 2), F(3, 4)
 CASES = {
     # core
     "empty-domain": (lambda: Domain(F(1), F(0)), "empty domain: (1, 0)"),
+    "boundary-index": (lambda: HALF.bound(5), "boundary index 5 outside 0..2"),
     "endpoint-outside": (lambda: EndpointMultiset(UNIT, (F(2),)), "endpoint 2 outside [0, 1]"),
     "endpoints-unsorted": (
         lambda: EndpointMultiset(UNIT, (H, Q)),
@@ -185,6 +186,19 @@ def test_each_check_raises_the_family(name):
     with pytest.raises(VocaggError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_messages_show_values_of_any_size():
+    huge = "7" * 5000  # past the interpreter's int-to-text limit
+    with pytest.raises(VocaggError) as info:
+        EndpointMultiset(UNIT, (huge,))
+    assert str(info.value) == f"endpoint {huge} outside [0, 1]"
+    with pytest.raises(VocaggError) as info:
+        PositionVector((10**5000, 1))
+    assert str(info.value) == f"positions not nondecreasing: 1{'0' * 5000} > 1"
+    with pytest.raises(VocaggError) as info:
+        LabeledExemplars(UNIT, ((H, [10**5000]),))
+    assert str(info.value) == "not an integer: <list holding an integer too long to print>"
 
 
 def test_integer_arguments_stay_integers():

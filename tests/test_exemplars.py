@@ -179,6 +179,10 @@ class TestCollectiveIncomplete:
         gaps = GapSequence(UNIT, ((A, B), (A, B)))
         assert collective_incomplete(gaps).extents == ((F(0), A), None, (B, F(1)))
 
+    def test_overlapping_gaps_attribute_nothing_between_them(self):
+        gaps = GapSequence(UNIT, ((A, C), (B, D)))
+        assert collective_incomplete(gaps).extents == ((F(0), A), None, (D, F(1)))
+
     def test_corner_singletons_are_dropped(self):
         gaps = GapSequence(UNIT, ((F(0), F(0)), (F(0), F(1, 2))))
         assert collective_incomplete(gaps).extents == (

@@ -481,6 +481,11 @@ class TestResultDocuments:
     def test_huge_integer_literals_load(self):
         assert load_json("[1" + "0" * 5000 + "]") == [10**5000]
 
+    def test_integer_literals_past_the_bound_are_refused(self):
+        assert load_json("[-" + "9" * 20_000 + "]") == [1 - 10**20_000]
+        with pytest.raises(ParseError, match="integer literal of 20001 digits, past 20,000"):
+            load_json('{"agents": [1' + "0" * 20_000 + "]}")
+
     def test_shape_validation(self):
         with pytest.raises(ParseError):
             ResultDocument(
@@ -530,6 +535,20 @@ class TestRender:
             render_diagram(self.diagram(), "png")
         with pytest.raises(ValueError, match="names"):
             render_diagram(self.diagram(), "ascii", ("only", "two"))
+
+    @pytest.mark.parametrize(
+        "boundary,x",
+        [(F(1, 16000), "40.04"), (F(1, 5760), "40.12"), (F(1, 2), "400.00"), (F(1, 3), "280.00")],
+    )
+    def test_svg_coordinates_round_half_to_even(self, boundary, x):
+        svg = render_diagram(decode_endpoints(EndpointMultiset(UNIT, (boundary,))), "svg")
+        assert f'<line x1="{x}" y1="72" x2="{x}" y2="88"' in svg
+
+    def test_values_wider_than_the_row_print_whole(self):
+        upper = F(1, 10**100)  # "1/1" and 100 zeros, wider than the 80-column row
+        vocabulary = decode_endpoints(EndpointMultiset(Domain(F(0), upper), (upper / 2,)))
+        values = render_diagram(vocabulary, "ascii").split("\n")[2]
+        assert values == "1/1" + "0" * 100
 
     def test_degenerate_vocabulary_renders(self):
         flat = Vocabulary(UNIT, ((F(0), F(1)), None))
@@ -746,6 +765,29 @@ class TestCli:
         assert main(["render", "--input", doc, "--rule", "median"]) == 0
         assert "=" in capsys.readouterr().out
 
+    def test_render_exemplar_agents_mark_singleton_hulls(self, tmp_path, capsys):
+        doc = write(tmp_path, "exemplars.json", EXEMPLAR_DOC)
+        assert main(["render", "--input", doc]) == 0
+        art = capsys.readouterr().out
+        assert "# agent 3" in art
+        axis = art.split("\n")[2]  # agent 1: A reaches the left corner, C is seen once
+        assert axis == "(" + "=" * 14 + "]" + "." * 15 + "*" + "." * 15 + "[" + "=" * 31 + ")"
+
+    def test_render_exemplar_agent_svg_draws_a_singleton_as_a_circle(self, tmp_path, capsys):
+        doc = write(tmp_path, "exemplars.json", EXEMPLAR_DOC)
+        assert main(["render", "--input", doc, "--agent", "2", "--format", "svg"]) == 0
+        svg = capsys.readouterr().out
+        assert svg.count("<circle") == 1  # word C, seen once at 3/5
+        assert '<circle cx="472.00" cy="80" r="4" fill="black"/>' in svg
+        assert 'stroke-dasharray="4 4"' in svg
+
+    def test_huge_values_in_messages_are_input_errors(self, tmp_path, capsys):
+        huge = "7" * 5000  # past the interpreter's int-to-text limit
+        doc = write(tmp_path, "profile.json", {"domain": {"lower": "0", "upper": "1"},
+                                              "agents": [{"endpoints": [huge]}]})
+        assert main(["aggregate", "--rule", "median", "--input", doc]) == 2
+        assert capsys.readouterr().err == f"error: agents[1].endpoints: endpoint {huge} outside [0, 1]\n"
+
     def test_render_agent_out_of_range(self, tmp_path, capsys):
         doc = write(tmp_path, "profile.json", GRADING_DOC)
         assert main(["render", "--input", doc, "--agent", "9"]) == 2
@@ -799,6 +841,29 @@ class TestCli:
         assert main(["axioms", "--rule", "median", "--domain", "zero-one",
                      "--trials", "1"]) == 2
         assert "LOWER:UPPER" in capsys.readouterr().err
+
+    def test_empty_domain_flag(self, capsys):
+        assert main(["axioms", "--rule", "median", "--domain", "1:0", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: bad domain '1:0': empty domain: (1, 0)\n"
+
+    @pytest.mark.parametrize("command", ["axioms", "sp-check"])
+    def test_a_negative_domain_reads_in_both_spellings(self, command, capsys):
+        runs = []
+        for flag in (["--domain", "-1:1"], ["--domain=-1:1"]):
+            code = main([command, "--rule", "median", "--trials", "2", *flag])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        code, (out, err) = runs[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["trials"] == 2
+
+    @pytest.mark.parametrize(
+        "domain",
+        ["0:1e999999", "-1e-999999999:1", pytest.param("0:" + "7" * 20_001, id="0:20001-sevens")],
+    )
+    def test_oversized_domain_numerals_are_input_errors(self, domain, capsys):
+        assert main(["axioms", "--rule", "mean", "--trials", "1", "--domain", domain]) == 2
+        assert capsys.readouterr().err.startswith("error: numeral past 20,000 digits: ")
 
     def test_domain_flag_numeral_error_has_no_prefix(self, capsys):
         assert main(["sp-check", "--rule", "median", "--domain", "0:x", "--trials", "1"]) == 2

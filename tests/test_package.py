@@ -1,5 +1,6 @@
 """The package's public names: one home module each, resolved on first use."""
 
+import ast
 import importlib
 import json
 import os
@@ -143,3 +144,32 @@ def test_sp_check_loads_only_what_it_runs(tmp_path):
         "vocagg.strategic",
     ]
     assert json.loads((tmp_path / "bundle.json").read_text())["manipulation"] is None
+
+
+def test_separability_runs_without_the_axioms_module(tmp_path):
+    code = (
+        "from vocagg.rules import MultisetRule\n"
+        "from vocagg.strategic import check_separability_on_deviations\n"
+        "report = check_separability_on_deviations(MultisetRule(), 40, 0, n=3, m=3)\n"
+        "assert report.verdict == 'violated', report"
+    )
+    assert _loaded_after(code, tmp_path) == [
+        "random",
+        "vocagg",
+        "vocagg.core",
+        "vocagg.errors",
+        "vocagg.rules",
+        "vocagg.sampling",
+        "vocagg.strategic",
+    ]
+
+
+def test_no_module_calls_float():
+    """Every value stays exact: no source line converts to a binary float."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "vocagg").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+    ]
+    assert calls == []

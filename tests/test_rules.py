@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from vocagg import (
     DictatorRule,
     Domain,
+    DomainMismatch,
     EvenAgentCount,
     ExtendedMedianRule,
     IndexOutOfRange,
@@ -406,6 +407,12 @@ class TestExtendedMedian:
         assert extended_median(tuple(column), matrix.columns[0]) == order_statistic(
             column, p
         )
+
+    def test_apply_needs_the_phantoms_domain(self):
+        profile = Profile.from_rows(THIRDS, [(F(1, 2),)] * 3)
+        rule = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(0), F(1)),)))
+        with pytest.raises(DomainMismatch, match="phantom matrix over a different domain"):
+            rule(profile)
 
     def test_apply_validates_shapes(self):
         profile = Profile.from_rows(UNIT, [(F(1, 4), F(1, 2))] * 3)
