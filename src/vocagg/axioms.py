@@ -20,8 +20,9 @@ by ``sampling.sampled_report``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, shown
@@ -58,10 +59,19 @@ class PiecewiseLinearMap:
     right one; between breakpoints the map interpolates linearly with exact
     rational arithmetic.  Increasing maps fix both corners, decreasing maps
     exchange them.
+
+    Each segment's line y = slope * x + intercept is kept as integers over
+    one common denominator (the ``segments`` field, left out of ``==``,
+    hashing and ``repr``), so evaluating the map at x = p/q finds the
+    segment by integer comparisons and builds one ``Fraction``.
     """
 
     domain: Domain
     points: tuple[tuple[Fraction, Fraction], ...]
+    # per segment: its right end r/s, and y = (intercept * q + slope * p) / (common * q) at x = p/q
+    segments: tuple[tuple[int, int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pts = tuple(as_pair(point, j) for j, point in enumerate(self.points))
@@ -88,6 +98,19 @@ class PiecewiseLinearMap:
                 raise VocaggError(f"ordinates not increasing: {shown(a)}, {shown(b)}")
             if not increasing and not a > b:
                 raise VocaggError(f"ordinates not decreasing: {shown(a)}, {shown(b)}")
+        segments = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            slope = (y1 - y0) / (x1 - x0)
+            intercept = y0 - slope * x0
+            common = lcm(slope.denominator, intercept.denominator)
+            segments.append((
+                x1.numerator,
+                x1.denominator,
+                intercept.numerator * (common // intercept.denominator),
+                slope.numerator * (common // slope.denominator),
+                common,
+            ))
+        object.__setattr__(self, "segments", tuple(segments))
 
     @property
     def direction(self) -> str:
@@ -104,10 +127,10 @@ class PiecewiseLinearMap:
     def __call__(self, x: Fraction) -> Fraction:
         if not self.domain.contains_closed(x):
             raise VocaggError(f"{shown(x)} outside the closed domain")
-        pts = self.points
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        p, q = x.numerator, x.denominator
+        for r, s, intercept, slope, common in self.segments:
+            if p * s <= r * q:
+                return Fraction(intercept * q + slope * p, common * q)
         raise AssertionError("unreachable: corners span the domain")
 
     def map_endpoints(self, endpoints: EndpointMultiset) -> EndpointMultiset:

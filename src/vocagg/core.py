@@ -12,7 +12,10 @@ Ordering stays exact without paying for a ``Fraction`` comparison per pair:
 ``order_key`` maps q to the plain int floor(q * 2**64), which never
 decreases as q grows.  Distinct keys therefore order their values exactly,
 and only values with equal keys (within 2**-64 of each other) are compared
-as fractions.  No float is involved anywhere.
+as fractions.  No float is involved anywhere.  An ``EndpointMultiset``
+keeps the keys it computes while validating (its ``keys`` field, left out
+of ``==``, hashing and ``repr``), so the rules order its values without
+computing them again.
 
 Conventions used throughout the package:
 
@@ -26,7 +29,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -57,17 +60,28 @@ _PLAIN_NUMERAL = re.compile(r"[-+]?\d+(?:/\d+|\.\d*)?")
 # exponent writes 10**exponent, so larger numerals are refused unread.
 MAX_NUMERAL_DIGITS = 20_000
 # The parts of anything ``Fraction(str)`` accepts on any supported interpreter,
-# matched after stripping surrounding whitespace (which keeps the match linear).
+# matched after stripping surrounding whitespace.  Text outside it is refused
+# in one scan, before the slower pattern of ``Fraction(str)`` sees it.
 _NUMERAL_PARTS = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?(?:\s*/\s*([\d_]+))?")
 
 
-def _refuse_oversized(text: str) -> None:
-    """Raise ``ParseError`` if ``text`` writes a numerator or denominator of more
-    than ``MAX_NUMERAL_DIGITS`` digits, counted without leading zeros and before
-    reduction.  No number longer than seven digits is converted to decide."""
-    parts = _NUMERAL_PARTS.fullmatch(text.strip())
-    if parts is None:
-        return  # not a numeral: the reader refuses it
+def _excerpt(text: str) -> str:
+    """``repr(text)``, cut to its first 20 characters and its length past 40."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _refuse_unreadable(text: str) -> None:
+    """Raise ``ParseError`` if ``text`` is no numeral at all, or if it writes a
+    numerator or denominator of more than ``MAX_NUMERAL_DIGITS`` digits, counted
+    without leading zeros and before reduction.  No number longer than seven
+    digits is converted to decide."""
+    stripped = text.strip()
+    # No part can start with a character that the part before it takes, so
+    # the first match is the longest one: testing its end stands in for
+    # ``fullmatch`` without retrying every shorter digit run.
+    parts = _NUMERAL_PARTS.match(stripped)
+    if parts is None or parts.end() != len(stripped):
+        raise ParseError(f"not a rational numeral: {_excerpt(text)}")
     whole, decimals, exponent, denominator = (
         (part or "").replace("_", "") for part in parts.groups()
     )
@@ -81,8 +95,7 @@ def _refuse_oversized(text: str) -> None:
     else:
         digits = max(numerator, 1 + len(decimals) - min(shift, 0))
     if digits > MAX_NUMERAL_DIGITS:
-        excerpt = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise ParseError(f"numeral past {MAX_NUMERAL_DIGITS:,} digits: {excerpt}")
+        raise ParseError(f"numeral past {MAX_NUMERAL_DIGITS:,} digits: {_excerpt(text)}")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -102,12 +115,15 @@ def as_rational(value: RationalLike) -> Fraction:
     accepted language and the values are therefore those of
     ``Fraction(str)`` on the interpreter at hand, and every rejection raises
     the same ``ParseError``.  Text that writes a numerator or denominator of
-    more than ``MAX_NUMERAL_DIGITS`` digits is refused before it is read.
+    more than ``MAX_NUMERAL_DIGITS`` digits is refused before it is read, and
+    so is text outside a superset of the numeral forms (``_NUMERAL_PARTS``).
+    A refusal quotes text longer than 40 characters by its first 20.
     """
     if isinstance(value, str):
-        match = _SIMPLE_NUMERAL.fullmatch(value)
-        if match is None or len(value) > MAX_NUMERAL_DIGITS:
-            _refuse_oversized(value)  # a simple numeral writes no more digits than its length
+        # a simple numeral writes no more digits than its length
+        match = _SIMPLE_NUMERAL.fullmatch(value) if len(value) <= MAX_NUMERAL_DIGITS else None
+        if match is None:
+            _refuse_unreadable(value)
         else:
             whole, denominator, decimals = match.groups()
             try:
@@ -126,7 +142,7 @@ def as_rational(value: RationalLike) -> Fraction:
                 numerator, _, denominator = text.partition("/")
                 return Fraction(Decimal(numerator)) / Fraction(Decimal(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational numeral: {value!r}") from exc
+            raise ParseError(f"not a rational numeral: {_excerpt(value)}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -286,11 +302,14 @@ class EndpointMultiset:
 
     domain: Domain
     values: tuple[Fraction, ...]
+    # the values' order keys, kept from validation for the rule kernel
+    keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coerced = as_rationals(self.values)
         object.__setattr__(self, "values", coerced)
-        keys = list(map(order_key, coerced))
+        keys = tuple(map(order_key, coerced))
+        object.__setattr__(self, "keys", keys)
         outside = first_outside(self.domain, coerced, keys)
         if outside is not None:
             raise VocaggError(

@@ -13,9 +13,12 @@ Each rule is a frozen dataclass (see ``Rule``): calling it on a profile
 evaluates it, ``describe`` gives its JSON descriptor, and ``default_shape``
 gives the shape the randomized checkers sample it on.
 
-Every selection goes through ``order_statistics``, which orders values by
-their integer ``core.order_key`` (floor(q * 2**64)) and compares fractions
+Every selection goes through ``_select``, which orders values by their
+integer ``core.order_key`` (floor(q * 2**64)) and compares fractions
 exactly only inside the run of equal keys that holds a requested rank.
+The rules pass it the keys that each ``EndpointMultiset`` and
+``PhantomMatrix`` kept from validation, so no key is computed twice;
+``order_statistics`` computes the keys for callers that hold bare values.
 Phantom matrices are validated the same way.  The results are exactly those
 of sorting the fractions; no float is involved.
 """
@@ -81,6 +84,12 @@ def _select(
         else:
             out.append(sorted([values[i] for i in order[lo:hi]])[k - 1 - lo])
     return out
+
+
+def _columns(profile: Profile) -> tuple[zip, zip]:
+    """The profile's columns and their kept order keys, as two tuple iterators."""
+    rows = profile.rows
+    return zip(*(row.values for row in rows)), zip(*(row.keys for row in rows))
 
 
 def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
@@ -290,8 +299,8 @@ class PRule(Rule):
     def __call__(self, profile: Profile) -> EndpointMultiset:
         self.positions.check_profile(profile)
         values = tuple(
-            order_statistic(profile.column(k), p)
-            for k, p in enumerate(self.positions.positions, start=1)
+            _select(column, keys, (p,))[0]
+            for column, keys, p in zip(*_columns(profile), self.positions.positions)
         )
         return EndpointMultiset(profile.domain, values)
 
@@ -321,13 +330,13 @@ class ExtendedMedianRule(Rule):
             )
         if phantoms.domain != profile.domain:
             raise DomainMismatch("phantom matrix over a different domain")
-        values = []
-        for k in range(1, profile.m + 1):
-            reports = profile.column(k)
-            keys = [*map(order_key, reports), *phantoms.keys[k - 1]]
-            pooled = reports + phantoms.columns[k - 1]
-            values.append(_select(pooled, keys, (profile.n,))[0])
-        return EndpointMultiset(profile.domain, tuple(values))
+        values = tuple(
+            _select(column + phantom, keys + phantom_keys, (profile.n,))[0]
+            for column, keys, phantom, phantom_keys in zip(
+                *_columns(profile), phantoms.columns, phantoms.keys
+            )
+        )
+        return EndpointMultiset(profile.domain, values)
 
     def describe(self) -> dict:
         return {
@@ -365,8 +374,9 @@ class MultisetRule(Rule):
         if n % 2 == 0:
             raise EvenAgentCount(f"pooled-multiset rule needs odd n, got {n}")
         pooled = [v for row in profile.rows for v in row.values]
+        keys = [key for row in profile.rows for key in row.keys]
         ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, profile.m + 1)]
-        return EndpointMultiset(profile.domain, tuple(order_statistics(pooled, ranks)))
+        return EndpointMultiset(profile.domain, tuple(_select(pooled, keys, ranks)))
 
     def describe(self) -> dict:
         return {"kind": "multiset"}

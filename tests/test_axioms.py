@@ -46,12 +46,18 @@ from vocagg.axioms import (
     random_monotone_map,
 )
 from vocagg.rules import ExtendedMedianRule, InfRule, PhantomMatrix
-from vocagg.sampling import sampling_shape, sorted_between
+from vocagg.sampling import sampling_shape, sorted_between, strict_row
 
 from conftest import shared_endpoint_profile
 
 UNIT = Domain(F(0), F(1))
 MEDIAN_3x3 = PRule(median_positions(3, 3))
+
+
+def open_unit_points(count):
+    """``count`` distinct rationals strictly inside (0, 1)."""
+    inside = st.fractions(0, 1, max_denominator=10**6).filter(lambda t: 0 < t < 1)
+    return st.lists(inside, min_size=count, max_size=count, unique=True)
 
 
 class TestPiecewiseLinearMap:
@@ -84,6 +90,40 @@ class TestPiecewiseLinearMap:
             PiecewiseLinearMap(
                 UNIT, ((F(0), F(0)), (F(1, 2), F(3, 4)), (F(3, 4), F(1, 2)), (F(1), F(1)))
             )
+
+    @given(
+        st.fractions(-3, 3),
+        st.fractions(0, 3).filter(bool),
+        st.booleans(),
+        st.integers(0, 5).flatmap(
+            lambda count: st.tuples(*[open_unit_points(count)] * 2)
+        ),
+    )
+    def test_evaluation_matches_the_interpolation_formula(self, lo, width, increasing, inner):
+        def to_domain(ts):
+            return [lo + width * t for t in ts]
+
+        xs = to_domain([0, *sorted(inner[0]), 1])
+        ys = to_domain([0, *sorted(inner[1]), 1])
+        points = tuple(zip(xs, ys if increasing else ys[::-1]))
+        phi = PiecewiseLinearMap(Domain(xs[0], xs[-1]), points)
+
+        def oracle(x):
+            for (x0, y0), (x1, y1) in zip(points, points[1:]):
+                if x <= x1:
+                    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+        midpoints = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        for x in xs + midpoints + [xs[0] + width / 3, xs[-1] - width / 7]:
+            assert type(phi(x)) is F and phi(x) == oracle(x)
+
+    def test_segments_stay_outside_equality(self):
+        phi = PiecewiseLinearMap(UNIT, ((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(1))))
+        assert len(phi.segments) == 2
+        same = PiecewiseLinearMap(UNIT, ((0, 0), ("1/2", "1/4"), (1, 1)))
+        object.__setattr__(same, "segments", ())
+        assert phi == same and hash(phi) == hash(same) and repr(phi) == repr(same)
+        assert "segments" not in repr(phi)
 
     def test_decreasing_map_resorts_reports(self):
         reversal = PiecewiseLinearMap.reversal(UNIT)
@@ -549,6 +589,25 @@ class TestShapePolicy:
 
         ours, theirs = random.Random(seed), random.Random(seed)
         assert sorted_between(ours, lo, hi, count, denominator, ends) == oracle(theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    @given(
+        st.integers(0, 2**32),
+        st.fractions(-3, 3),
+        st.fractions(0, 3).filter(bool),
+        st.integers(0, 7),
+        st.integers(8, 97),
+    )
+    def test_strict_row_matches_per_draw_fractions(self, seed, lo, width, m, denominator):
+        domain = Domain(lo, lo + width)
+
+        def oracle(rng):
+            picks = sorted(rng.sample(range(1, denominator), m))
+            return tuple(lo + (domain.upper - lo) * F(j, denominator) for j in picks)
+
+        ours, theirs = random.Random(seed), random.Random(seed)
+        row = strict_row(ours, domain, m, denominator)
+        assert row == oracle(theirs) and repr(row) == repr(oracle(random.Random(seed)))
         assert ours.getstate() == theirs.getstate()
 
     def test_zero_agents_never_reach_the_phantom_probe(self):

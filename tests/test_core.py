@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -103,6 +104,23 @@ NUMERALS = st.builds(
 )
 
 
+# any order of numeral characters, exponents kept below 10**4 so that the
+# interpreter's own reading stays fast
+NUMERAL_LIKE_TEXT = st.text("0123456789_./eE+- \t\u0663x", max_size=10).filter(
+    lambda text: not re.search(r"[eE][-+]?[\d_]{4}", text)
+)
+
+
+def assert_reads_like_the_interpreter(text):
+    expected = reference_rational(text)
+    if expected is None:
+        with pytest.raises(ParseError):
+            as_rational(text)
+    else:
+        value = as_rational(text)
+        assert type(value) is F and value == expected
+
+
 class TestNumeralScanner:
     @given(NUMERALS)
     @example("1_0")
@@ -117,13 +135,40 @@ class TestNumeralScanner:
     @example("1/" + "9" * (INT_TEXT_LIMIT + 1))
     @example("-" + "9" * (INT_TEXT_LIMIT + 1) + ".5")
     def test_agrees_with_the_interpreter_reading(self, text):
-        expected = reference_rational(text)
-        if expected is None:
+        assert_reads_like_the_interpreter(text)
+
+    @given(NUMERAL_LIKE_TEXT)
+    @example("1.d")
+    @example("e1")
+    @example("1e.5")
+    @example("1.5/2")
+    @example("1_/2")
+    @example("- 1")
+    @example("\u06631e2")
+    def test_free_numeral_like_text_agrees_with_the_interpreter_reading(self, text):
+        # text outside ``_NUMERAL_PARTS`` is refused without ``Fraction(str)``:
+        # this checks that the pattern refuses nothing the interpreter reads
+        assert_reads_like_the_interpreter(text)
+
+
+class TestNonNumeralRejection:
+    TEXT = "1" * 100_000 + "x"
+
+    def test_a_long_non_numeral_is_refused_at_once(self):
+        def refuse():
+            start = time.perf_counter()
             with pytest.raises(ParseError):
-                as_rational(text)
-        else:
-            value = as_rational(text)
-            assert type(value) is F and value == expected
+                as_rational(self.TEXT)
+            return time.perf_counter() - start
+
+        assert min(refuse() for _ in range(3)) < 0.010
+
+    def test_the_message_quotes_an_excerpt(self):
+        with pytest.raises(ParseError) as caught:
+            as_rational(self.TEXT)
+        message = str(caught.value)
+        assert len(message) < 200
+        assert message == "not a rational numeral: '11111111111111111111'... (100001 characters)"
 
 
 class TestNumeralBound:
@@ -257,6 +302,16 @@ class TestEndpointMultiset:
         assert EndpointMultiset(UNIT, (F(1, 4), F(1, 4))).active_words() == (0, 2)
         assert EndpointMultiset(UNIT, (F(0), F(1, 2))).active_words() == (1, 2)
         assert EndpointMultiset(UNIT, (F(1, 2), F(1))).active_words() == (0, 1)
+
+    def test_keeps_its_order_keys_outside_equality(self):
+        values = (F(1, 3), F(1, 3) + TINY, F(1, 2))
+        kept = EndpointMultiset(UNIT, values)
+        assert kept.keys == tuple(map(order_key, values))
+        # the same values with other keys set by hand: only the keys differ
+        other = EndpointMultiset(UNIT, ("1/3", str(F(1, 3) + TINY), "1/2"))
+        object.__setattr__(other, "keys", ())
+        assert kept == other and hash(kept) == hash(other)
+        assert repr(kept) == repr(other) and "keys" not in repr(kept)
 
     def test_strictly_increasing_interior_flag(self):
         assert EndpointMultiset(UNIT, (F(1, 4), F(1, 2))).strictly_increasing_interior

@@ -869,6 +869,12 @@ class TestCli:
         assert main(["sp-check", "--rule", "median", "--domain", "0:x", "--trials", "1"]) == 2
         assert capsys.readouterr().err == "error: not a rational numeral: 'x'\n"
 
+    def test_a_long_non_numeral_gives_a_short_error_line(self, tmp_path, capsys):
+        doc = dict(GRADING_DOC, domain={"lower": "0", "upper": "1" * 100_000 + "x"})
+        assert main(["aggregate", "--rule", "median", "--input", write(tmp_path, "doc.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
     def test_an_internal_fault_is_not_a_finding(self, capsys, monkeypatch):
         from vocagg import strategic
 

@@ -367,6 +367,34 @@ class TestSelectionMatchesSortedFractions:
         assert list(MultisetRule()(profile).values) == reference(pooled, ranks)
 
 
+    @given(data=st.data())
+    def test_rules_on_columns_of_one_order_key(self, data):
+        # column k holds base_k + j * 2**-80 for small j: one order key, distinct
+        # values, so every selection rests on the exact tie-break
+        n = data.draw(st.sampled_from([1, 3, 5]))
+        m = data.draw(st.integers(1, 3))
+        bases = [F(3 * k - 1, 3 * m + 3) for k in range(1, m + 1)]
+
+        def near(base, count):
+            offsets = data.draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+            return sorted(base + j * TINY for j in offsets)
+
+        columns = [near(base, n) for base in bases]
+        profile = Profile.from_rows(UNIT, zip(*columns))
+        assert {order_key(v) for v in profile.column(1)} == {order_key(bases[0])}
+        positions = sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
+        assert list(PRule(PositionVector(tuple(positions)))(profile).values) == [
+            reference(profile.column(k), [p])[0] for k, p in enumerate(positions, start=1)
+        ]
+        phantoms = [tuple(near(base, n - 1)) for base in bases]
+        assert list(ExtendedMedianRule(PhantomMatrix(UNIT, tuple(phantoms)))(profile).values) == [
+            reference(profile.column(k) + phantoms[k - 1], [n])[0] for k in range(1, m + 1)
+        ]
+        pooled = [v for row in profile.values() for v in row]
+        ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, m + 1)]
+        assert list(MultisetRule()(profile).values) == reference(pooled, ranks)
+
+
 class TestExtendedMedian:
     def test_interior_phantom_can_absorb_a_shift(self):
         q = (F(1, 2),)
