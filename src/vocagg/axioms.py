@@ -287,8 +287,11 @@ def random_monotone_map(
     ys = strict_row(rng, domain, breaks, 97)
     if direction == "decreasing":
         ys = ys[::-1]
-    ends = PiecewiseLinearMap.identity if direction == "increasing" else PiecewiseLinearMap.reversal
-    left, right = ends(domain).points
+    lower, upper = domain.lower, domain.upper
+    if direction == "increasing":
+        left, right = (lower, lower), (upper, upper)
+    else:
+        left, right = (lower, upper), (upper, lower)
     return PiecewiseLinearMap(domain, (left, *zip(xs, ys), right))
 
 

@@ -15,7 +15,12 @@ and only values with equal keys (within 2**-64 of each other) are compared
 as fractions.  No float is involved anywhere.  An ``EndpointMultiset``
 keeps the keys it computes while validating (its ``keys`` field, left out
 of ``==``, hashing and ``repr``), so the rules order its values without
-computing them again.
+computing them again.  A ``Domain`` keeps its corners' keys the same way,
+so every membership test (``contains``, ``contains_closed``,
+``first_outside``) compares one key per value and compares fractions only
+at a corner's key.  ``Vocabulary`` and ``decode_endpoints`` validate their
+tilings on keys too: a shared boundary is recognised by identity before
+``==``, and each extent is checked nonempty on its ends' keys.
 
 Conventions used throughout the package:
 
@@ -60,9 +65,14 @@ _PLAIN_NUMERAL = re.compile(r"[-+]?\d+(?:/\d+|\.\d*)?")
 # exponent writes 10**exponent, so larger numerals are refused unread.
 MAX_NUMERAL_DIGITS = 20_000
 # The parts of anything ``Fraction(str)`` accepts on any supported interpreter,
-# matched after stripping surrounding whitespace.  Text outside it is refused
-# in one scan, before the slower pattern of ``Fraction(str)`` sees it.
-_NUMERAL_PARTS = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?(?:\s*/\s*([\d_]+))?")
+# matched after stripping surrounding whitespace: sign, whole digits, decimals,
+# exponent and denominator, each digit run with single underscores between
+# digits.  Text outside it is refused in one scan, before the slower pattern of
+# ``Fraction(str)`` sees it.
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMERAL_PARTS = re.compile(
+    rf"[-+]?({_DIGITS})?(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?(?:\s*/\s*({_DIGITS}))?"
+)
 
 
 def _excerpt(text: str) -> str:
@@ -120,9 +130,11 @@ def as_rational(value: RationalLike) -> Fraction:
     A refusal quotes text longer than 40 characters by its first 20.
     """
     if isinstance(value, str):
-        # a simple numeral writes no more digits than its length
-        match = _SIMPLE_NUMERAL.fullmatch(value) if len(value) <= MAX_NUMERAL_DIGITS else None
-        if match is None:
+        # a simple numeral writes no more digits than its length; as in
+        # ``_refuse_unreadable``, the first match is the longest, so testing its
+        # end stands in for ``fullmatch`` without retrying shorter digit runs
+        match = _SIMPLE_NUMERAL.match(value) if len(value) <= MAX_NUMERAL_DIGITS else None
+        if match is None or match.end() != len(value):
             _refuse_unreadable(value)
         else:
             whole, denominator, decimals = match.groups()
@@ -237,10 +249,11 @@ def first_descent(
     """The first pair (a, b) of ``zip(left, right)`` with a > b, or None.
 
     The keys are the values' ``order_key``s: they decide every pair except
-    those with equal keys, which are compared exactly.
+    those with equal keys, which are compared exactly unless they are one
+    object.
     """
     for a, b, key_a, key_b in zip(left, right, left_keys, right_keys):
-        if key_a > key_b or (key_a == key_b and a > b):
+        if key_a > key_b or (key_a == key_b and a is not b and a > b):
             return a, b
     return None
 
@@ -251,12 +264,16 @@ class Domain:
 
     lower: Fraction
     upper: Fraction
+    # the corners' order keys, kept for every membership test
+    keys: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", as_rational(self.lower))
-        object.__setattr__(self, "upper", as_rational(self.upper))
-        if not self.lower < self.upper:
-            raise VocaggError(f"empty domain: ({shown(self.lower)}, {shown(self.upper)})")
+        lower, upper = as_rational(self.lower), as_rational(self.upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        if not lower < upper:
+            raise VocaggError(f"empty domain: ({shown(lower)}, {shown(upper)})")
+        object.__setattr__(self, "keys", (order_key(lower), order_key(upper)))
 
     @classmethod
     def unit(cls) -> "Domain":
@@ -264,11 +281,15 @@ class Domain:
 
     def contains(self, x: Fraction) -> bool:
         """Membership in the open interval X."""
-        return self.lower < x < self.upper
+        low, high = self.keys
+        key = order_key(x)
+        return low < key < high or (key in self.keys and self.lower < x < self.upper)
 
     def contains_closed(self, x: Fraction) -> bool:
         """Membership in the closure of X, where improper endpoints live."""
-        return self.lower <= x <= self.upper
+        low, high = self.keys
+        key = order_key(x)
+        return low < key < high or (key in self.keys and self.lower <= x <= self.upper)
 
     def reflect(self, x: Fraction) -> Fraction:
         """The order-reversing bijection x -> lower + upper - x."""
@@ -283,7 +304,7 @@ def first_outside(
     A key strictly between the corners' keys puts its value inside; a value
     whose key reaches a corner's key is compared with that corner exactly.
     """
-    low, high = order_key(domain.lower), order_key(domain.upper)
+    low, high = domain.keys
     if keys and (min(keys) <= low or max(keys) >= high):
         for v, key in zip(values, keys):
             if (key <= low and v < domain.lower) or (key >= high and v > domain.upper):
@@ -366,17 +387,19 @@ class Vocabulary:
         active = [(j, e) for j, e in enumerate(self.extents) if e is not None]
         if not active:
             raise InvalidVocabulary("no active word")
-        cursor = self.domain.lower
+        cursor, cursor_key = self.domain.lower, self.domain.keys[0]
         for _, (left, right) in active:
-            if left != cursor:
+            if left is not cursor and left != cursor:
                 raise InvalidVocabulary(
                     f"extent [{shown(left)}, {shown(right)})"
                     f" does not continue the tiling at {shown(cursor)}"
                 )
-            if not left < right:
+            # left equals the cursor, so it has the cursor's key
+            key = order_key(right)
+            if not (cursor_key < key or (cursor_key == key and left < right)):
                 raise InvalidVocabulary(f"empty extent [{shown(left)}, {shown(right)})")
-            cursor = right
-        if cursor != self.domain.upper:
+            cursor, cursor_key = right, key
+        if cursor is not self.domain.upper and cursor != self.domain.upper:
             raise InvalidVocabulary(
                 f"tiling stops at {shown(cursor)}, not {shown(self.domain.upper)}"
             )
@@ -488,11 +511,15 @@ def decode_endpoints(endpoints: EndpointMultiset) -> Vocabulary:
     whose values sit at one corner decodes to a single active word; the
     result is then flagged ``degenerate`` and cannot be re-encoded.
     """
-    extents: list[Optional[tuple[Fraction, Fraction]]] = []
-    for j in range(endpoints.m + 1):
-        left, right = endpoints.bound(j), endpoints.bound(j + 1)
-        extents.append((left, right) if left < right else None)
-    return Vocabulary(endpoints.domain, tuple(extents))
+    domain = endpoints.domain
+    bounds = (domain.lower, *endpoints.values, domain.upper)
+    low, high = domain.keys
+    keys = (low, *endpoints.keys, high)
+    extents = tuple(
+        (left, right) if key < next_key or (key == next_key and left < right) else None
+        for left, right, key, next_key in zip(bounds, bounds[1:], keys, keys[1:])
+    )
+    return Vocabulary(domain, extents)
 
 
 def between(x: Fraction, y: Fraction, z: Fraction) -> bool:

@@ -9,6 +9,11 @@ they are aggregated columnwise by a position rule, and the collective gap
 sequence attributes the segments it pins down to words.  As observations
 accumulate consistently, gaps contract and attributed extents expand; the
 incremental checker verifies exactly that on explicit before/after data.
+
+Validation compares ``core.order_key``s first and fractions only where two
+keys are equal, and exact pairs pass through unread, as in ``core``.  The
+``lex`` and ``right`` gap orders select each column's rank with
+``rules._select`` on the pairs' keys; ``midpoint`` sorts by its exact key.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Domain, as_extents, as_integer, as_pair, shown
+from .core import Domain, as_extents, as_integer, as_pair, as_rational, first_outside, order_key, shown
 from .errors import (
     DomainMismatch,
     InconsistentLabels,
@@ -25,13 +30,27 @@ from .errors import (
     ShapeMismatch,
     VocaggError,
 )
-from .rules import PositionVector
+from .rules import PositionVector, _select
 
 GAP_ORDERS: dict[str, Callable[[tuple[Fraction, Fraction]], tuple]] = {
     "lex": lambda gap: (gap[0], gap[1]),
     "right": lambda gap: (gap[1], gap[0]),
     "midpoint": lambda gap: (gap[0] + gap[1], gap[0]),
 }
+
+
+def _pairs(entries: Sequence, read_second: Callable = as_rational, exact: type = Fraction) -> tuple:
+    """Each entry as ``as_pair`` reads it; a tuple of a ``Fraction`` and an ``exact`` value passes as it is."""
+    return tuple(
+        e if type(e) is tuple and len(e) == 2 and type(e[0]) is Fraction and type(e[1]) is exact
+        else as_pair(e, j, read_second)
+        for j, e in enumerate(entries)
+    )
+
+
+def _weakly_below(a: Fraction, b: Fraction, key_a: int, key_b: int) -> bool:
+    """a <= b, decided by the order keys unless they are equal."""
+    return key_a < key_b or (key_a == key_b and (a is b or a <= b))
 
 
 @dataclass(frozen=True)
@@ -47,15 +66,18 @@ class LabeledExemplars:
     points: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(as_pair(p, j, as_integer) for j, p in enumerate(self.points))
+        cleaned = _pairs(self.points, as_integer, int)
         object.__setattr__(self, "points", cleaned)
-        for e, w in cleaned:
-            if not self.domain.contains(e):
+        domain = self.domain
+        low, high = domain.keys
+        keys = [order_key(e) for e, _ in cleaned]
+        for (e, w), key in zip(cleaned, keys):
+            if not (low < key < high or domain.contains(e)):
                 raise VocaggError(f"exemplar {shown(e)} outside the open domain")
             if w < 0:
                 raise VocaggError(f"negative word index {shown(w)}")
-        for (e1, w1), (e2, w2) in zip(cleaned, cleaned[1:]):
-            if not e1 < e2:
+        for (e1, w1), (e2, w2), k1, k2 in zip(cleaned, cleaned[1:], keys, keys[1:]):
+            if not (k1 < k2 or (k1 == k2 and e1 < e2)):
                 raise VocaggError(f"exemplars not strictly increasing: {shown(e1)}, {shown(e2)}")
             if w1 > w2:
                 raise InconsistentLabels(
@@ -92,22 +114,23 @@ class InducedVocabulary:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extents", as_extents(self.extents))
-        for lo, hi in filter(None, self.extents):
-            if not lo <= hi:
+        domain = self.domain
+        hulls = [e for e in self.extents if e is not None]
+        keys = [(order_key(lo), order_key(hi)) for lo, hi in hulls]
+        for (lo, hi), (lo_key, hi_key) in zip(hulls, keys):
+            if not _weakly_below(lo, hi, lo_key, hi_key):
                 raise VocaggError(f"hull with {shown(lo)} > {shown(hi)}")
-            if not (self.domain.contains_closed(lo) and self.domain.contains_closed(hi)):
+            if first_outside(domain, (lo, hi), (lo_key, hi_key)) is not None:
                 raise VocaggError(f"hull [{shown(lo)}, {shown(hi)}] outside the closed domain")
         if not self.extents:
             raise ShapeMismatch("a vocabulary needs at least one word")
-        previous: Optional[Fraction] = None
-        for extent in self.extents:
-            if extent is None:
-                continue
-            if previous is not None and previous > extent[0]:
+        for (_, previous), (start, _), (_, previous_key), (start_key, _) in zip(
+            hulls, hulls[1:], keys, keys[1:]
+        ):
+            if not _weakly_below(previous, start, previous_key, start_key):
                 raise VocaggError(
-                    f"known extents out of order: {shown(previous)} > {shown(extent[0])}"
+                    f"known extents out of order: {shown(previous)} > {shown(start)}"
                 )
-            previous = extent[1]
 
     @property
     def word_count(self) -> int:
@@ -135,20 +158,18 @@ class GapSequence:
     gaps: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(as_pair(gap, j) for j, gap in enumerate(self.gaps))
+        cleaned = _pairs(self.gaps)
         object.__setattr__(self, "gaps", cleaned)
-        for left, right in cleaned:
-            if not (
-                self.domain.contains_closed(left)
-                and self.domain.contains_closed(right)
-            ):
+        keys = [(order_key(left), order_key(right)) for left, right in cleaned]
+        for (left, right), (left_key, right_key) in zip(cleaned, keys):
+            if first_outside(self.domain, (left, right), (left_key, right_key)) is not None:
                 raise MalformedGaps(
                     f"gap ({shown(left)}, {shown(right)}) outside the closed domain"
                 )
-            if left > right:
+            if not _weakly_below(left, right, left_key, right_key):
                 raise MalformedGaps(f"gap with {shown(left)} > {shown(right)}")
-        for (l1, r1), (l2, r2) in zip(cleaned, cleaned[1:]):
-            if l1 > l2 or r1 > r2:
+        for (l1, r1), (l2, r2), (kl1, kr1), (kl2, kr2) in zip(cleaned, cleaned[1:], keys, keys[1:]):
+            if not (_weakly_below(l1, l2, kl1, kl2) and _weakly_below(r1, r2, kr1, kr2)):
                 raise MalformedGaps(
                     f"gap ends decrease: ({shown(l1)}, {shown(r1)})"
                     f" before ({shown(l2)}, {shown(r2)})"
@@ -241,10 +262,36 @@ def aggregate_gaps(
         raise ShapeMismatch(f"{positions.m} positions for {m} gap columns")
     positions.validate_for(len(rows))
     selected = []
-    for k in range(1, m + 1):
-        column = sorted((row.gaps[k - 1] for row in rows), key=key)
-        selected.append(column[positions.positions[k - 1] - 1])
+    for column, p in zip(zip(*(row.gaps for row in rows)), positions.positions):
+        if order == "midpoint":
+            selected.append(sorted(column, key=key)[p - 1])
+            continue
+        # lex and right compare the pairs their key builds lexicographically
+        pairs = column if order == "lex" else tuple(map(key, column))
+        keys = _pair_keys(pairs)
+        pick = sorted(pairs)[p - 1] if keys is None else _select(pairs, keys, (p,))[0]
+        selected.append(pick if order == "lex" else key(pick))
     return GapSequence(domain, tuple(selected))
+
+
+def _pair_keys(pairs: Sequence[tuple[Fraction, Fraction]]) -> Optional[list[tuple[int, int]]]:
+    """Each pair's ``(order_key(first), order_key(second))``, or None if two
+    distinct firsts share a key.
+
+    Only such firsts make the order of the keys differ from the
+    lexicographic order of the pairs: with equal firsts the seconds decide,
+    and their keys decide every pair except equal ones, which ``_select``
+    settles exactly.
+    """
+    firsts: dict[int, Fraction] = {}
+    keys = []
+    for first, second in pairs:
+        key = order_key(first)
+        seen = firsts.setdefault(key, first)
+        if seen is not first and seen != first:
+            return None
+        keys.append((key, order_key(second)))
+    return keys
 
 
 def collective_incomplete(gaps: GapSequence) -> InducedVocabulary:

@@ -27,6 +27,9 @@ place in the document is the one reported.
 
 The objects built here raise a ``VocaggError`` on bad input; ``_at`` alone
 adds the place in the document, re-raising it as ``ParseError("<where>: ...")``.
+A place is a JSON path with 0-based list indices, as the document is written:
+``agents[1].endpoints[0]`` is the first endpoint of the second agent, and
+``agents[0].extents.b[1]`` the right end of word ``b`` of the first.
 """
 
 from __future__ import annotations
@@ -224,7 +227,7 @@ def parse_profile(text: str) -> ParsedInput:
         if len(set(words)) != len(words):
             raise ParseError("words: names must be distinct")
     forms = set()
-    for i, agent in enumerate(agents, start=1):
+    for i, agent in enumerate(agents):
         if not isinstance(agent, dict):
             raise ParseError(f"agents[{i}]: expected an object")
         keys = {"endpoints", "extents", "exemplar_labels"} & agent.keys()
@@ -251,7 +254,7 @@ def _parse_endpoint_agents(
 ) -> ParsedInput:
     rows = []
     m: Optional[int] = None
-    for i, agent in enumerate(agents, start=1):
+    for i, agent in enumerate(agents):
         where = f"agents[{i}].endpoints"
         entries = agent["endpoints"]
         if not isinstance(entries, list):
@@ -297,7 +300,7 @@ def _parse_extent_agents(
     if words is None:
         raise ParseError("words: required for extent-form agents")
     vocabularies = []
-    for i, agent in enumerate(agents, start=1):
+    for i, agent in enumerate(agents):
         where = f"agents[{i}].extents"
         extents = _parse_extents(agent["extents"], words, where, numerals)
         vocabularies.append(_at(where, Vocabulary, domain, extents))
@@ -324,7 +327,7 @@ def _parse_exemplar_agents(
     values = numerals.read_list(shared, "exemplars")
     index_of = {name: j for j, name in enumerate(words)}
     rows = []
-    for i, agent in enumerate(agents, start=1):
+    for i, agent in enumerate(agents):
         where = f"agents[{i}].exemplar_labels"
         labels = agent["exemplar_labels"]
         if not isinstance(labels, list) or len(labels) != len(values):

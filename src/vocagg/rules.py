@@ -21,6 +21,11 @@ The rules pass it the keys that each ``EndpointMultiset`` and
 ``order_statistics`` computes the keys for callers that hold bare values.
 Phantom matrices are validated the same way.  The results are exactly those
 of sorting the fractions; no float is involved.
+
+The mean sums each column as integers: numerators are added per
+denominator, the groups are added pairwise in a product tree without any
+gcd, and the total is reduced once (Bernstein, "Fast multiplication and its
+applications", 2008).  The result is exactly ``sum(column, Fraction(0)) / n``.
 """
 
 from __future__ import annotations
@@ -355,14 +360,32 @@ class MeanRule(Rule):
     """Columnwise arithmetic mean, kept exact as a rational."""
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
-        values = tuple(
-            sum(profile.column(k), Fraction(0)) / profile.n
-            for k in range(1, profile.m + 1)
-        )
+        n = profile.n
+        values = tuple(_mean(column, n) for column in _columns(profile)[0])
         return EndpointMultiset(profile.domain, values)
 
     def describe(self) -> dict:
         return {"kind": "mean"}
+
+
+def _mean(column: Sequence[Fraction], n: int) -> Fraction:
+    """``sum(column, Fraction(0)) / n`` with one gcd in place of one per term.
+
+    Adding the groups pairwise, a level at a time, keeps the large products
+    few and balanced.
+    """
+    groups: dict[int, int] = {}
+    for q in column:
+        groups[q.denominator] = groups.get(q.denominator, 0) + q.numerator
+    terms = list(groups.items())
+    while len(terms) > 1:
+        paired = [
+            (d1 * d2, p1 * d2 + p2 * d1)
+            for (d1, p1), (d2, p2) in zip(terms[::2], terms[1::2])
+        ]
+        terms = paired + terms[len(paired) * 2:]
+    denominator, numerator = terms[0]
+    return Fraction(numerator, denominator * n)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -137,6 +138,26 @@ class TestPiecewiseLinearMap:
         assert a == b
         assert a != c
         assert random_monotone_map(UNIT, 7, "decreasing").direction == "decreasing"
+
+    @pytest.mark.parametrize(
+        "domain,direction,digest",
+        [
+            (UNIT, "increasing", "cebec47fb462bb8732ce15f497ccd396ad09e8d5811a3b06e315414cda94a46c"),
+            (UNIT, "decreasing", "0128a9933f83712480cf0b4adf7447d96cbe30923a67c3c2cb835c1596632ca6"),
+            (Domain(F(-1, 3), F(5, 2)), "increasing",
+             "875958db818780fea06028a7033c72dc25e7b73f96469b2a6c53bc1ffa3b0980"),
+            (Domain(F(-1, 3), F(5, 2)), "decreasing",
+             "b1d13b12b590adc2d87d8d52e1ef190fc2cc58f0c396434534c75a4f8f926cf9"),
+        ],
+    )
+    def test_random_map_points_are_pinned(self, domain, direction, digest):
+        # digests of the points drawn when the corners came from identity/reversal maps
+        maps = [random_monotone_map(domain, seed, direction) for seed in range(200)]
+        ends = PiecewiseLinearMap.identity if direction == "increasing" else PiecewiseLinearMap.reversal
+        corners = ends(domain).points
+        assert all((phi.points[0], phi.points[-1]) == corners for phi in maps)
+        points = repr(tuple(phi.points for phi in maps)).encode()
+        assert hashlib.sha256(points).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,19 @@ class TestNonNumeralRejection:
 
         assert min(refuse() for _ in range(3)) < 0.010
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1" * 19_998 + "_", id="trailing-underscore"),
+            pytest.param("1" * 10_000 + "." + "1" * 9_999 + "_", id="decimals-trailing-underscore"),
+        ],
+    )
+    def test_numeral_like_text_is_refused_by_the_pre_filter(self, text):
+        # ``Fraction(str)`` refusals chain its ValueError; the pre-filter raises a bare ParseError
+        with pytest.raises(ParseError, match="^not a rational numeral: ") as caught:
+            as_rational(text)
+        assert caught.value.__cause__ is None
+
     def test_the_message_quotes_an_excerpt(self):
         with pytest.raises(ParseError) as caught:
             as_rational(self.TEXT)

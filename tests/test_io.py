@@ -190,7 +190,7 @@ class TestParseProfile:
                 "distinct",
             ),
             (
-                lambda d: d["agents"][0].update(endpoints=["20", "40", "60", "101"]),
+                lambda d: d["agents"][1].update(endpoints=["20", "40", "60", "101"]),
                 "agents\\[1\\]",
             ),
         ],
@@ -213,7 +213,7 @@ class TestParseProfile:
                         {"endpoints": ["x/2", "1/2"]},
                     ],
                 },
-                "agents[2].endpoints[1]: not a rational numeral: 'x/2'",
+                "agents[1].endpoints[1]: not a rational numeral: 'x/2'",
             ),
             (
                 {
@@ -224,7 +224,7 @@ class TestParseProfile:
                         {"endpoints": ["1/2", "3/2"]},
                     ],
                 },
-                "agents[2].endpoints: endpoints not sorted: 1/2 > 1/4",
+                "agents[1].endpoints: endpoints not sorted: 1/2 > 1/4",
             ),
             (
                 {
@@ -234,7 +234,7 @@ class TestParseProfile:
                         {"endpoints": ["1/2", True]},
                     ],
                 },
-                "agents[1].endpoints: endpoints not sorted: 1 > 1/2",
+                "agents[0].endpoints: endpoints not sorted: 1 > 1/2",
             ),
             (
                 {
@@ -246,7 +246,7 @@ class TestParseProfile:
                         {"extents": {"a": ["0", "1/0"], "b": ["1/2", "1"]}},
                     ],
                 },
-                "agents[2].extents.b[1]: not a rational numeral: '1/0'",
+                "agents[1].extents.b[1]: not a rational numeral: '1/0'",
             ),
             (
                 {
@@ -315,7 +315,7 @@ class TestParseProfile:
     def test_exemplar_labels_must_follow_the_line(self):
         doc = json.loads(json.dumps(EXEMPLAR_DOC))
         doc["agents"][2]["exemplar_labels"] = ["C", "B", "C"]
-        with pytest.raises(ParseError, match="agents\\[3\\]"):
+        with pytest.raises(ParseError, match="agents\\[2\\]"):
             parse_profile(json.dumps(doc))
 
 
@@ -786,7 +786,7 @@ class TestCli:
         doc = write(tmp_path, "profile.json", {"domain": {"lower": "0", "upper": "1"},
                                               "agents": [{"endpoints": [huge]}]})
         assert main(["aggregate", "--rule", "median", "--input", doc]) == 2
-        assert capsys.readouterr().err == f"error: agents[1].endpoints: endpoint {huge} outside [0, 1]\n"
+        assert capsys.readouterr().err == f"error: agents[0].endpoints: endpoint {huge} outside [0, 1]\n"
 
     def test_render_agent_out_of_range(self, tmp_path, capsys):
         doc = write(tmp_path, "profile.json", GRADING_DOC)
