@@ -98,18 +98,16 @@ _EXPORTS = {
         "ParsedInput",
         "ResultDocument",
         "build_result",
-        "default_words",
         "describe_rule",
         "jsonify",
         "load_json",
         "parse_profile",
-        "parse_rational",
         "parse_result",
         "report_to_json",
         "rule_from_descriptor",
         "serialize_result",
     ),
-    "render": ("render_ascii", "render_diagram", "render_svg"),
+    "render": ("render_diagram",),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,21 +28,19 @@ from typing import Optional, Sequence, Union
 from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, shown
 from .errors import ShapeMismatch, VocaggError
 from .rules import (
-    ExtendedMedianRule,
     PRule,
     PositionVector,
     Rule,
     extended_median,
 )
-from .sampling import (  # HOLDS and VIOLATED are imported for callers of this module
-    HOLDS,
-    VIOLATED,
+from .sampling import (
     AxiomReport,
     axiom_report,
     first_hit,
     random_permutation,
     random_profile,
     require_trials,
+    rule_hooks,
     sampled_report,
     sampling_shape,
     sorted_between,
@@ -589,37 +587,34 @@ def check_strict_responsiveness(
 ) -> AxiomReport:
     """Strictly raising every report in one column must strictly raise f^k.
 
-    For extended-median rules each interior phantom is probed first with a
-    column pinned at the phantom: shifting all reports slightly leaves the
-    pooled median stuck, which is the generic failure.  Random trials then
-    shift one column of a strict random profile.
+    Each interior phantom of the rule (``Rule.phantom_columns``) is probed
+    first with a column pinned at the phantom: shifting all reports slightly
+    leaves the pooled median stuck, which is the generic failure.  Random
+    trials then shift one column of a strict random profile.
     """
     require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
-    if isinstance(rule, ExtendedMedianRule):
-        matrix = rule.phantoms
-        for k in range(1, m + 1):
-            column_phantoms = matrix.columns[k - 1]
-            for idx, q in enumerate(column_phantoms, start=1):
-                if not domain.contains(q):
-                    continue
-                step = min(q - domain.lower, domain.upper - q) / (2 * n)
-                below = [q - (i + 1) * step for i in range(n - idx)][::-1]
-                above = [q + (j + 1) * step for j in range(idx)]
-                column = tuple(below + above)
-                shifted = tuple(v + step / 2 for v in column)
-                before = extended_median(column, column_phantoms)
-                after = extended_median(shifted, column_phantoms)
-                if not before < after:
-                    witness = {
-                        "column_index": k,
-                        "phantom": q,
-                        "column": column,
-                        "shifted_column": shifted,
-                        "before": before,
-                        "after": after,
-                    }
-                    return axiom_report("strict-responsiveness", witness, seed=seed)
+    for k, column_phantoms in enumerate(rule_hooks(rule).phantom_columns(n, m, domain), start=1):
+        for idx, q in enumerate(column_phantoms, start=1):
+            if not domain.contains(q):
+                continue
+            step = min(q - domain.lower, domain.upper - q) / (2 * n)
+            below = [q - (i + 1) * step for i in range(n - idx)][::-1]
+            above = [q + (j + 1) * step for j in range(idx)]
+            column = tuple(below + above)
+            shifted = tuple(v + step / 2 for v in column)
+            before = extended_median(column, column_phantoms)
+            after = extended_median(shifted, column_phantoms)
+            if not before < after:
+                witness = {
+                    "column_index": k,
+                    "phantom": q,
+                    "column": column,
+                    "shifted_column": shifted,
+                    "before": before,
+                    "after": after,
+                }
+                return axiom_report("strict-responsiveness", witness, seed=seed)
 
     def trial(rng, t):
         profile = Profile.from_rows(domain, [strict_row(rng, domain, m) for _ in range(n)])

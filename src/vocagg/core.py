@@ -50,28 +50,20 @@ from .errors import (
 
 RationalLike = Union[Fraction, int, str]
 
-# The common numeral forms, read straight into ``Fraction(int, int)``: an
-# optional sign, ASCII digits, then ``/digits`` or ``.digits``.  Anything
-# else is left to ``Fraction(str)`` itself.
-_SIMPLE_NUMERAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
-# Decimal text past the interpreter's int-to-text limit goes through
-# ``Decimal``, which has no such limit, so values of any size convert without
-# touching ``sys.set_int_max_str_digits``.
-_PLAIN_NUMERAL = re.compile(r"[-+]?\d+(?:/\d+|\.\d*)?")
-
 # Numeral text may write a numerator or denominator of at most this many
 # decimal digits.  Reading and printing a rational costs time quadratic in its
 # digits (20,000 digits take milliseconds, 200,000 over a second), and an
 # exponent writes 10**exponent, so larger numerals are refused unread.
 MAX_NUMERAL_DIGITS = 20_000
-# The parts of anything ``Fraction(str)`` accepts on any supported interpreter,
-# matched after stripping surrounding whitespace: sign, whole digits, decimals,
-# exponent and denominator, each digit run with single underscores between
-# digits.  Text outside it is refused in one scan, before the slower pattern of
-# ``Fraction(str)`` sees it.
+# The numeral grammar of ``as_rational``; its groups are the sign, the whole
+# digits, the denominator, the decimals and the exponent.  No part can start
+# with a character that the part before it takes, so the first match is the
+# longest: testing its end stands in for ``fullmatch`` without retrying every
+# shorter digit run, which keeps a refusal linear in the length of the text.
 _DIGITS = r"\d+(?:_\d+)*"
-_NUMERAL_PARTS = re.compile(
-    rf"[-+]?({_DIGITS})?(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?(?:\s*/\s*({_DIGITS}))?"
+_NUMERAL = re.compile(
+    rf"\s*([-+]?)(?=\.?\d)({_DIGITS})?"
+    rf"(?:\s*/\s*({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)\s*"
 )
 
 
@@ -80,86 +72,80 @@ def _excerpt(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
-def _refuse_unreadable(text: str) -> None:
-    """Raise ``ParseError`` if ``text`` is no numeral at all, or if it writes a
-    numerator or denominator of more than ``MAX_NUMERAL_DIGITS`` digits, counted
-    without leading zeros and before reduction.  No number longer than seven
-    digits is converted to decide."""
-    stripped = text.strip()
-    # No part can start with a character that the part before it takes, so
-    # the first match is the longest one: testing its end stands in for
-    # ``fullmatch`` without retrying every shorter digit run.
-    parts = _NUMERAL_PARTS.match(stripped)
-    if parts is None or parts.end() != len(stripped):
-        raise ParseError(f"not a rational numeral: {_excerpt(text)}")
-    whole, decimals, exponent, denominator = (
-        (part or "").replace("_", "") for part in parts.groups()
-    )
-    if len(exponent.lstrip("+-").lstrip("0")) > 7:  # |exponent| >= 10**7
-        shift = -(10**7) if exponent.startswith("-") else 10**7
-    else:
-        shift = int(exponent or 0)
+def _digits_written(parts: tuple) -> int:
+    """The digits of the numerator or the denominator that the ``_NUMERAL`` groups
+    ``parts`` write, whichever is more, counted without leading zeros and before
+    reduction.  An exponent of 10**7 or more counts as 10**7, so that no number
+    longer than seven digits is converted to decide."""
+    _, whole, denominator, decimals, exponent = ((part or "").replace("_", "") for part in parts)
+    magnitude = exponent.lstrip("+-").lstrip("0")
+    shift = 10**7 if len(magnitude) > 7 else int(magnitude or 0)
+    if exponent.startswith("-"):
+        shift = -shift
     numerator = len((whole + decimals).lstrip("0")) + max(shift, 0)
     if denominator:
-        digits = max(numerator, len(denominator.lstrip("0")))
-    else:
-        digits = max(numerator, 1 + len(decimals) - min(shift, 0))
-    if digits > MAX_NUMERAL_DIGITS:
-        raise ParseError(f"numeral past {MAX_NUMERAL_DIGITS:,} digits: {_excerpt(text)}")
+        return max(numerator, len(denominator.lstrip("0")))
+    return max(numerator, 1 + len(decimals) - min(shift, 0))
+
+
+def _numeral_value(parts: tuple, read: Callable[[str], int] = int) -> Fraction:
+    """The value that the ``_NUMERAL`` groups ``parts`` write, each digit run read by ``read``."""
+    sign, whole, denominator, decimals, exponent = parts
+    if denominator is not None:
+        q = read(denominator)
+        if q == 0:  # raised here: ``Fraction``'s own message would print the numerator
+            raise ZeroDivisionError("zero denominator")
+        return Fraction(read(sign + whole), q)
+    numerator = read(sign + (whole or "") + (decimals or ""))
+    places = len(decimals) - decimals.count("_") if decimals else 0
+    if exponent is not None:
+        places -= read(exponent)
+    if places < 0:
+        return Fraction(numerator * 10**-places)
+    return Fraction(numerator, 10**places)
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts Fraction, int, and strings such as ``"3/7"`` or ``"48.33"``
-    (decimal strings expand exactly, e.g. 48.33 becomes 4833/100).  Binary
+    Accepts Fraction, int, and numeral text such as ``"3/7"`` or ``"48.33"``
+    (decimal text expands exactly, e.g. 48.33 becomes 4833/100).  Binary
     floats are rejected: they would smuggle rounding into an exact model.
 
-    Numeral text is read in one of two ways.  The common forms (an optional
-    sign, ASCII digits, then optionally ``/digits`` or ``.digits``) are
-    scanned directly into ``Fraction(numerator, denominator)``.  Everything
-    else goes to the running interpreter's ``Fraction(str)``: surrounding
-    whitespace, exponents, underscores, ``.5`` and ``5.``, non-ASCII
-    digits, a zero denominator, and digit runs past the interpreter's
-    int-from-text limit (which are then read through ``Decimal``).  The
-    accepted language and the values are therefore those of
-    ``Fraction(str)`` on the interpreter at hand, and every rejection raises
-    the same ``ParseError``.  Text that writes a numerator or denominator of
-    more than ``MAX_NUMERAL_DIGITS`` digits is refused before it is read, and
-    so is text outside a superset of the numeral forms (``_NUMERAL_PARTS``).
-    A refusal quotes text longer than 40 characters by its first 20.
+    Numeral text has one grammar on every supported interpreter: optional
+    whitespace and sign; then ``p/q``, with optional whitespace around the
+    ``/``, or a decimal with digits on at least one side of the point
+    (``5``, ``.5``, ``5.``, ``5.25``) and an optional exponent (``e`` or
+    ``E``, then an optional sign: ``1.5e-3``); then optional whitespace.
+    Each digit run is ``\\d`` digits (any Unicode decimal digit) with single
+    underscores between digits (``1_000``).  This is the language of
+    ``Fraction(str)`` on Python 3.12 and later, read without it: each value
+    is built from ``int`` of the matched digit runs, and through ``Decimal``
+    for a run past the interpreter's int-from-text limit.  A zero
+    denominator is refused, and so is a numerator or denominator of more
+    than ``MAX_NUMERAL_DIGITS`` digits, counted without leading zeros and
+    before reduction; only an exponent or text longer than that bound can
+    write one, so only then are the digits counted.  Every refusal raises
+    ``ParseError`` and quotes text longer than 40 characters by its first 20.
     """
     if isinstance(value, str):
-        # a simple numeral writes no more digits than its length; as in
-        # ``_refuse_unreadable``, the first match is the longest, so testing its
-        # end stands in for ``fullmatch`` without retrying shorter digit runs
-        match = _SIMPLE_NUMERAL.match(value) if len(value) <= MAX_NUMERAL_DIGITS else None
+        match = _NUMERAL.match(value)
         if match is None or match.end() != len(value):
-            _refuse_unreadable(value)
-        else:
-            whole, denominator, decimals = match.groups()
-            try:
-                if decimals is not None:
-                    return Fraction(int(whole + decimals), 10 ** len(decimals))
-                return Fraction(int(whole), int(denominator or 1))
-            except (ValueError, ZeroDivisionError):
-                pass  # too many digits for int(), or "/0": read as below
-        text = value.strip()
+            raise ParseError(f"not a rational numeral: {_excerpt(value)}")
+        parts = match.groups()
+        if parts[4] is not None or len(value) > MAX_NUMERAL_DIGITS:
+            if _digits_written(parts) > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral past {MAX_NUMERAL_DIGITS:,} digits: {_excerpt(value)}")
         try:
             try:
-                return Fraction(text)
-            except ValueError:
-                if not _PLAIN_NUMERAL.fullmatch(text):
-                    raise
-                numerator, _, denominator = text.partition("/")
-                return Fraction(Decimal(numerator)) / Fraction(Decimal(denominator or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational numeral: {_excerpt(value)}") from exc
+                return _numeral_value(parts)
+            except ValueError:  # a digit run past the int-from-text limit
+                return _numeral_value(parts, lambda digits: int(Decimal(digits)))
+        except ZeroDivisionError:
+            raise ParseError(f"not a rational numeral: {_excerpt(value)}") from None
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         raise ParseError(
@@ -481,6 +467,11 @@ class Profile:
 
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(row.values for row in self.rows)
+
+
+def default_words(count: int) -> tuple[str, ...]:
+    """The names ``w1``, ``w2``, ... of ``count`` words that a document leaves unnamed."""
+    return tuple(f"w{j}" for j in range(1, count + 1))
 
 
 def encode_vocabulary(vocabulary: Vocabulary) -> EndpointMultiset:

@@ -16,17 +16,18 @@ Agents may instead carry ``"extents"`` (word name to ``[left, right]`` or
 documents are canonical: parsing a serialized result reproduces it field
 for field.
 
-Numerals are read by ``core.as_rational``: the common forms (sign, ASCII
-digits, ``/digits`` or ``.digits``) by a direct scan, everything else by the
-interpreter's ``Fraction(str)``.  Each document (profile, rule descriptor or
-result) is read with its own memo from numeral text to value, which lives
-only for that one call: a numeral repeated anywhere in the document is read
-once and then found by one dict lookup.  Only numerals that read correctly
-are kept, so a bad one raises at each place it occurs and the first bad
-place in the document is the one reported.
+Numerals are read by ``core.as_rational``, whose one grammar (stated in its
+docstring) reads the same on every supported interpreter; JSON numbers reach
+it as their text (RFC 8259 section 6).  Each document (profile, rule
+descriptor or result) is read with its own memo from numeral text to value,
+which lives only for that one call: a numeral repeated anywhere in the
+document is read once and then found by one dict lookup.  Only numerals that
+read correctly are kept, so a bad one raises at each place it occurs and the
+first bad place in the document is the one reported.
 
-The objects built here raise a ``VocaggError`` on bad input; ``_at`` alone
-adds the place in the document, re-raising it as ``ParseError("<where>: ...")``.
+The objects built here raise a ``VocaggError`` on bad input; ``_at`` and the
+numeral reader add the place in the document, re-raising it as
+``ParseError("<where>: ...")``.
 A place is a JSON path with 0-based list indices, as the document is written:
 ``agents[1].endpoints[0]`` is the first endpoint of the second agent, and
 ``agents[0].extents.b[1]`` the right end of word ``b`` of the first.
@@ -50,6 +51,7 @@ from .core import (
     as_rational,
     as_rationals,
     decode_endpoints,
+    default_words,
     encode_vocabulary,
     rational_str,
     shown,
@@ -82,34 +84,36 @@ def _at(where: str, build: Callable[..., _T], *args: object) -> _T:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def parse_rational(value: object, where: str = "value") -> Fraction:
-    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
-        return _at(where, as_rational, value)
-    raise ParseError(f"{where}: expected an exact numeral, got {shown(value)}")
-
-
 class _Numerals:
     """The numeral reader of one document: each distinct text is read once."""
 
     def __init__(self) -> None:
         self.seen: dict[str, Fraction] = {}
 
-    def read(self, value: object, where: str) -> Fraction:
-        """``parse_rational(value, where)``, looked up if read before."""
-        if type(value) is not str:
-            return parse_rational(value, where)
-        q = self.seen.get(value)
-        if q is None:
-            q = self.seen[value] = parse_rational(value, where)
-        return q
+    def read(self, value: object, where: str, index: Optional[int] = None) -> Fraction:
+        """``value``, numeral text or an exact number, as a ``Fraction``: text is looked
+        up in the memo, else read by one ``as_rational`` call.  A refusal raises
+        ``ParseError`` at ``where``, or at ``where[index]``; the place is written only then."""
+        try:
+            if type(value) is str:
+                q = self.seen.get(value)
+                if q is None:
+                    q = self.seen[value] = as_rational(value)
+                return q
+            if not isinstance(value, (int, str, Fraction)) or isinstance(value, bool):
+                raise VocaggError(f"expected an exact numeral, got {shown(value)}")
+            return as_rational(value)
+        except VocaggError as exc:
+            place = where if index is None else f"{where}[{index}]"
+            raise ParseError(f"{place}: {exc}") from None
 
     def read_list(self, values: list, where: str) -> tuple[Fraction, ...]:
-        """Each ``values[j]`` read as ``f"{where}[{j}]"``, in order."""
+        """Each ``values[j]`` read in order, a refusal placed at ``where[j]``."""
         get = self.seen.get
         out = [get(v) if type(v) is str else None for v in values]
         for j, q in enumerate(out):
             if q is None:
-                out[j] = self.read(values[j], f"{where}[{j}]")
+                out[j] = self.read(values[j], where, j)
         return tuple(out)
 
 
@@ -176,10 +180,6 @@ class ParsedInput:
     profile: Optional[Profile] = None
     vocabularies: tuple[Vocabulary, ...] = ()
     exemplars: tuple[LabeledExemplars, ...] = ()
-
-
-def default_words(count: int) -> tuple[str, ...]:
-    return tuple(f"w{j}" for j in range(1, count + 1))
 
 
 def _parse_domain(payload: object, numerals: _Numerals) -> Domain:

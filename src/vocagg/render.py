@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import Domain, Vocabulary, rational_str
+from .core import Domain, Vocabulary, default_words, rational_str
 from .errors import VocaggError
 from .exemplars import InducedVocabulary
 
@@ -64,13 +64,13 @@ def _label_row(
 def _names_for(diagram: Diagram, names: Optional[Sequence[str]]) -> tuple[str, ...]:
     count = diagram.word_count
     if names is None:
-        return tuple(f"w{j}" for j in range(1, count + 1))
+        return default_words(count)
     if len(names) != count:
         raise VocaggError(f"{len(names)} names for {count} words")
     return tuple(names)
 
 
-def render_ascii(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:
+def _render_ascii(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:
     names = _names_for(diagram, names)
     domain = diagram.domain
     axis = [" "] * WIDTH
@@ -124,7 +124,7 @@ def _svg_x(value: Fraction, domain: Domain) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-def render_svg(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:
+def _render_svg(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:
     names = _names_for(diagram, names)
     domain = diagram.domain
     complete = isinstance(diagram, Vocabulary)
@@ -174,8 +174,10 @@ def render_diagram(
     style: str = "ascii",
     names: Optional[Sequence[str]] = None,
 ) -> str:
+    """``diagram`` drawn as ``style``, ``"ascii"`` text or ``"svg"``, its words
+    named by ``names`` (``w1``, ``w2``, ... by default)."""
     if style == "ascii":
-        return render_ascii(diagram, names)
+        return _render_ascii(diagram, names)
     if style == "svg":
-        return render_svg(diagram, names)
+        return _render_svg(diagram, names)
     raise VocaggError(f"unknown render style {style!r}; choose ascii or svg")

@@ -276,9 +276,10 @@ class Rule:
 
     Every rule is a frozen dataclass.  Calling it on a profile checks the
     shapes and returns the collective endpoints; ``describe`` gives the JSON
-    descriptor that ``io.rule_from_descriptor`` rebuilds it from; and
+    descriptor that ``io.rule_from_descriptor`` rebuilds it from;
     ``default_shape`` is the (n, m, domain) the randomized checkers sample
-    when the caller fixes none.
+    when the caller fixes none; and ``phantom_columns`` gives the fixed
+    values the rule pools with the reports, which the checkers probe.
     """
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
@@ -289,6 +290,12 @@ class Rule:
 
     def default_shape(self) -> tuple[int, int, Domain]:
         return 3, 2, Domain.unit()
+
+    def phantom_columns(self, n: int, m: int, domain: Domain) -> tuple[tuple[Fraction, ...], ...]:
+        """The phantoms pooled with each of the m columns of an n-agent profile
+        over ``domain``, none by default.  A shape the rule refuses raises what
+        calling it on such a profile raises."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -324,21 +331,11 @@ class ExtendedMedianRule(Rule):
     phantoms: PhantomMatrix
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
-        phantoms = self.phantoms
-        if phantoms.m != profile.m:
-            raise ShapeMismatch(
-                f"phantom matrix with {phantoms.m} columns for m={profile.m}"
-            )
-        if phantoms.n != profile.n:
-            raise ShapeMismatch(
-                f"phantom matrix sized for n={phantoms.n}, profile has n={profile.n}"
-            )
-        if phantoms.domain != profile.domain:
-            raise DomainMismatch("phantom matrix over a different domain")
+        columns = self.phantom_columns(profile.n, profile.m, profile.domain)
         values = tuple(
             _select(column + phantom, keys + phantom_keys, (profile.n,))[0]
             for column, keys, phantom, phantom_keys in zip(
-                *_columns(profile), phantoms.columns, phantoms.keys
+                *_columns(profile), columns, self.phantoms.keys
             )
         )
         return EndpointMultiset(profile.domain, values)
@@ -353,6 +350,16 @@ class ExtendedMedianRule(Rule):
 
     def default_shape(self) -> tuple[int, int, Domain]:
         return self.phantoms.n, self.phantoms.m, self.phantoms.domain
+
+    def phantom_columns(self, n: int, m: int, domain: Domain) -> tuple[tuple[Fraction, ...], ...]:
+        phantoms = self.phantoms
+        if phantoms.m != m:
+            raise ShapeMismatch(f"phantom matrix with {phantoms.m} columns for m={m}")
+        if phantoms.n != n:
+            raise ShapeMismatch(f"phantom matrix sized for n={phantoms.n}, profile has n={n}")
+        if phantoms.domain != domain:
+            raise DomainMismatch("phantom matrix over a different domain")
+        return phantoms.columns
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,12 @@ def sampled_report(
     return axiom_report(axiom, witness, seed=seed, trials=t + 1)
 
 
+def rule_hooks(rule: Callable) -> Rule:
+    """The object whose hooks describe ``rule``: the rule itself, or a plain
+    ``Rule()`` standing in for a bare callable, which gets every default."""
+    return rule if isinstance(rule, Rule) else Rule()
+
+
 def sampling_shape(
     rule: Callable,
     n: Optional[int],
@@ -112,12 +118,11 @@ def sampling_shape(
 ) -> tuple[int, int, Domain]:
     """The (n, m, domain) to sample: each the caller's, or the rule's default if ``None``.
 
-    A bare callable standing in for a rule gets the default of ``Rule``.
+    A bare callable gets the default of ``Rule`` (see ``rule_hooks``).
     A count below one is refused: there would be no agent or no boundary to
     sample, and a check over it would hold vacuously or fail inside a sampler.
     """
-    own = rule if isinstance(rule, Rule) else Rule()
-    default_n, default_m, default_domain = own.default_shape()
+    default_n, default_m, default_domain = rule_hooks(rule).default_shape()
     n = default_n if n is None else n
     m = default_m if m is None else m
     if n < 1:

@@ -17,12 +17,13 @@ from typing import Optional
 
 from .core import Domain, EndpointMultiset, Profile, as_rationals, between, shown
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
-from .rules import ExtendedMedianRule, Rule
+from .rules import Rule
 from .sampling import (
     AxiomReport,
     first_hit,
     random_profile,
     random_weights,
+    rule_hooks,
     sampled_report,
     sampling_shape,
     sorted_between,
@@ -133,9 +134,8 @@ def _targeted_values(
     pool = {domain.lower, domain.upper}
     for row in profile.rows:
         pool.update(row.values)
-    if isinstance(rule, ExtendedMedianRule):
-        for column in rule.phantoms.columns:
-            pool.update(column)
+    for column in rule_hooks(rule).phantom_columns(profile.n, profile.m, domain):
+        pool.update(column)
     return tuple(sorted(pool))
 
 

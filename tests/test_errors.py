@@ -11,6 +11,7 @@ from vocagg import (
     DictatorRule,
     Domain,
     EndpointMultiset,
+    ExtendedMedianRule,
     GapSequence,
     InducedVocabulary,
     LabeledExemplars,
@@ -21,8 +22,9 @@ from vocagg import (
     Profile,
     SinglePeakedPreference,
     VocaggError,
+    boundary_phantoms,
+    check_strict_responsiveness,
     decode_endpoints,
-    render_ascii,
     render_diagram,
 )
 from vocagg.axioms import majority_extent_agents, random_monotone_map
@@ -33,6 +35,7 @@ HALF = EndpointMultiset(UNIT, (F(1, 2),))
 PROFILE = Profile((HALF, HALF))
 TWO_WORDS = decode_endpoints(HALF)
 Q, H, T = F(1, 4), F(1, 2), F(3, 4)
+TWO_COLUMN_MEDIAN = ExtendedMedianRule(PhantomMatrix(UNIT, ((Q, H), (H, T))))
 
 # one bad input per check, with the message it gives
 CASES = {
@@ -108,6 +111,21 @@ CASES = {
         lambda: majority_extent_agents(PROFILE, 0, F(0), H),
         "a and b must be interior points",
     ),
+    # a shape the rule refuses is refused before its phantoms are probed
+    "responsiveness-more-columns": (
+        lambda: check_strict_responsiveness(TWO_COLUMN_MEDIAN, 5, 0, m=3),
+        "phantom matrix with 2 columns for m=3",
+    ),
+    "responsiveness-fewer-columns": (
+        lambda: check_strict_responsiveness(TWO_COLUMN_MEDIAN, 5, 0, m=1),
+        "phantom matrix with 2 columns for m=1",
+    ),
+    "responsiveness-corner-phantoms": (
+        lambda: check_strict_responsiveness(
+            ExtendedMedianRule(boundary_phantoms(PositionVector((1, 2)), 3, UNIT)), 5, 0, m=3
+        ),
+        "phantom matrix with 2 columns for m=3",
+    ),
     # exemplars
     "exemplar-outside": (
         lambda: LabeledExemplars(UNIT, ((F(2), 0),)),
@@ -131,7 +149,7 @@ CASES = {
         "known extents out of order: 1/2 > 1/4",
     ),
     # render
-    "render-names": (lambda: render_ascii(TWO_WORDS, ["a"]), "1 names for 2 words"),
+    "render-names": (lambda: render_diagram(TWO_WORDS, "ascii", ["a"]), "1 names for 2 words"),
     "render-style": (
         lambda: render_diagram(TWO_WORDS, "png"),
         "unknown render style 'png'; choose ascii or svg",

@@ -24,15 +24,14 @@ from vocagg import (
     ResultDocument,
     Vocabulary,
     apply_rule,
+    as_rational,
     build_result,
-    default_words,
     describe_rule,
     fixture_rule,
     jsonify,
     load_json,
     median_positions,
     parse_profile,
-    parse_rational,
     parse_result,
     rational_str,
     render_diagram,
@@ -40,7 +39,7 @@ from vocagg import (
     serialize_result,
 )
 from vocagg.cli import main
-from vocagg.core import decode_endpoints
+from vocagg.core import decode_endpoints, default_words
 from vocagg.exemplars import GapSequence, collective_incomplete
 
 UNIT = Domain(F(0), F(1))
@@ -66,6 +65,12 @@ EXEMPLAR_DOC = {
     ],
 }
 
+# numeral forms that Python 3.10 to 3.13 read differently with ``Fraction(str)``
+NUMERAL_FORMS_DOC = {
+    "domain": {"lower": "0", "upper": "1_000"},
+    "agents": [{"endpoints": ["250"]}, {"endpoints": ["3 / 4"]}, {"endpoints": ["750"]}],
+}
+
 TWO_AGENT_DOC = {
     "domain": {"lower": "0", "upper": "1"},
     "agents": [{"endpoints": ["1/4"]}, {"endpoints": ["1/2"]}],
@@ -79,19 +84,20 @@ class TestRationals:
         assert rational_str(F(20)) == "20"
 
     def test_parse_rational_accepts_exact_forms(self):
-        assert parse_rational("3/4") == F(3, 4)
-        assert parse_rational("48.33") == F(4833, 100)
-        assert parse_rational(7) == F(7)
-        assert parse_rational(F(1, 3)) == F(1, 3)
+        assert as_rational("3/4") == F(3, 4)
+        assert as_rational("48.33") == F(4833, 100)
+        assert as_rational(7) == F(7)
+        assert as_rational(F(1, 3)) == F(1, 3)
 
     @pytest.mark.parametrize("bad", [0.5, True, None, [], "1/0", "abc", ""])
     def test_parse_rational_rejections(self, bad):
         with pytest.raises(ParseError):
-            parse_rational(bad)
+            as_rational(bad)
 
     def test_error_message_names_the_site(self):
+        doc = {"domain": {"lower": "0", "upper": "1"}, "agents": [{"endpoints": ["0", "1", "oops"]}]}
         with pytest.raises(ParseError, match="endpoints\\[2\\]"):
-            parse_rational("oops", "endpoints[2]")
+            parse_profile(json.dumps(doc))
 
 
 class TestLoadJson:
@@ -268,11 +274,11 @@ class TestParseProfile:
     def test_each_document_reads_its_distinct_numerals_once(self, monkeypatch):
         reads = []
 
-        def counting(value, where="value"):
+        def counting(value):
             reads.append(value)
-            return parse_rational(value, where)
+            return as_rational(value)
 
-        monkeypatch.setattr(vocagg.io, "parse_rational", counting)
+        monkeypatch.setattr(vocagg.io, "as_rational", counting)
         text = json.dumps(GRADING_DOC)
         first = parse_profile(text)
         assert sorted(reads) == sorted(
@@ -898,6 +904,10 @@ PINNED_CALLS = {
         ["aggregate", "--rule", "median", "--input", "{grades}"], 0,
         "6dab015e7860843a83da0ec2fdc2cf49ee05871033ff2341aad75337e54f3dff",
     ),
+    "aggregate-median-numeral-forms": (
+        ["aggregate", "--rule", "median", "--input", "{numerals}"], 0,
+        "c65180703926c7256ee39c215c565fb8b54f81e5d46a03bde29a7fab99c96562",
+    ),
     "aggregate-mean": (
         ["aggregate", "--rule", "mean", "--input", "{grades}"], 0,
         "34a63198b8163491d22a03483244a084166f19e775c94b84d5703a1951ac0ff7",
@@ -940,6 +950,7 @@ class TestPinnedCliOutputs:
         paths = {
             "grades": write(tmp_path, "grades.json", GRADING_DOC),
             "observations": write(tmp_path, "observations.json", EXEMPLAR_DOC),
+            "numerals": write(tmp_path, "numerals.json", NUMERAL_FORMS_DOC),
         }
         argv, code, digest = PINNED_CALLS[name]
         assert main([arg.format(**paths) for arg in argv]) == code
