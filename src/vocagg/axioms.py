@@ -31,6 +31,7 @@ from .rules import (
     PRule,
     PositionVector,
     Rule,
+    as_positions,
     extended_median,
 )
 from .sampling import (
@@ -503,7 +504,7 @@ def majoritarian_band(n: int, weak: bool = False) -> tuple[int, int]:
 
 
 def search_extent_violation(
-    positions: PositionVector,
+    positions: PositionVector | Sequence[int],
     n: int,
     trials: int,
     seed: int,
@@ -519,6 +520,7 @@ def search_extent_violation(
     Returns a witness dictionary or ``None`` after exhausting ``trials``.
     """
     require_trials(trials)
+    positions = as_positions(positions)
     positions.validate_for(n)
     rule = PRule(positions)
     n, m, domain = sampling_shape(rule, n, positions.m, domain)

@@ -8,19 +8,21 @@ and the improper values ``lower``/``upper`` stand for inactive words at the
 ends.  All values are `fractions.Fraction`, so comparisons and ties are
 exact and runs are reproducible bit for bit.
 
-Ordering stays exact without paying for a ``Fraction`` comparison per pair:
-``order_key`` maps q to the plain int floor(q * 2**64), which never
-decreases as q grows.  Distinct keys therefore order their values exactly,
-and only values with equal keys (within 2**-64 of each other) are compared
-as fractions.  No float is involved anywhere.  An ``EndpointMultiset``
-keeps the keys it computes while validating (its ``keys`` field, left out
-of ``==``, hashing and ``repr``), so the rules order its values without
-computing them again.  A ``Domain`` keeps its corners' keys the same way,
-so every membership test (``contains``, ``contains_closed``,
-``first_outside``) compares one key per value and compares fractions only
-at a corner's key.  ``Vocabulary`` and ``decode_endpoints`` validate their
-tilings on keys too: a shared boundary is recognised by identity before
-``==``, and each extent is checked nonempty on its ends' keys.
+Every order decision in the package is made here, one exact way, without
+a ``Fraction`` comparison per pair: ``order_key`` maps q to the plain int
+floor(q * 2**64), which never decreases as q grows.  Distinct keys thus
+order their values exactly, and only values with equal keys (within 2**-64
+of each other) are compared as fractions; no float is involved anywhere.
+``less`` decides one pair so, and ``select`` picks order statistics so,
+sorting exactly only the run of equal keys that holds a requested rank; on
+the keys of pairs' first components it ranks the pairs lexicographically.
+The rules and the exemplar pipeline compare no keys themselves.  An
+``EndpointMultiset`` keeps the keys it computes while validating (its
+``keys`` field, left out of ``==``, hashing and ``repr``), so the rules
+order its values without computing them again.  A ``Domain`` keeps its
+corners' keys the same way for its membership tests (``contains``,
+``contains_closed``, ``first_outside``), which, like ``first_descent``,
+spell the decision out inline rather than call ``less`` per value.
 
 Conventions used throughout the package:
 
@@ -34,6 +36,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -78,14 +81,18 @@ def _digits_written(parts: tuple) -> int:
     reduction.  An exponent of 10**7 or more counts as 10**7, so that no number
     longer than seven digits is converted to decide."""
     _, whole, denominator, decimals, exponent = ((part or "").replace("_", "") for part in parts)
-    magnitude = exponent.lstrip("+-").lstrip("0")
-    shift = 10**7 if len(magnitude) > 7 else int(magnitude or 0)
-    if exponent.startswith("-"):
-        shift = -shift
-    numerator = len((whole + decimals).lstrip("0")) + max(shift, 0)
+    shift = int(max(-(10**7), min(Decimal(exponent or 0), 10**7)))
+    numerator = _significant_digits(whole + decimals) + max(shift, 0)
     if denominator:
-        return max(numerator, len(denominator.lstrip("0")))
+        return max(numerator, _significant_digits(denominator))
     return max(numerator, 1 + len(decimals) - min(shift, 0))
+
+
+def _significant_digits(run: str) -> int:
+    """The digits of ``run`` after its leading zeros, read by ``Decimal`` in linear
+    time; unlike ``str.lstrip("0")``, it takes the zero of every script as a zero."""
+    value = Decimal(run or 0)
+    return value.adjusted() + 1 if value else 0
 
 
 def _numeral_value(parts: tuple, read: Callable[[str], int] = int) -> Fraction:
@@ -123,10 +130,11 @@ def as_rational(value: RationalLike) -> Fraction:
     is built from ``int`` of the matched digit runs, and through ``Decimal``
     for a run past the interpreter's int-from-text limit.  A zero
     denominator is refused, and so is a numerator or denominator of more
-    than ``MAX_NUMERAL_DIGITS`` digits, counted without leading zeros and
-    before reduction; only an exponent or text longer than that bound can
-    write one, so only then are the digits counted.  Every refusal raises
-    ``ParseError`` and quotes text longer than 40 characters by its first 20.
+    than ``MAX_NUMERAL_DIGITS`` digits, counted without leading zeros (of
+    any script) and before reduction; only an exponent or text longer than
+    that bound can write one, so only then are the digits counted.  Every
+    refusal raises ``ParseError`` and quotes text longer than 40 characters
+    by its first 20.
     """
     if isinstance(value, str):
         match = _NUMERAL.match(value)
@@ -224,6 +232,35 @@ def order_key(q: Fraction) -> int:
     with an exact comparison.
     """
     return (q.numerator << 64) // q.denominator
+
+
+def less(a: Fraction, b: Fraction, key_a: int, key_b: int) -> bool:
+    """a < b, given their ``order_key``s: exact only at equal keys, and false
+    at once when a and b are one object."""
+    return key_a < key_b or (key_a == key_b and a is not b and a < b)
+
+
+def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list:
+    """``sorted(values)[k - 1]`` for each k in ``ranks``, each already checked to
+    lie in 1..len(values).
+
+    ``keys[i] < keys[j]`` must imply ``values[i] < values[j]``, as it does for
+    the values' ``order_key``s or for the keys of pairs' first components.
+    Indices are sorted by key; for each rank, the run of equal keys holding
+    it is cut out by bisection and only that run is sorted exactly.
+    """
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in order]
+    out = []
+    for k in ranks:
+        key = sorted_keys[k - 1]
+        lo = bisect_left(sorted_keys, key, 0, k - 1)
+        hi = bisect_right(sorted_keys, key, k)
+        if hi - lo == 1:
+            out.append(values[order[lo]])
+        else:
+            out.append(sorted([values[i] for i in order[lo:hi]])[k - 1 - lo])
+    return out
 
 
 def first_descent(
@@ -382,7 +419,7 @@ class Vocabulary:
                 )
             # left equals the cursor, so it has the cursor's key
             key = order_key(right)
-            if not (cursor_key < key or (cursor_key == key and left < right)):
+            if not less(left, right, cursor_key, key):
                 raise InvalidVocabulary(f"empty extent [{shown(left)}, {shown(right)})")
             cursor, cursor_key = right, key
         if cursor is not self.domain.upper and cursor != self.domain.upper:
@@ -507,7 +544,7 @@ def decode_endpoints(endpoints: EndpointMultiset) -> Vocabulary:
     low, high = domain.keys
     keys = (low, *endpoints.keys, high)
     extents = tuple(
-        (left, right) if key < next_key or (key == next_key and left < right) else None
+        (left, right) if less(left, right, key, next_key) else None
         for left, right, key, next_key in zip(bounds, bounds[1:], keys, keys[1:])
     )
     return Vocabulary(domain, extents)

@@ -10,10 +10,10 @@ sequence attributes the segments it pins down to words.  As observations
 accumulate consistently, gaps contract and attributed extents expand; the
 incremental checker verifies exactly that on explicit before/after data.
 
-Validation compares ``core.order_key``s first and fractions only where two
-keys are equal, and exact pairs pass through unread, as in ``core``.  The
-``lex`` and ``right`` gap orders select each column's rank with
-``rules._select`` on the pairs' keys; ``midpoint`` sorts by its exact key.
+Validation orders values with ``core.less``, and exact pairs pass through
+unread, as in ``core``.  Every gap order maps each gap to a pair that it
+compares lexicographically, and each column's rank is picked by
+``core.select`` on the order keys of the pairs' first components.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Domain, as_extents, as_integer, as_pair, as_rational, first_outside, order_key, shown
+from .core import (
+    Domain, as_extents, as_integer, as_pair, as_rational, first_outside, less, order_key, select, shown
+)
 from .errors import (
     DomainMismatch,
     InconsistentLabels,
@@ -30,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     VocaggError,
 )
-from .rules import PositionVector, _select
+from .rules import PositionVector, as_positions
 
 GAP_ORDERS: dict[str, Callable[[tuple[Fraction, Fraction]], tuple]] = {
     "lex": lambda gap: (gap[0], gap[1]),
@@ -48,11 +50,6 @@ def _pairs(entries: Sequence, read_second: Callable = as_rational, exact: type =
     )
 
 
-def _weakly_below(a: Fraction, b: Fraction, key_a: int, key_b: int) -> bool:
-    """a <= b, decided by the order keys unless they are equal."""
-    return key_a < key_b or (key_a == key_b and (a is b or a <= b))
-
-
 @dataclass(frozen=True)
 class LabeledExemplars:
     """One agent's word labels on strictly increasing interior observations.
@@ -68,16 +65,14 @@ class LabeledExemplars:
     def __post_init__(self) -> None:
         cleaned = _pairs(self.points, as_integer, int)
         object.__setattr__(self, "points", cleaned)
-        domain = self.domain
-        low, high = domain.keys
-        keys = [order_key(e) for e, _ in cleaned]
-        for (e, w), key in zip(cleaned, keys):
-            if not (low < key < high or domain.contains(e)):
+        for e, w in cleaned:
+            if not self.domain.contains(e):
                 raise VocaggError(f"exemplar {shown(e)} outside the open domain")
             if w < 0:
                 raise VocaggError(f"negative word index {shown(w)}")
+        keys = [order_key(e) for e, _ in cleaned]
         for (e1, w1), (e2, w2), k1, k2 in zip(cleaned, cleaned[1:], keys, keys[1:]):
-            if not (k1 < k2 or (k1 == k2 and e1 < e2)):
+            if not less(e1, e2, k1, k2):
                 raise VocaggError(f"exemplars not strictly increasing: {shown(e1)}, {shown(e2)}")
             if w1 > w2:
                 raise InconsistentLabels(
@@ -118,7 +113,7 @@ class InducedVocabulary:
         hulls = [e for e in self.extents if e is not None]
         keys = [(order_key(lo), order_key(hi)) for lo, hi in hulls]
         for (lo, hi), (lo_key, hi_key) in zip(hulls, keys):
-            if not _weakly_below(lo, hi, lo_key, hi_key):
+            if less(hi, lo, hi_key, lo_key):
                 raise VocaggError(f"hull with {shown(lo)} > {shown(hi)}")
             if first_outside(domain, (lo, hi), (lo_key, hi_key)) is not None:
                 raise VocaggError(f"hull [{shown(lo)}, {shown(hi)}] outside the closed domain")
@@ -127,7 +122,7 @@ class InducedVocabulary:
         for (_, previous), (start, _), (_, previous_key), (start_key, _) in zip(
             hulls, hulls[1:], keys, keys[1:]
         ):
-            if not _weakly_below(previous, start, previous_key, start_key):
+            if less(start, previous, start_key, previous_key):
                 raise VocaggError(
                     f"known extents out of order: {shown(previous)} > {shown(start)}"
                 )
@@ -166,10 +161,10 @@ class GapSequence:
                 raise MalformedGaps(
                     f"gap ({shown(left)}, {shown(right)}) outside the closed domain"
                 )
-            if not _weakly_below(left, right, left_key, right_key):
+            if less(right, left, right_key, left_key):
                 raise MalformedGaps(f"gap with {shown(left)} > {shown(right)}")
         for (l1, r1), (l2, r2), (kl1, kr1), (kl2, kr2) in zip(cleaned, cleaned[1:], keys, keys[1:]):
-            if not (_weakly_below(l1, l2, kl1, kl2) and _weakly_below(r1, r2, kr1, kr2)):
+            if less(l2, l1, kl2, kl1) or less(r2, r1, kr2, kr1):
                 raise MalformedGaps(
                     f"gap ends decrease: ({shown(l1)}, {shown(r1)})"
                     f" before ({shown(l2)}, {shown(r2)})"
@@ -231,7 +226,7 @@ def gaps_of(vocabulary: InducedVocabulary) -> GapSequence:
 
 def aggregate_gaps(
     rows: Sequence[GapSequence],
-    positions: PositionVector,
+    positions: PositionVector | Sequence[int],
     order: str = "lex",
 ) -> GapSequence:
     """Columnwise positional selection of gaps under a total order.
@@ -243,6 +238,7 @@ def aggregate_gaps(
     available as alternatives.  If the columnwise selections fail to be
     nondecreasing, ``MalformedGaps`` surfaces with the offending pair.
     """
+    positions = as_positions(positions)
     if not rows:
         raise ShapeMismatch("no gap rows to aggregate")
     try:
@@ -263,35 +259,11 @@ def aggregate_gaps(
     positions.validate_for(len(rows))
     selected = []
     for column, p in zip(zip(*(row.gaps for row in rows)), positions.positions):
-        if order == "midpoint":
-            selected.append(sorted(column, key=key)[p - 1])
-            continue
-        # lex and right compare the pairs their key builds lexicographically
-        pairs = column if order == "lex" else tuple(map(key, column))
-        keys = _pair_keys(pairs)
-        pick = sorted(pairs)[p - 1] if keys is None else _select(pairs, keys, (p,))[0]
-        selected.append(pick if order == "lex" else key(pick))
+        # each order's pair determines its gap, so ranking (pair, gap) ranks the pairs
+        ranked = [(key(gap), gap) for gap in column]
+        keys = [order_key(pair[0]) for pair, _ in ranked]
+        selected.append(select(ranked, keys, (p,))[0][1])
     return GapSequence(domain, tuple(selected))
-
-
-def _pair_keys(pairs: Sequence[tuple[Fraction, Fraction]]) -> Optional[list[tuple[int, int]]]:
-    """Each pair's ``(order_key(first), order_key(second))``, or None if two
-    distinct firsts share a key.
-
-    Only such firsts make the order of the keys differ from the
-    lexicographic order of the pairs: with equal firsts the seconds decide,
-    and their keys decide every pair except equal ones, which ``_select``
-    settles exactly.
-    """
-    firsts: dict[int, Fraction] = {}
-    keys = []
-    for first, second in pairs:
-        key = order_key(first)
-        seen = firsts.setdefault(key, first)
-        if seen is not first and seen != first:
-            return None
-        keys.append((key, order_key(second)))
-    return keys
 
 
 def collective_incomplete(gaps: GapSequence) -> InducedVocabulary:
@@ -342,7 +314,7 @@ class IncrementalReport:
 def check_incremental_consistency(
     before: Sequence[LabeledExemplars],
     after: Sequence[LabeledExemplars],
-    positions: PositionVector,
+    positions: PositionVector | Sequence[int],
     order: str = "lex",
 ) -> IncrementalReport:
     """New consistent observations may only contract gaps and extend words.
@@ -354,6 +326,7 @@ def check_incremental_consistency(
     compares: each collective gap must be contained in its predecessor and
     each attributed extent must contain its predecessor.
     """
+    positions = as_positions(positions)
     if len(before) != len(after):
         raise ShapeMismatch(
             f"{len(before)} agents before, {len(after)} after"

@@ -13,14 +13,11 @@ Each rule is a frozen dataclass (see ``Rule``): calling it on a profile
 evaluates it, ``describe`` gives its JSON descriptor, and ``default_shape``
 gives the shape the randomized checkers sample it on.
 
-Every selection goes through ``_select``, which orders values by their
-integer ``core.order_key`` (floor(q * 2**64)) and compares fractions
-exactly only inside the run of equal keys that holds a requested rank.
-The rules pass it the keys that each ``EndpointMultiset`` and
-``PhantomMatrix`` kept from validation, so no key is computed twice;
-``order_statistics`` computes the keys for callers that hold bare values.
-Phantom matrices are validated the same way.  The results are exactly those
-of sorting the fractions; no float is involved.
+Every selection goes through ``core.select``, which orders exactly as
+``core`` describes.  The rules pass it the keys that each
+``EndpointMultiset`` and ``PhantomMatrix`` kept from validation, so no key
+is computed twice; ``order_statistics`` computes the keys for callers that
+hold bare values.  The results are exactly those of sorting the fractions.
 
 The mean sums each column as integers: numerators are added per
 denominator, the groups are added pairwise in a product tree without any
@@ -30,7 +27,6 @@ applications", 2008).  The result is exactly ``sum(column, Fraction(0)) / n``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -45,6 +41,7 @@ from .core import (
     first_outside,
     order_key,
     rational_str,
+    select,
     shown,
 )
 from .errors import (
@@ -61,34 +58,11 @@ from .errors import (
 def order_statistics(
     values: Sequence[Fraction], ranks: Sequence[int]
 ) -> list[Fraction]:
-    """The k-th smallest element for each k in ``ranks``, each in 1..len.
-
-    Indices are sorted by ``order_key``; for each rank, the run of equal
-    keys holding it is cut out by bisection and only that run is sorted
-    exactly, so the result equals ``sorted(values)[k - 1]``.
-    """
+    """``sorted(values)[k - 1]`` for each k in ``ranks``, each in 1..len (see ``core.select``)."""
     for k in ranks:
         if not 1 <= k <= len(values):
             raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
-    return _select(values, list(map(order_key, values)), ranks)
-
-
-def _select(
-    values: Sequence[Fraction], keys: Sequence[int], ranks: Sequence[int]
-) -> list[Fraction]:
-    """``order_statistics`` for ranks already checked, given the values' keys."""
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    sorted_keys = [keys[i] for i in order]
-    out = []
-    for k in ranks:
-        key = sorted_keys[k - 1]
-        lo = bisect_left(sorted_keys, key, 0, k - 1)
-        hi = bisect_right(sorted_keys, key, k)
-        if hi - lo == 1:
-            out.append(values[order[lo]])
-        else:
-            out.append(sorted([values[i] for i in order[lo:hi]])[k - 1 - lo])
-    return out
+    return select(values, list(map(order_key, values)), ranks)
 
 
 def _columns(profile: Profile) -> tuple[zip, zip]:
@@ -114,7 +88,11 @@ class PositionVector:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(map(as_integer, self.positions)))
+        try:
+            ranks = tuple(map(as_integer, self.positions))
+        except TypeError:
+            raise VocaggError(f"not a sequence of ranks: {shown(self.positions)}") from None
+        object.__setattr__(self, "positions", ranks)
         if not self.positions:
             raise ShapeMismatch("a position vector needs at least one entry")
         if self.positions[0] < 1:
@@ -138,6 +116,12 @@ class PositionVector:
         if self.m != profile.m:
             raise ShapeMismatch(f"{self.m} positions for {profile.m} word boundaries")
         self.validate_for(profile.n)
+
+
+def as_positions(positions: PositionVector | Sequence[int]) -> PositionVector:
+    """``positions`` as a ``PositionVector``: one is returned as it is, and a
+    plain sequence of ranks is read as one."""
+    return positions if isinstance(positions, PositionVector) else PositionVector(positions)
 
 
 @dataclass(frozen=True)
@@ -213,19 +197,20 @@ def median_positions(n: int, m: int) -> PositionVector:
     )
 
 
-def is_symmetric(positions: PositionVector, n: int) -> bool:
+def is_symmetric(positions: PositionVector | Sequence[int], n: int) -> bool:
     """True iff p_k + p_(m-k+1) = n + 1 for every k.
 
     Symmetric vectors treat the two reading directions of the line evenly;
     they are exactly the ones whose rule commutes with order reversal.
     """
+    positions = as_positions(positions)
     positions.validate_for(n)
     p = positions.positions
     return all(p[k] + p[len(p) - 1 - k] == n + 1 for k in range(len(p)))
 
 
 def apply_p_rule_reversed(
-    profile: Profile, positions: PositionVector
+    profile: Profile, positions: PositionVector | Sequence[int]
 ) -> tuple[Fraction, ...]:
     """Evaluate a position rule reading the line from above.
 
@@ -234,6 +219,7 @@ def apply_p_rule_reversed(
     nonincreasing tuple seen from the reversed viewpoint.  For a symmetric
     vector, reading it back left-to-right recovers the ordinary evaluation.
     """
+    positions = as_positions(positions)
     positions.check_profile(profile)
     m = profile.m
     out = []
@@ -255,7 +241,7 @@ def extended_median(
 
 
 def boundary_phantoms(
-    positions: PositionVector, n: int, domain: Domain
+    positions: PositionVector | Sequence[int], n: int, domain: Domain
 ) -> PhantomMatrix:
     """The phantom matrix that replays a position rule.
 
@@ -263,6 +249,7 @@ def boundary_phantoms(
     copies of the upper corner, which forces the pooled median onto the
     p_k-th smallest report.
     """
+    positions = as_positions(positions)
     positions.validate_for(n)
     columns = tuple(
         (domain.lower,) * (n - p) + (domain.upper,) * (p - 1)
@@ -305,13 +292,12 @@ class PRule(Rule):
     positions: PositionVector
 
     def __post_init__(self) -> None:
-        if not isinstance(self.positions, PositionVector):
-            object.__setattr__(self, "positions", PositionVector(tuple(self.positions)))
+        object.__setattr__(self, "positions", as_positions(self.positions))
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
         self.positions.check_profile(profile)
         values = tuple(
-            _select(column, keys, (p,))[0]
+            select(column, keys, (p,))[0]
             for column, keys, p in zip(*_columns(profile), self.positions.positions)
         )
         return EndpointMultiset(profile.domain, values)
@@ -333,7 +319,7 @@ class ExtendedMedianRule(Rule):
     def __call__(self, profile: Profile) -> EndpointMultiset:
         columns = self.phantom_columns(profile.n, profile.m, profile.domain)
         values = tuple(
-            _select(column + phantom, keys + phantom_keys, (profile.n,))[0]
+            select(column + phantom, keys + phantom_keys, (profile.n,))[0]
             for column, keys, phantom, phantom_keys in zip(
                 *_columns(profile), columns, self.phantoms.keys
             )
@@ -406,7 +392,7 @@ class MultisetRule(Rule):
         pooled = [v for row in profile.rows for v in row.values]
         keys = [key for row in profile.rows for key in row.keys]
         ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, profile.m + 1)]
-        return EndpointMultiset(profile.domain, tuple(_select(pooled, keys, ranks)))
+        return EndpointMultiset(profile.domain, tuple(select(pooled, keys, ranks)))
 
     def describe(self) -> dict:
         return {"kind": "multiset"}

@@ -227,6 +227,10 @@ class TestNumeralBound:
             pytest.param("0" * 30_000 + "7", id="zero-padded-numerator"),
             pytest.param("7" * 5_000 + "e3", id="5000-digits-with-exponent"),
             pytest.param("1e" + "0" * 5_000 + "5", id="zero-padded-exponent"),
+            # leading zeros of another script count as zeros too
+            pytest.param("1e" + "\u0660" * 8 + "5", id="arabic-indic-zero-padded-exponent"),
+            pytest.param("1e" + "\u0660\uff10" * 25_000 + "5", id="long-non-ascii-zero-padded-exponent"),
+            pytest.param("\u0660" * 30_000 + "7", id="non-ascii-zero-padded-numerator"),
         ],
     )
     def test_numerals_up_to_the_bound_read(self, text):
@@ -244,6 +248,7 @@ class TestNumeralBound:
             pytest.param("9" * 20_001, id="20001-nines"),
             pytest.param("1/" + "7" * 20_001, id="20001-digit-denominator"),
             pytest.param("1." + "0" * 20_000, id="20000-decimals"),
+            pytest.param("1e" + "\u0660" * 50_000 + "20001", id="non-ascii-zero-padded-exponent-past"),
         ],
     )
     def test_numerals_past_the_bound_are_refused(self, text):

@@ -19,15 +19,21 @@ from vocagg import (
     PhantomMatrix,
     PiecewiseLinearMap,
     PositionVector,
+    PRule,
     Profile,
     SinglePeakedPreference,
     VocaggError,
+    aggregate_gaps,
     boundary_phantoms,
+    check_incremental_consistency,
     check_strict_responsiveness,
     decode_endpoints,
+    is_symmetric,
     render_diagram,
+    search_extent_violation,
 )
 from vocagg.axioms import majority_extent_agents, random_monotone_map
+from vocagg.rules import apply_p_rule_reversed
 from vocagg.sampling import require_trials, strict_row
 
 UNIT = Domain(F(0), F(1))
@@ -223,3 +229,35 @@ def test_integer_arguments_stay_integers():
     assert PositionVector((1, 2)).positions == (1, 2)
     assert LabeledExemplars(UNIT, ((H, 1),)).labels == (1,)
     assert DictatorRule(2)(Profile((HALF, EndpointMultiset(UNIT, (T,))))).values == (T,)
+
+
+THREE = Profile.from_rows(UNIT, [(Q, H), (Q, T), (H, T)])
+GAP_ROWS = [GapSequence(UNIT, gaps) for gaps in [((F(0), Q), (H, T)), ((Q, H), (H, F(1)))] * 2]
+EXEMPLARS = [LabeledExemplars(UNIT, ((Q, 0), (T, 2)))] * 3
+# every entry point that takes a position vector, called with one for m = 2 boundaries
+TAKES_POSITIONS = {
+    "PRule": lambda positions: PRule(positions)(THREE),
+    "boundary_phantoms": lambda positions: boundary_phantoms(positions, 3, UNIT),
+    "is_symmetric": lambda positions: is_symmetric(positions, 3),
+    "apply_p_rule_reversed": lambda positions: apply_p_rule_reversed(THREE, positions),
+    "aggregate_gaps": lambda positions: aggregate_gaps(GAP_ROWS, positions),
+    "search_extent_violation": lambda positions: search_extent_violation(positions, 3, 4, seed=0),
+    "check_incremental_consistency": lambda positions: check_incremental_consistency(
+        EXEMPLARS, EXEMPLARS, positions
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_POSITIONS))
+def test_position_vectors_may_be_plain_rank_sequences(name):
+    call = TAKES_POSITIONS[name]
+    expected = call(PositionVector((1, 3)))
+    assert call((1, 3)) == expected and call([1, 3]) == expected
+    for bad, message in [
+        (3, "not a sequence of ranks: 3"),
+        (None, "not a sequence of ranks: None"),
+        ((1.5, 3), "not an integer: 1.5"),
+    ]:
+        with pytest.raises(VocaggError) as info:
+            call(bad)
+        assert str(info.value) == message

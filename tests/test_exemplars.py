@@ -20,6 +20,7 @@ from vocagg import (
     induce,
     median_positions,
 )
+from vocagg.exemplars import GAP_ORDERS
 
 UNIT = Domain(F(0), F(1))
 A, B, C, D = F(1, 5), F(2, 5), F(3, 5), F(7, 10)
@@ -131,18 +132,20 @@ class TestAggregateGaps:
         assert collective.gaps == ((A, B), (A, B), (C, F(1)))
 
     def test_alternative_orders_can_differ(self):
-        rows = [
-            GapSequence(UNIT, ((F(0), F(3, 4)),)),
-            GapSequence(UNIT, ((F(1, 4), F(3, 8)),)),
-        ]
+        overlapping = ((F(0), F(3, 4)), (F(1, 4), F(3, 8)))
+        # the left ends share one order key, and the right ends' keys run the
+        # other way: ranking (key(left), key(right)) would pick the second gap
+        left_tie = ((F(1, 3), F(2, 3)), (F(1, 3) + F(1, 2**70), F(1, 2)))
+        expected = {
+            overlapping: {"lex": overlapping[0], "right": overlapping[1], "midpoint": overlapping[1]},
+            left_tie: {"lex": left_tie[0], "right": left_tie[1], "midpoint": left_tie[1]},
+        }
         first = PositionVector((1,))
-        assert aggregate_gaps(rows, first, order="lex").gaps == ((F(0), F(3, 4)),)
-        assert aggregate_gaps(rows, first, order="right").gaps == (
-            (F(1, 4), F(3, 8)),
-        )
-        assert aggregate_gaps(rows, first, order="midpoint").gaps == (
-            (F(1, 4), F(3, 8)),
-        )
+        for gaps, picks in expected.items():
+            rows = [GapSequence(UNIT, (gap,)) for gap in gaps]
+            for order, pick in picks.items():
+                assert pick == sorted(gaps, key=GAP_ORDERS[order])[0]
+                assert aggregate_gaps(rows, first, order=order).gaps == (pick,)
 
     def test_shape_validation(self, three_observers):
         rows = [gaps_of(induce(ex, 3)) for ex in three_observers]
