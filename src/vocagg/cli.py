@@ -87,14 +87,13 @@ def _parse_domain_flag(text: str) -> Domain:
 
 
 def _resolve_rule(text: str, n: int, m: int, domain: Domain) -> Rule:
-    if text.startswith("emed:"):
-        payload = load_json(_read_text(text[len("emed:") :]))
-        if isinstance(payload, list):
-            payload = {"columns": payload}
-        if isinstance(payload, dict):
-            payload = {"kind": "extended-median", **payload}
-        return rule_from_descriptor(payload, n, m, domain)
-    return rule_from_descriptor(text, n, m, domain)
+    """The rule that ``--rule`` text names.  An ``emed:`` file holds only the
+    phantom columns: a list of them, or an object with them under ``columns``."""
+    if not text.startswith("emed:"):
+        return rule_from_descriptor(text, n, m, domain)
+    payload = load_json(_read_text(text[len("emed:") :]))
+    columns = payload.get("columns") if isinstance(payload, dict) else payload
+    return rule_from_descriptor({"kind": "extended-median", "columns": columns}, n, m, domain)
 
 
 def _count(least: int):

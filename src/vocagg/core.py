@@ -8,7 +8,7 @@ and the improper values ``lower``/``upper`` stand for inactive words at the
 ends.  All values are `fractions.Fraction`, so comparisons and ties are
 exact and runs are reproducible bit for bit.
 
-Every order decision in the package is made here, one exact way, without
+Every order-key decision in the package is made here, one exact way, without
 a ``Fraction`` comparison per pair: ``order_key`` maps q to the plain int
 floor(q * 2**64), which never decreases as q grows.  Distinct keys thus
 order their values exactly, and only values with equal keys (within 2**-64

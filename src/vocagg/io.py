@@ -63,7 +63,6 @@ from .rules import (
     MeanRule,
     MultisetRule,
     PhantomMatrix,
-    PositionVector,
     PRule,
     Rule,
     fixture_rule,
@@ -100,8 +99,6 @@ class _Numerals:
                 if q is None:
                     q = self.seen[value] = as_rational(value)
                 return q
-            if not isinstance(value, (int, str, Fraction)) or isinstance(value, bool):
-                raise VocaggError(f"expected an exact numeral, got {shown(value)}")
             return as_rational(value)
         except VocaggError as exc:
             place = where if index is None else f"{where}[{index}]"
@@ -353,16 +350,20 @@ def describe_rule(rule: Rule) -> dict:
 
 
 def _string_descriptor(text: str) -> dict:
-    """The descriptor object a CLI string form stands for."""
+    """The descriptor object a CLI string form stands for, as ``Rule.describe``
+    writes it: the ranks of ``p:`` and the agent of ``dictator:`` are integers."""
     head, _, tail = text.strip().partition(":")
     if head in ("median", "mean", "multiset") and not tail:
         return {"kind": head}
-    if head == "dictator":
-        return {"kind": "dictator", "agent": tail}
-    if head == "p":
-        return {"kind": "p-rule", "positions": tail.split(",")}
     if head == "fixture":
         return {"kind": "fixture", "name": tail}
+    try:
+        if head == "dictator":
+            return {"kind": "dictator", "agent": int(tail)}
+        if head == "p":
+            return {"kind": "p-rule", "positions": [int(p) for p in tail.split(",")]}
+    except ValueError:
+        raise ParseError(f"rule {text!r}: expected integers after {head}:") from None
     raise ParseError(f"unknown rule {text!r}")
 
 
@@ -374,7 +375,8 @@ def rule_from_descriptor(
     String forms: ``median``, ``mean``, ``multiset``, ``dictator:i``,
     ``p:2,3,4``, ``fixture:name``; each is read as its descriptor object.
     The ``median`` kind resolves the positions from the profile shape at
-    hand.
+    hand.  Each field goes to the constructor as the document holds it, so
+    ranks and agents must be JSON integers.
     """
     if isinstance(descriptor, str):
         descriptor = _string_descriptor(descriptor)
@@ -384,12 +386,9 @@ def rule_from_descriptor(
     if kind == "median":
         return PRule(median_positions(n, m))
     if kind == "p-rule":
-        try:
-            positions = PositionVector(tuple(int(p) for p in descriptor["positions"]))
-            positions.validate_for(n)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad p-rule descriptor: {exc}") from None
-        return PRule(positions)
+        rule = _at("positions", PRule, descriptor.get("positions"))
+        _at("positions", rule.positions.validate_for, n)
+        return rule
     if kind == "extended-median":
         columns = descriptor.get("columns")
         if not isinstance(columns, list) or not all(
@@ -407,14 +406,9 @@ def rule_from_descriptor(
     if kind == "multiset":
         return MultisetRule()
     if kind == "dictator":
-        try:
-            return DictatorRule(int(descriptor["agent"]))
-        except (KeyError, TypeError, ValueError):
-            agent = shown(descriptor.get("agent"))
-            raise ParseError(f"dictator needs an agent index, got {agent}") from None
+        return _at("agent", DictatorRule, descriptor.get("agent"))
     if kind == "fixture":
-        name = descriptor.get("name")
-        return fixture_rule(name if isinstance(name, str) else shown(name))
+        return fixture_rule(descriptor.get("name"))
     raise ParseError(f"unknown rule kind {shown(kind)}")
 
 

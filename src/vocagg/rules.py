@@ -488,6 +488,8 @@ def fixture_rule(name: str) -> Rule:
     * ``mean``: columnwise mean; not stable under non-affine relabelings.
     * ``discontinuous-rule``: minimum of column 1 while its reports are all
       distinct, maximum on ties; the switch is a jump.
+
+    Any other name, or one that is not a string, raises ``UnknownFixture``.
     """
     fixtures: dict[str, Rule] = {
         "inf-rule": InfRule(),
@@ -495,9 +497,6 @@ def fixture_rule(name: str) -> Rule:
         "mean": MeanRule(),
         "discontinuous-rule": DiscontinuousRule(),
     }
-    try:
+    if isinstance(name, str) and name in fixtures:
         return fixtures[name]
-    except KeyError:
-        raise UnknownFixture(
-            f"no fixture {name!r}; choose from {sorted(fixtures)}"
-        ) from None
+    raise UnknownFixture(f"no fixture {shown(name)}; choose from {sorted(fixtures)}")

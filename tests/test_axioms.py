@@ -642,6 +642,10 @@ class TestFixtures:
         with pytest.raises(UnknownFixture):
             fixture_rule("nonesuch")
 
+    def test_a_fixture_name_that_is_no_string_is_unknown(self):
+        with pytest.raises(UnknownFixture):
+            fixture_rule(["inf-rule"])
+
     @pytest.mark.parametrize("name,target", sorted(FIXTURE_TARGETS.items()))
     def test_each_fixture_breaks_exactly_its_axiom(self, name, target):
         battery = run_axiom_battery(fixture_rule(name), trials=120, seed=11)

@@ -22,6 +22,7 @@ from vocagg import (
     PRule,
     Profile,
     ResultDocument,
+    UnknownFixture,
     Vocabulary,
     apply_rule,
     as_rational,
@@ -70,6 +71,9 @@ NUMERAL_FORMS_DOC = {
     "domain": {"lower": "0", "upper": "1_000"},
     "agents": [{"endpoints": ["250"]}, {"endpoints": ["3 / 4"]}, {"endpoints": ["750"]}],
 }
+
+# phantom columns for GRADING_DOC: n - 1 = 2 values for each of its 4 boundaries
+GRADING_PHANTOMS = [["0", "25"], ["10", "50"], ["50", "75"], ["60", "100"]]
 
 TWO_AGENT_DOC = {
     "domain": {"lower": "0", "upper": "1"},
@@ -271,6 +275,13 @@ class TestParseProfile:
             parse_profile(json.dumps(doc))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("value", [True, None, [], {}])
+    def test_a_non_numeral_value_is_refused_at_its_place(self, value):
+        doc = {"domain": {"lower": "0", "upper": "1"}, "agents": [{"endpoints": ["1/2", value]}]}
+        with pytest.raises(ParseError) as caught:
+            parse_profile(json.dumps(doc))
+        assert str(caught.value).startswith("agents[0].endpoints[1]: not a rational value: ")
+
     def test_each_document_reads_its_distinct_numerals_once(self, monkeypatch):
         reads = []
 
@@ -385,12 +396,16 @@ class TestRuleDescriptors:
             ("p:1,2,3", {"kind": "p-rule", "positions": [1, 2, 3]}),
             ("fixture:inf-rule", {"kind": "fixture", "name": "inf-rule"}),
             ("fixture:discontinuous-rule", {"kind": "fixture", "name": "discontinuous-rule"}),
+            ("p: 1, 2, 3", {"kind": "p-rule", "positions": [1, 2, 3]}),
+            ("dictator:0_2", {"kind": "dictator", "agent": 2}),
         ],
     )
     def test_string_form_builds_its_dict_form(self, text, descriptor):
         rule = rule_from_descriptor(text, 3, 3, UNIT)
         assert rule == rule_from_descriptor(descriptor, 3, 3, UNIT)
         assert rule_from_descriptor(describe_rule(rule), 3, 3, UNIT) == rule
+        if descriptor["kind"] != "median":
+            assert describe_rule(rule) == descriptor
 
     @pytest.mark.parametrize(
         "bad",
@@ -404,11 +419,27 @@ class TestRuleDescriptors:
             {"kind": "extended-median"},
             {"kind": "dictator"},
             {"kind": "extended-median", "columns": [1, 2, 3, 4]},
+            {"kind": "p-rule"},
+            {"kind": "p-rule", "positions": [1.9, 2]},
+            {"kind": "p-rule", "positions": [True, 2]},
+            {"kind": "p-rule", "positions": ["1", "2"]},
+            {"kind": "p-rule", "positions": {"1": 0, "2": 0}},
+            {"kind": "p-rule", "positions": "12"},
+            {"kind": "dictator", "agent": 1.9},
+            {"kind": "dictator", "agent": "2"},
+            {"kind": "dictator", "agent": True},
         ],
     )
     def test_bad_descriptors(self, bad):
         with pytest.raises(ParseError):
             rule_from_descriptor(bad, 3, 3, UNIT)
+
+    @pytest.mark.parametrize(
+        "name", [None, ["inf-rule"], {"inf-rule": 1}, 10**5000], ids=["null", "list", "object", "long-int"]
+    )
+    def test_a_fixture_name_must_be_a_string(self, name):
+        with pytest.raises(UnknownFixture, match="no fixture"):
+            rule_from_descriptor({"kind": "fixture", "name": name}, 3, 3, UNIT)
 
 
 class TestResultDocuments:
@@ -623,6 +654,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["endpoints"] == ["1/4"]
         assert payload["rule"]["kind"] == "extended-median"
+
+    def test_an_emed_file_cannot_name_another_rule(self, tmp_path, capsys):
+        doc = write(tmp_path, "profile.json", GRADING_DOC)
+        dictator = write(tmp_path, "dictator.json", {"kind": "dictator", "agent": 2})
+        assert main(["aggregate", "--rule", f"emed:{dictator}", "--input", doc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -932,6 +971,22 @@ PINNED_CALLS = {
         ["induce", "--input", "{observations}"], 0,
         "fe9d4570a38e6fd2c5363b1f797022dece791a223fedaff4c6c61626bf286f36",
     ),
+    "aggregate-p-shorthand": (
+        ["aggregate", "--rule", "p:1,2,2,3", "--input", "{grades}"], 0,
+        "cf01cac8fff964f744e8aa97408a9517fa3a504c2891fc40a7f31315502254a3",
+    ),
+    "aggregate-dictator-shorthand": (
+        ["aggregate", "--rule", "dictator:2", "--input", "{grades}"], 0,
+        "541fb4715e8c8e05f227583c3f1b430eefd39f0265f9fa1eeb49bbb0d1418e91",
+    ),
+    "aggregate-emed-shorthand": (
+        ["aggregate", "--rule", "emed:{phantoms}", "--input", "{grades}"], 0,
+        "7b282e7a3d52f039684913ac6f250c90ff7de7cb1c7ec00928f2a24fae9ca28d",
+    ),
+    "aggregate-fixture-shorthand": (
+        ["aggregate", "--rule", "fixture:inf-rule", "--input", "{grades}"], 0,
+        "e41212d166877718a4192444498911e3dcb08eeadebcae3bee0623555eb5433e",
+    ),
     "render-ascii": (
         ["render", "--input", "{grades}"], 0,
         "9cdf799edb362a26b2d4976a5f2349ca968cb040dca47d4eac3f02ca041d8c44",
@@ -951,6 +1006,7 @@ class TestPinnedCliOutputs:
             "grades": write(tmp_path, "grades.json", GRADING_DOC),
             "observations": write(tmp_path, "observations.json", EXEMPLAR_DOC),
             "numerals": write(tmp_path, "numerals.json", NUMERAL_FORMS_DOC),
+            "phantoms": write(tmp_path, "phantoms.json", GRADING_PHANTOMS),
         }
         argv, code, digest = PINNED_CALLS[name]
         assert main([arg.format(**paths) for arg in argv]) == code
