@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, shown
@@ -59,15 +58,17 @@ class PiecewiseLinearMap:
     rational arithmetic.  Increasing maps fix both corners, decreasing maps
     exchange them.
 
-    Each segment's line y = slope * x + intercept is kept as integers over
-    one common denominator (the ``segments`` field, left out of ``==``,
-    hashing and ``repr``), so evaluating the map at x = p/q finds the
-    segment by integer comparisons and builds one ``Fraction``.
+    Each segment's line is kept as integers (the ``segments`` field, left
+    out of ``==``, hashing and ``repr``), so evaluating the map at x = p/q
+    finds the segment by integer comparisons and builds one ``Fraction``.
+    For the segment from (x0, y0) = (a/b, e/f) to (x1, y1) = (c/d, g/h),
+    y(p/q) = (A*q + B*p) / (C*q) with A = e*h*b*c - g*f*d*a,
+    B = b*d*(g*f - e*h) and C = f*h*(c*b - a*d) > 0.
     """
 
     domain: Domain
     points: tuple[tuple[Fraction, Fraction], ...]
-    # per segment: its right end r/s, and y = (intercept * q + slope * p) / (common * q) at x = p/q
+    # per segment: its right end c/d, and y = (A*q + B*p) / (C*q) at x = p/q, as (c, d, A, B, C)
     segments: tuple[tuple[int, int, int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -77,38 +78,24 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise VocaggError("a piecewise-linear map needs at least the two corners")
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        if xs[0] != self.domain.lower or xs[-1] != self.domain.upper:
+        lower, upper = self.domain.lower, self.domain.upper
+        if pts[0][0] != lower or pts[-1][0] != upper:
             raise VocaggError("breakpoints must span the closed domain")
-        for a, b in zip(xs, xs[1:]):
+        for (a, _), (b, _) in zip(pts, pts[1:]):
             if not a < b:
                 raise VocaggError(f"breakpoint abscissae not increasing: {shown(a)}, {shown(b)}")
-        increasing = ys[0] < ys[-1]
-        expected = (
-            (self.domain.lower, self.domain.upper)
-            if increasing
-            else (self.domain.upper, self.domain.lower)
-        )
-        if (ys[0], ys[-1]) != expected:
+        increasing = pts[0][1] < pts[-1][1]
+        if (pts[0][1], pts[-1][1]) != ((lower, upper) if increasing else (upper, lower)):
             raise VocaggError("a bijection of the domain must map corners to corners")
-        for a, b in zip(ys, ys[1:]):
-            if increasing and not a < b:
-                raise VocaggError(f"ordinates not increasing: {shown(a)}, {shown(b)}")
-            if not increasing and not a > b:
-                raise VocaggError(f"ordinates not decreasing: {shown(a)}, {shown(b)}")
         segments = []
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            slope = (y1 - y0) / (x1 - x0)
-            intercept = y0 - slope * x0
-            common = lcm(slope.denominator, intercept.denominator)
-            segments.append((
-                x1.numerator,
-                x1.denominator,
-                intercept.numerator * (common // intercept.denominator),
-                slope.numerator * (common // slope.denominator),
-                common,
-            ))
+            if not (y0 < y1 if increasing else y0 > y1):
+                raise VocaggError(f"ordinates not {self.direction}: {shown(y0)}, {shown(y1)}")
+            a, b, c, d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+            e, f, g, h = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+            segments.append(
+                (c, d, e * h * b * c - g * f * d * a, b * d * (g * f - e * h), f * h * (c * b - a * d))
+            )
         object.__setattr__(self, "segments", tuple(segments))
 
     @property
@@ -127,9 +114,9 @@ class PiecewiseLinearMap:
         if not self.domain.contains_closed(x):
             raise VocaggError(f"{shown(x)} outside the closed domain")
         p, q = x.numerator, x.denominator
-        for r, s, intercept, slope, common in self.segments:
-            if p * s <= r * q:
-                return Fraction(intercept * q + slope * p, common * q)
+        for c, d, A, B, C in self.segments:
+            if p * d <= c * q:
+                return Fraction(A * q + B * p, C * q)
         raise AssertionError("unreachable: corners span the domain")
 
     def map_endpoints(self, endpoints: EndpointMultiset) -> EndpointMultiset:
@@ -282,16 +269,11 @@ def random_monotone_map(
         raise VocaggError(f"unknown direction {direction!r}")
     rng = spawn(seed, "monotone-map", direction)
     breaks = rng.randint(1, 6)
-    xs = strict_row(rng, domain, breaks, 97)
-    ys = strict_row(rng, domain, breaks, 97)
+    xs = (domain.lower, *strict_row(rng, domain, breaks, 97), domain.upper)
+    ys = (domain.lower, *strict_row(rng, domain, breaks, 97), domain.upper)
     if direction == "decreasing":
         ys = ys[::-1]
-    lower, upper = domain.lower, domain.upper
-    if direction == "increasing":
-        left, right = (lower, lower), (upper, upper)
-    else:
-        left, right = (lower, upper), (upper, lower)
-    return PiecewiseLinearMap(domain, (left, *zip(xs, ys), right))
+    return PiecewiseLinearMap(domain, tuple(zip(xs, ys)))
 
 
 def check_stability(
@@ -409,16 +391,11 @@ def check_lipschitz(
 
 def majority_word_sets(profile: Profile) -> tuple[frozenset[int], ...]:
     """For each word j = 0..m, the 1-based agents whose word j is active."""
-    sets = []
-    for j in range(profile.m + 1):
-        sets.append(
-            frozenset(
-                i
-                for i in range(1, profile.n + 1)
-                if profile.row(i).bound(j) < profile.row(i).bound(j + 1)
-            )
-        )
-    return tuple(sets)
+    sets = [set() for _ in range(profile.m + 1)]
+    for i, row in enumerate(profile.rows, start=1):
+        for j in row.active_words():
+            sets[j].add(i)
+    return tuple(map(frozenset, sets))
 
 
 def majority_extent_agents(
@@ -441,8 +418,9 @@ def majority_extent_agents(
 def check_majoritarian_words(rule: Rule, profile: Profile) -> AxiomReport:
     """Words active for a strict majority of agents must stay active."""
     output = rule(profile)
+    kept = output.active_words()
     for j, agents in enumerate(majority_word_sets(profile)):
-        if 2 * len(agents) >= profile.n + 1 and not output.bound(j) < output.bound(j + 1):
+        if 2 * len(agents) >= profile.n + 1 and j not in kept:
             witness = {
                 "profile": profile.values(),
                 "word": j,
@@ -551,18 +529,16 @@ def search_extent_violation(
             profile, pairs = targeted[t]
         else:
             profile = random_profile(rng, domain, n, m, denominator=16)
-            pairs = []
-            padded = [
-                (row.domain.lower,) + row.values + (row.domain.upper,)
-                for row in profile.rows
+            # word j spans column j to column j + 1; the corners (columns 0, m + 1) are never interior
+            columns = zip(*profile.values())
+            reports = [(), *(sorted({v for v in c if domain.contains(v)}) for c in columns), ()]
+            pairs = [
+                (word, a, b)
+                for word in range(m + 1)
+                for a in reports[word]
+                for b in reports[word + 1]
+                if a < b
             ]
-            for word in range(m + 1):
-                lefts = sorted({p[word] for p in padded if domain.contains(p[word])})
-                rights = sorted({p[word + 1] for p in padded if domain.contains(p[word + 1])})
-                for a in lefts:
-                    for b in rights:
-                        if a < b:
-                            pairs.append((word, a, b))
         output = rule(profile)
         for word, a, b in pairs:
             w = _extent_witness(profile, output, word, a, b, threshold)

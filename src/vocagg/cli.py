@@ -86,12 +86,21 @@ def _parse_domain_flag(text: str) -> Domain:
         raise ParseError(f"bad domain {text!r}: {exc}") from None
 
 
-def _resolve_rule(text: str, n: int, m: int, domain: Domain) -> Rule:
+def _resolve_rule(text: str, n: int, m: int, domain: Domain, stdin_taken: bool = False) -> Rule:
     """The rule that ``--rule`` text names.  An ``emed:`` file holds only the
-    phantom columns: a list of them, or an object with them under ``columns``."""
+    phantom columns: a list of them, or an object with them under ``columns``.
+    ``emed:-`` reads them from stdin, which ``stdin_taken`` says the profile
+    document has already used up."""
     if not text.startswith("emed:"):
         return rule_from_descriptor(text, n, m, domain)
-    payload = load_json(_read_text(text[len("emed:") :]))
+    path = text[len("emed:") :]
+    if path == "-" and stdin_taken:
+        raise ParseError("emed:- cannot read stdin: the profile document comes from there")
+    document = _read_text(path)
+    try:
+        payload = load_json(document)
+    except ParseError as exc:
+        raise ParseError(f"{text}: {exc}") from None
     columns = payload.get("columns") if isinstance(payload, dict) else payload
     return rule_from_descriptor({"kind": "extended-median", "columns": columns}, n, m, domain)
 
@@ -119,7 +128,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             "exemplar-labeled documents aggregate through the induce subcommand"
         )
     profile = parsed.profile
-    rule = _resolve_rule(args.rule, profile.n, profile.m, profile.domain)
+    rule = _resolve_rule(args.rule, profile.n, profile.m, profile.domain, args.input in (None, "-"))
     endpoints = rule(profile)
     document = build_result(rule, parsed.words, endpoints)
     _write_text(args.output, serialize_result(document))
@@ -139,7 +148,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         n, m, domain = extra_profile.n, extra_profile.m, extra_profile.domain
     else:
         n, m, domain = args.n, args.m, _parse_domain_flag(args.domain)
-    rule = _resolve_rule(args.rule, n, m, domain)
+    rule = _resolve_rule(args.rule, n, m, domain, args.input == "-")
     battery = run_axiom_battery(rule, args.trials, seed, domain=domain, n=n, m=m)
     reports = [battery[name] for name in ("unanimity", "anonymity", "stability", "continuity")]
     if extra_profile is not None:
@@ -187,16 +196,16 @@ def _cmd_sp_check(args: argparse.Namespace) -> int:
     return 1 if witness is not None or verdict is not None else 0
 
 
-def _induced_pipeline(parsed: ParsedInput, rule_text: str, order: str):
+def _induced_pipeline(parsed: ParsedInput, args: argparse.Namespace):
     from .exemplars import aggregate_gaps, collective_incomplete, gaps_of, induce
 
     m = len(parsed.words) - 1
     vocabularies = [induce(exemplars, m) for exemplars in parsed.exemplars]
     gap_rows = [gaps_of(vocabulary) for vocabulary in vocabularies]
-    rule = _resolve_rule(rule_text, len(gap_rows), m, parsed.domain)
+    rule = _resolve_rule(args.rule, len(gap_rows), m, parsed.domain, args.input in (None, "-"))
     if not isinstance(rule, PRule):
         raise ParseError("gap aggregation needs a positional rule (median or p:...)")
-    collective_gaps = aggregate_gaps(gap_rows, rule.positions, order=order)
+    collective_gaps = aggregate_gaps(gap_rows, rule.positions, order=args.order)
     collective = collective_incomplete(collective_gaps)
     return vocabularies, gap_rows, rule, collective_gaps, collective
 
@@ -205,9 +214,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     parsed = parse_profile(_read_text(args.input))
     if parsed.kind != "exemplars":
         raise ParseError("induce needs exemplar-labeled agents")
-    vocabularies, gap_rows, rule, collective_gaps, collective = _induced_pipeline(
-        parsed, args.rule, args.order
-    )
+    vocabularies, gap_rows, rule, collective_gaps, collective = _induced_pipeline(parsed, args)
     words = parsed.words
     payload = {
         "rule": describe_rule(rule),
@@ -233,9 +240,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     profile = parsed.profile
     if args.rule is not None:
         if parsed.kind == "exemplars":
-            collective = _induced_pipeline(parsed, args.rule, args.order)[4]
+            collective = _induced_pipeline(parsed, args)[4]
         else:
-            rule = _resolve_rule(args.rule, profile.n, profile.m, parsed.domain)
+            rule = _resolve_rule(args.rule, profile.n, profile.m, parsed.domain, args.input in (None, "-"))
             collective = decode_endpoints(rule(profile))
         _write_text(args.output, render_diagram(collective, args.format, parsed.words))
         return 0

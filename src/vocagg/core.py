@@ -379,17 +379,15 @@ class EndpointMultiset:
         raise IndexOutOfRange(f"boundary index {k} outside 0..{self.m + 1}")
 
     def active_words(self) -> tuple[int, ...]:
-        """0-based indices j with a nonempty extent [bound(j), bound(j+1))."""
-        return tuple(j for j in range(self.m + 1) if self.bound(j) < self.bound(j + 1))
+        """0-based indices j with a nonempty extent [bound(j), bound(j+1)),
+        as ``decode_endpoints`` decides them."""
+        return decode_endpoints(self).active_words()
 
     @property
     def strictly_increasing_interior(self) -> bool:
-        """True iff all values are interior and strictly increasing.
-
-        Equivalent to all m+1 words being active.
-        """
-        padded = (self.domain.lower,) + self.values + (self.domain.upper,)
-        return all(a < b for a, b in zip(padded, padded[1:]))
+        """True iff all values are interior and strictly increasing, that is,
+        iff all m+1 words are active."""
+        return len(self.active_words()) == self.m + 1
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,11 @@ class IncrementalReport:
     failures: tuple[str, ...]
 
 
+def _shown_interval(interval: Optional[tuple[Fraction, Fraction]]) -> str:
+    """A gap or an extent as a failure message prints it; ``None`` is an inactive word."""
+    return "inactive" if interval is None else f"({shown(interval[0])}, {shown(interval[1])})"
+
+
 def check_incremental_consistency(
     before: Sequence[LabeledExemplars],
     after: Sequence[LabeledExemplars],
@@ -350,13 +355,9 @@ def check_incremental_consistency(
     before_vocabulary = collective_incomplete(before_gaps)
     after_vocabulary = collective_incomplete(after_gaps)
     failures = []
-    for k in range(1, m + 1):
-        old_left, old_right = before_gaps.gaps[k - 1]
-        new_left, new_right = after_gaps.gaps[k - 1]
-        if not (old_left <= new_left and new_right <= old_right):
-            failures.append(
-                f"gap {k} grew: ({old_left}, {old_right}) to ({new_left}, {new_right})"
-            )
+    for k, (old_gap, new_gap) in enumerate(zip(before_gaps.gaps, after_gaps.gaps), start=1):
+        if not (old_gap[0] <= new_gap[0] and new_gap[1] <= old_gap[1]):
+            failures.append(f"gap {k} grew: {_shown_interval(old_gap)} to {_shown_interval(new_gap)}")
     for j in range(m + 1):
         old_extent = before_vocabulary.extents[j]
         new_extent = after_vocabulary.extents[j]
@@ -366,7 +367,7 @@ def check_incremental_consistency(
             new_extent[0] <= old_extent[0] and old_extent[1] <= new_extent[1]
         ):
             failures.append(
-                f"word {j} shrank: {old_extent} to {new_extent}"
+                f"word {j} shrank: {_shown_interval(old_extent)} to {_shown_interval(new_extent)}"
             )
     return IncrementalReport(
         holds=not failures,

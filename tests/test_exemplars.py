@@ -279,6 +279,22 @@ class TestIncrementalConsistency:
         assert any("gap 1 grew" in failure for failure in report.failures)
         assert any("word 1 shrank" in failure for failure in report.failures)
 
+    def test_failures_print_values_as_numerals(self):
+        before = (observer((F(1, 4), 0)), observer((F(7, 8), 1)), observer((F(1, 8), 0)))
+        after = (*before[:2], before[2].extended_by(((F(5, 8), 1),)))
+        report = check_incremental_consistency(before, after, (2,), "right")
+        assert report.failures == (
+            "gap 1 grew: (1/8, 1) to (0, 7/8)",
+            "word 0 shrank: (0, 1/8) to inactive",
+        )
+        # an end past the interpreter's int-to-text limit prints in full
+        huge = F(10**5000)
+        wide = Domain(F(0), huge)
+        before = [LabeledExemplars(wide, (point,)) for point in ((1, 0), (huge - 1, 1), (F(1, 8), 0))]
+        after = (*before[:2], before[2].extended_by(((huge - 2, 1),)))
+        failures = check_incremental_consistency(before, after, (2,), "right").failures
+        assert failures[0] == f"gap 1 grew: (1/8, 1{'0' * 5000}) to (0, {'9' * 5000})"
+
 
 @st.composite
 def nested_shared_pools(draw):

@@ -663,6 +663,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("route", ["malformed-file", "stdin-twice"])
+    def test_an_emed_reading_error_names_its_source(self, route, tmp_path, capsys, monkeypatch):
+        import io as stdio
+
+        monkeypatch.setattr("sys.stdin", stdio.StringIO(json.dumps(GRADING_DOC)))
+        bad = write(tmp_path, "bad.json", "BAD")
+        argv, message = {
+            "malformed-file": (
+                ["--rule", f"emed:{bad}", "--input", write(tmp_path, "profile.json", GRADING_DOC)],
+                f"error: emed:{bad}: malformed JSON at line 1, column 1",
+            ),
+            "stdin-twice": (["--rule", "emed:-"], "error: emed:- cannot read stdin"),
+        }[route]
+        assert main(["aggregate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(message)
+
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["aggregate", "--rule", "median", "--input", missing]) == 2

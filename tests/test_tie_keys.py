@@ -226,6 +226,7 @@ class TestCoreValidators:
         expected = tuple((a, b) if a < b else None for a, b in zip(bounds, bounds[1:]))
         assert ref_vocabulary(domain, expected) is None
         assert decode_endpoints(endpoints).extents == expected
+        assert endpoints.active_words() == tuple(j for j, e in enumerate(expected) if e is not None)
 
 
 class TestExemplarValidators:
