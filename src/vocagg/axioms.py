@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, shown
+from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, order_key, shown
 from .errors import ShapeMismatch, VocaggError
 from .rules import (
     PRule,
@@ -120,13 +120,28 @@ class PiecewiseLinearMap:
         raise AssertionError("unreachable: corners span the domain")
 
     def map_endpoints(self, endpoints: EndpointMultiset) -> EndpointMultiset:
-        """Transform a report; a decreasing map reverses the sorted order."""
-        return EndpointMultiset(
-            self.domain, tuple(sorted(self(v) for v in endpoints.values))
-        )
+        """Transform a report; a decreasing map reverses the sorted order.
+
+        The map sends the closed domain onto itself, so the sorted image is
+        a valid report and is built without validating it again.
+        """
+        return _sorted_report(self.domain, map(self, endpoints.values))
 
     def map_profile(self, profile: Profile) -> Profile:
         return Profile(tuple(self.map_endpoints(row) for row in profile.rows))
+
+
+def _sorted_report(domain: Domain, values: Iterable[Fraction]) -> EndpointMultiset:
+    """The report of ``values`` in sorted order, each of them already known to
+    lie in the closure of ``domain``: born valid, with one key per value.
+
+    Sorting (key, value) pairs compares keys first and values only at equal
+    keys, which orders the values exactly.
+    """
+    pairs = sorted([(order_key(q), q) for q in values])
+    return EndpointMultiset._from_valid(
+        domain, tuple([q for _, q in pairs]), tuple([key for key, _ in pairs])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +302,7 @@ def check_stability(
     """
     axiom = "stability" if phi.direction == "increasing" else "strong-stability"
     output = rule(profile)
-    transformed = tuple(sorted(phi(v) for v in output.values))
+    transformed = phi.map_endpoints(output).values
     output_of_transformed = rule(phi.map_profile(profile))
     if transformed == output_of_transformed.values:
         return axiom_report(axiom, None)
@@ -355,8 +370,8 @@ def check_lipschitz(
                 min(max(v + eps * Fraction(rng.randint(-8, 8), 8), domain.lower), domain.upper)
                 for v in row.values
             ]
-            rows.append(tuple(sorted(moved)))
-        perturbed = Profile.from_rows(domain, rows)
+            rows.append(_sorted_report(domain, moved))  # clamped into the closed domain
+        perturbed = Profile(tuple(rows))
         input_distance = max(
             (
                 abs(a - b)
@@ -531,7 +546,7 @@ def search_extent_violation(
             profile = random_profile(rng, domain, n, m, denominator=16)
             # word j spans column j to column j + 1; the corners (columns 0, m + 1) are never interior
             columns = zip(*profile.values())
-            reports = [(), *(sorted({v for v in c if domain.contains(v)}) for c in columns), ()]
+            reports = [(), *(sorted(set(c)) for c in columns), ()]
             pairs = [
                 (word, a, b)
                 for word in range(m + 1)

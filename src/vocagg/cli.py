@@ -99,10 +99,10 @@ def _resolve_rule(text: str, n: int, m: int, domain: Domain, stdin_taken: bool =
     document = _read_text(path)
     try:
         payload = load_json(document)
+        columns = payload.get("columns") if isinstance(payload, dict) else payload
+        return rule_from_descriptor({"kind": "extended-median", "columns": columns}, n, m, domain)
     except ParseError as exc:
         raise ParseError(f"{text}: {exc}") from None
-    columns = payload.get("columns") if isinstance(payload, dict) else payload
-    return rule_from_descriptor({"kind": "extended-median", "columns": columns}, n, m, domain)
 
 
 def _count(least: int):

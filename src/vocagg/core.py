@@ -16,13 +16,22 @@ of each other) are compared as fractions; no float is involved anywhere.
 ``less`` decides one pair so, and ``select`` picks order statistics so,
 sorting exactly only the run of equal keys that holds a requested rank; on
 the keys of pairs' first components it ranks the pairs lexicographically.
-The rules and the exemplar pipeline compare no keys themselves.  An
-``EndpointMultiset`` keeps the keys it computes while validating (its
-``keys`` field, left out of ``==``, hashing and ``repr``), so the rules
-order its values without computing them again.  A ``Domain`` keeps its
-corners' keys the same way for its membership tests (``contains``,
-``contains_closed``, ``first_outside``), which, like ``first_descent``,
-spell the decision out inline rather than call ``less`` per value.
+``select`` hands each selected value back with its key.  The rules and the
+exemplar pipeline compare no keys themselves.  An ``EndpointMultiset``
+keeps the keys it computes while validating (its ``keys`` field, left out
+of ``==``, hashing and ``repr``), so the rules order its values without
+computing them again.  A ``Domain`` keeps its corners' keys the same way
+for its membership tests (``contains``, ``contains_closed``,
+``first_outside``), which, like ``first_descent``, spell the decision out
+inline rather than call ``less`` per value.
+
+Rows are born valid.  A report read from a document or built from a
+caller's values goes through the validating constructor
+``EndpointMultiset(domain, values)``.  A report that the package builds
+from parts that are valid by construction (a rule's selected values with
+their keys, a sampled lattice row, a relabeled row) goes through
+``EndpointMultiset._from_valid``, which validates nothing a second time;
+its docstring states what the caller guarantees.
 
 Conventions used throughout the package:
 
@@ -240,14 +249,15 @@ def less(a: Fraction, b: Fraction, key_a: int, key_b: int) -> bool:
     return key_a < key_b or (key_a == key_b and a is not b and a < b)
 
 
-def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list:
-    """``sorted(values)[k - 1]`` for each k in ``ranks``, each already checked to
-    lie in 1..len(values).
+def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[tuple]:
+    """``(sorted(values)[k - 1], its key)`` for each k in ``ranks``, each already
+    checked to lie in 1..len(values).
 
     ``keys[i] < keys[j]`` must imply ``values[i] < values[j]``, as it does for
     the values' ``order_key``s or for the keys of pairs' first components.
     Indices are sorted by key; for each rank, the run of equal keys holding
-    it is cut out by bisection and only that run is sorted exactly.
+    it is cut out by bisection and only that run is sorted exactly.  Every
+    value in that run has the key at rank k, so it is handed back as it is.
     """
     order = sorted(range(len(values)), key=keys.__getitem__)
     sorted_keys = [keys[i] for i in order]
@@ -257,9 +267,9 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list:
         lo = bisect_left(sorted_keys, key, 0, k - 1)
         hi = bisect_right(sorted_keys, key, k)
         if hi - lo == 1:
-            out.append(values[order[lo]])
+            out.append((values[order[lo]], key))
         else:
-            out.append(sorted([values[i] for i in order[lo:hi]])[k - 1 - lo])
+            out.append((sorted([values[i] for i in order[lo:hi]])[k - 1 - lo], key))
     return out
 
 
@@ -363,6 +373,20 @@ class EndpointMultiset:
         descent = first_descent(coerced, coerced[1:], keys, keys[1:])
         if descent is not None:
             raise VocaggError(f"endpoints not sorted: {shown(descent[0])} > {shown(descent[1])}")
+
+    @classmethod
+    def _from_valid(
+        cls, domain: Domain, values: tuple[Fraction, ...], keys: tuple[int, ...]
+    ) -> "EndpointMultiset":
+        """``EndpointMultiset(domain, values)``, keys included, built without
+        validating it again: the caller guarantees that ``values`` is a
+        nondecreasing tuple of ``Fraction``s in the closure of ``domain``
+        and that ``keys`` is ``tuple(map(order_key, values))``."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "values", values)
+        object.__setattr__(born, "keys", keys)
+        return born
 
     @property
     def m(self) -> int:

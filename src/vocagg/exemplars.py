@@ -262,7 +262,8 @@ def aggregate_gaps(
         # each order's pair determines its gap, so ranking (pair, gap) ranks the pairs
         ranked = [(key(gap), gap) for gap in column]
         keys = [order_key(pair[0]) for pair, _ in ranked]
-        selected.append(select(ranked, keys, (p,))[0][1])
+        (_, gap), _ = select(ranked, keys, (p,))[0]
+        selected.append(gap)
     return GapSequence(domain, tuple(selected))
 
 

@@ -14,7 +14,8 @@ Agents may instead carry ``"extents"`` (word name to ``[left, right]`` or
 ``null``, passed through vocabulary encoding) or ``"exemplar_labels"``
 (word names aligned with a shared top-level ``"exemplars"`` list).  Result
 documents are canonical: parsing a serialized result reproduces it field
-for field.
+for field, and its ``rule`` must be a descriptor object of a kind that
+``Rule.describe`` writes.
 
 Numerals are read by ``core.as_rational``, whose one grammar (stated in its
 docstring) reads the same on every supported interpreter; JSON numbers reach
@@ -367,6 +368,10 @@ def _string_descriptor(text: str) -> dict:
     raise ParseError(f"unknown rule {text!r}")
 
 
+# the kinds that ``Rule.describe`` writes; ``median`` is read but resolves to ``p-rule``
+_DESCRIBED_KINDS = ("p-rule", "extended-median", "mean", "multiset", "dictator", "fixture")
+
+
 def rule_from_descriptor(
     descriptor: Union[dict, str], n: int, m: int, domain: Domain
 ) -> Rule:
@@ -479,6 +484,11 @@ def parse_result(text: str) -> ResultDocument:
     for key in ("rule", "domain", "words", "endpoints", "vocabulary"):
         if key not in payload:
             raise ParseError(f"{key}: missing")
+    rule = payload["rule"]
+    if not isinstance(rule, dict):
+        raise ParseError(f"rule: expected a descriptor object, got {shown(rule)}")
+    if rule.get("kind") not in _DESCRIBED_KINDS:
+        raise ParseError(f"rule: unknown rule kind {shown(rule.get('kind'))}")
     numerals = _Numerals()
     domain = _parse_domain(payload["domain"], numerals)
     words = _parse_words(payload["words"])
@@ -490,7 +500,7 @@ def parse_result(text: str) -> ResultDocument:
         if not isinstance(payload.get(key, []), list):
             raise ParseError(f"{key}: expected a list")
     doc = ResultDocument(
-        rule=payload["rule"],
+        rule=rule,
         domain=domain,
         words=words,
         endpoints=endpoints,

@@ -19,6 +19,14 @@ Every selection goes through ``core.select``, which orders exactly as
 is computed twice; ``order_statistics`` computes the keys for callers that
 hold bare values.  The results are exactly those of sorting the fractions.
 
+``PRule``, ``ExtendedMedianRule``, ``MultisetRule`` and ``MeanRule`` build
+their outputs born valid, through ``EndpointMultiset._from_valid``, from the
+values and keys that ``select`` hands back (the mean keys its own values).
+Nothing can fail there: rows and phantom columns are nondecreasing, so a
+rank that never falls with k, or a column mean, never decreases, and every
+output is a report, a phantom or a mean of reports.  The fixtures, and rules
+written outside this module, use the validating constructor.
+
 The mean sums each column as integers: numerators are added per
 denominator, the groups are added pairwise in a product tree without any
 gcd, and the total is reduced once (Bernstein, "Fast multiplication and its
@@ -62,13 +70,20 @@ def order_statistics(
     for k in ranks:
         if not 1 <= k <= len(values):
             raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
-    return select(values, list(map(order_key, values)), ranks)
+    return [value for value, _ in select(values, list(map(order_key, values)), ranks)]
 
 
 def _columns(profile: Profile) -> tuple[zip, zip]:
     """The profile's columns and their kept order keys, as two tuple iterators."""
     rows = profile.rows
     return zip(*(row.values for row in rows)), zip(*(row.keys for row in rows))
+
+
+def _collective(domain: Domain, picked: Sequence[tuple[Fraction, int]]) -> EndpointMultiset:
+    """The report of ``picked``, one (value, key) pair per column, born valid
+    (see the module docstring)."""
+    values, keys = zip(*picked) if picked else ((), ())
+    return EndpointMultiset._from_valid(domain, values, keys)
 
 
 def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
@@ -296,11 +311,11 @@ class PRule(Rule):
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
         self.positions.check_profile(profile)
-        values = tuple(
+        picked = [
             select(column, keys, (p,))[0]
             for column, keys, p in zip(*_columns(profile), self.positions.positions)
-        )
-        return EndpointMultiset(profile.domain, values)
+        ]
+        return _collective(profile.domain, picked)
 
     def describe(self) -> dict:
         return {"kind": "p-rule", "positions": list(self.positions.positions)}
@@ -318,13 +333,13 @@ class ExtendedMedianRule(Rule):
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
         columns = self.phantom_columns(profile.n, profile.m, profile.domain)
-        values = tuple(
+        picked = [
             select(column + phantom, keys + phantom_keys, (profile.n,))[0]
             for column, keys, phantom, phantom_keys in zip(
                 *_columns(profile), columns, self.phantoms.keys
             )
-        )
-        return EndpointMultiset(profile.domain, values)
+        ]
+        return _collective(profile.domain, picked)
 
     def describe(self) -> dict:
         return {
@@ -355,7 +370,7 @@ class MeanRule(Rule):
     def __call__(self, profile: Profile) -> EndpointMultiset:
         n = profile.n
         values = tuple(_mean(column, n) for column in _columns(profile)[0])
-        return EndpointMultiset(profile.domain, values)
+        return EndpointMultiset._from_valid(profile.domain, values, tuple(map(order_key, values)))
 
     def describe(self) -> dict:
         return {"kind": "mean"}
@@ -392,7 +407,7 @@ class MultisetRule(Rule):
         pooled = [v for row in profile.rows for v in row.values]
         keys = [key for row in profile.rows for key in row.keys]
         ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, profile.m + 1)]
-        return EndpointMultiset(profile.domain, tuple(select(pooled, keys, ranks)))
+        return _collective(profile.domain, select(pooled, keys, ranks))
 
     def describe(self) -> dict:
         return {"kind": "multiset"}

@@ -5,10 +5,15 @@ which hashes the seed together with a stream label.  String seeding keeps
 the draws independent of ``PYTHONHASHSEED``, so a fixed seed reproduces the
 exact same profiles, maps, and deviations on every run.  All sampled values
 are rationals on a lattice, never floats: the samplers draw integer lattice
-indices, sort them, and turn each into one ``Fraction`` through
-``_lattice_points``, which writes lo + (hi - lo) * j / N over the common
-denominator of lo, hi and N in plain integers: one gcd per value, where
-three ``Fraction`` operations would take three.
+indices j, sort them, and turn each into the point lo + (hi - lo) * j / N.
+Rows over the whole domain (``random_profile``, ``strict_row``) read each
+point and its ``order_key`` from one bounded ``lru_cache`` table per
+(lower, upper, N), so they are born valid (``EndpointMultiset._from_valid``);
+a lattice of more than ``_MAX_TABLED`` steps builds only its drawn points.
+Draws over a sub-interval, whose ends change on every trial (unanimity's
+free runs, separability's pivots), build their points through
+``_lattice_points``, with one gcd per value.  Either way the values and the
+draw order are those of sorting one ``Fraction`` per draw.
 
 ``sampling_shape`` is the one shape policy: a sampled checker's ``n``, ``m``
 or ``domain`` left ``None`` comes from ``rule.default_shape()``.
@@ -31,9 +36,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, TypeVar
 
-from .core import Domain, Profile
+from .core import Domain, EndpointMultiset, Profile, order_key
 from .errors import ShapeMismatch, VocaggError
 from .rules import Rule
 
@@ -161,11 +167,11 @@ def strict_row(
     if m > denominator - 1:
         raise VocaggError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
     picks = sorted(rng.sample(range(1, denominator), m))
-    return _lattice_points(domain.lower, domain.upper, denominator, picks)
+    return _lattice_rows(domain, denominator, [picks])[0].values
 
 
 def _lattice_points(
-    lo: Fraction, hi: Fraction, denominator: int, picks: list[int]
+    lo: Fraction, hi: Fraction, denominator: int, picks: Iterable[int]
 ) -> tuple[Fraction, ...]:
     """lo + (hi - lo) * j / denominator for each j in ``picks``, one ``Fraction`` each.
 
@@ -177,19 +183,57 @@ def _lattice_points(
     return tuple(Fraction(base + step * j, common) for j in picks)
 
 
+# the finest lattice that gets a table; a table holds denominator + 1 points
+_MAX_TABLED = 256
+
+
+@lru_cache(maxsize=32)
+def _lattice_table(
+    a: int, b: int, c: int, d: int, denominator: int
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """Every lattice point j = 0..denominator of [a/b, c/d], and their order keys.
+
+    The cache is keyed on the corners' integers: hashing them is cheaper
+    than hashing two ``Fraction``s.
+    """
+    points = _lattice_points(Fraction(a, b), Fraction(c, d), denominator, range(denominator + 1))
+    return points, tuple(map(order_key, points))
+
+
+def _lattice_rows(
+    domain: Domain, denominator: int, picks: list[list[int]]
+) -> tuple[EndpointMultiset, ...]:
+    """One report per sorted index list in ``picks``: lattice point j of the
+    closed domain for each index j, born valid with the table's keys."""
+    lower, upper = domain.lower, domain.upper
+    if denominator <= _MAX_TABLED:
+        points, keys = _lattice_table(
+            lower.numerator, lower.denominator, upper.numerator, upper.denominator, denominator
+        )
+    else:  # too fine to table (``sp-check --grid`` takes any size): build the drawn points only
+        drawn = list({j for row in picks for j in row})
+        points = dict(zip(drawn, _lattice_points(lower, upper, denominator, drawn)))
+        keys = {j: order_key(q) for j, q in points.items()}
+    return tuple(
+        EndpointMultiset._from_valid(
+            domain, tuple([points[j] for j in row]), tuple([keys[j] for j in row])
+        )
+        for row in picks
+    )
+
+
 def random_profile(
     rng: random.Random, domain: Domain, n: int, m: int, *, denominator: int = 64
 ) -> Profile:
     """n independent sorted rows of m interior endpoints each.
 
-    A coarse ``denominator`` makes ties across agents likely, which matters
-    for checkers hunting discontinuities at tied columns.
+    Each row draws m indices in 1..denominator - 1, as ``sorted_between``
+    does, and reads its points from the domain's lattice table.  A coarse
+    ``denominator`` makes ties across agents likely, which matters for
+    checkers hunting discontinuities at tied columns.
     """
-    rows = [
-        sorted_between(rng, domain.lower, domain.upper, m, denominator, False)
-        for _ in range(n)
-    ]
-    return Profile.from_rows(domain, rows)
+    picks = [sorted([rng.randint(1, denominator - 1) for _ in range(m)]) for _ in range(n)]
+    return Profile(_lattice_rows(domain, denominator, picks))
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:

@@ -495,18 +495,35 @@ class TestResultDocuments:
             parse_result(json.dumps(payload))
 
     @pytest.mark.parametrize(
-        "endpoints,vocabulary,message",
+        "endpoints,vocabulary,message,rule",
         [
-            (["3", "2"], {"a": ["5", "0"]}, "endpoints: endpoint 3 outside"),
-            (["1/2"], {"a": ["0", "1/3"], "b": ["1/3", "1"]}, "vocabulary: does not match"),
-            (["1/2"], {"a": ["0", "1/2"]}, "vocabulary: does not match"),
-            (["1/2"], {"a": ["0", "1/2"], "b": ["1/2", "1"], "z": None}, "vocabulary: unknown words"),
+            (["3", "2"], {"a": ["5", "0"]}, "endpoints: endpoint 3 outside", {"kind": "mean"}),
+            (["1/2"], {"a": ["0", "1/3"], "b": ["1/3", "1"]}, "vocabulary: does not match", {"kind": "mean"}),
+            (["1/2"], {"a": ["0", "1/2"]}, "vocabulary: does not match", {"kind": "mean"}),
+            (
+                ["1/2"],
+                {"a": ["0", "1/2"], "b": ["1/2", "1"], "z": None},
+                "vocabulary: unknown words",
+                {"kind": "mean"},
+            ),
+            (
+                ["1/2"],
+                {"a": ["0", "1/2"], "b": ["1/2", "1"]},
+                "^rule: expected a descriptor object, got 5$",
+                5,
+            ),
+            (
+                ["1/2"],
+                {"a": ["0", "1/2"], "b": ["1/2", "1"]},
+                "^rule: unknown rule kind 'nonesuch'$",
+                {"kind": "nonesuch"},
+            ),
         ],
     )
-    def test_inconsistent_results_name_the_field(self, endpoints, vocabulary, message):
+    def test_inconsistent_results_name_the_field(self, endpoints, vocabulary, message, rule):
         words = ["a", "b", "c"][: len(endpoints) + 1]
         payload = {
-            "rule": {"kind": "mean"},
+            "rule": rule,
             "domain": {"lower": "0", "upper": "1"},
             "words": words,
             "endpoints": endpoints,
@@ -663,16 +680,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("route", ["malformed-file", "stdin-twice"])
+    @pytest.mark.parametrize(
+        "route", ["malformed-file", "stdin-twice", "phantom-outside", "columns-not-a-list"]
+    )
     def test_an_emed_reading_error_names_its_source(self, route, tmp_path, capsys, monkeypatch):
         import io as stdio
 
         monkeypatch.setattr("sys.stdin", stdio.StringIO(json.dumps(GRADING_DOC)))
         bad = write(tmp_path, "bad.json", "BAD")
+        doc = write(tmp_path, "profile.json", GRADING_DOC)
+        outside = write(tmp_path, "phantoms.json", [["0", "200"], ["10", "50"], ["50", "75"], ["60", "100"]])
+        not_a_list = write(tmp_path, "columns.json", {"columns": 5})
         argv, message = {
             "malformed-file": (
-                ["--rule", f"emed:{bad}", "--input", write(tmp_path, "profile.json", GRADING_DOC)],
+                ["--rule", f"emed:{bad}", "--input", doc],
                 f"error: emed:{bad}: malformed JSON at line 1, column 1",
+            ),
+            "phantom-outside": (
+                ["--rule", f"emed:{outside}", "--input", doc],
+                f"error: emed:{outside}: bad phantom matrix: phantom 200 outside the closed domain\n",
+            ),
+            "columns-not-a-list": (
+                ["--rule", f"emed:{not_a_list}", "--input", doc],
+                f"error: emed:{not_a_list}: extended-median descriptor needs a list of columns\n",
             ),
             "stdin-twice": (["--rule", "emed:-"], "error: emed:- cannot read stdin"),
         }[route]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from vocagg import (
     DictatorRule,
     Domain,
     DomainMismatch,
+    EndpointMultiset,
     EvenAgentCount,
     ExtendedMedianRule,
     IndexOutOfRange,
@@ -27,6 +29,7 @@ from vocagg import (
 )
 from vocagg.core import order_key
 from vocagg.rules import apply_p_rule_reversed, order_statistics
+from vocagg.sampling import random_profile, sorted_between, strict_row
 
 UNIT = Domain(F(0), F(1))
 THIRDS = Domain(F(1, 3), F(2, 3))
@@ -200,11 +203,18 @@ def sorted_rows(draw, n, m):
     return Profile.from_rows(UNIT, rows)
 
 
+def assert_born_valid(out):
+    """``out``, built without validation, is what the validating constructor builds."""
+    assert type(out.values) is tuple and all(type(v) is F for v in out.values)
+    assert out == EndpointMultiset(out.domain, out.values)
+    assert out.keys == tuple(map(order_key, out.values))
+
+
 class TestOutputsStayConsistent:
     """Every rule's output is again a nondecreasing endpoint multiset.
 
-    Constructing the result as an `EndpointMultiset` re-validates order, so
-    it is enough that evaluation does not raise.
+    The rules build their outputs without validating them, so each output
+    is compared with the validating constructor's.
     """
 
     @given(profile=sorted_rows(3, 4), data=st.data())
@@ -214,11 +224,12 @@ class TestOutputsStayConsistent:
         )
         out = PRule(PositionVector(tuple(p)))(profile)
         assert all(a <= b for a, b in zip(out.values, out.values[1:]))
+        assert_born_valid(out)
 
     @given(profile=sorted_rows(3, 3))
     def test_mean_and_multiset(self, profile):
-        MeanRule()(profile)
-        MultisetRule()(profile)
+        assert_born_valid(MeanRule()(profile))
+        assert_born_valid(MultisetRule()(profile))
 
 
 class TestPhantomMatrix:
@@ -464,3 +475,88 @@ class TestExtendedMedian:
         assert apply_rule(profile, ExtendedMedianRule(matrix)) == apply_rule(
             profile, PRule(median_positions(3, 2))
         )
+
+
+# ---------------------------------------------------------------------------
+# born-valid outputs and sampled rows
+
+BORN_DOMAINS = [UNIT, Domain(F(0), F(100)), Domain(F(-1), F(1)), Domain(F(1, 3), F(7, 5))]
+
+
+@st.composite
+def born_valid_profiles(draw, n=None):
+    """Profiles whose columns tie often, over a pool of corners, values with
+    coprime denominators, and distinct values within 2**-64 of each other,
+    which share an order key."""
+    domain = draw(st.sampled_from(BORN_DOMAINS))
+    lower, upper = domain.lower, domain.upper
+    span = upper - lower
+    value = st.one_of(
+        st.sampled_from([lower, upper]),
+        st.integers(0, 4).map(lambda k: lower + k * TINY),
+        st.integers(0, 4).map(lambda k: upper - k * TINY),
+        st.integers(-4, 4).map(lambda k: lower + span / 2 + k * TINY),
+        st.builds(
+            lambda j, prime: lower + span * F(j % prime, prime),
+            st.integers(0, 10**7),
+            st.sampled_from(PRIMES),
+        ),
+        st.integers(0, 16).map(lambda j: lower + span * F(j, 16)),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=5))
+    n = draw(st.integers(1, 7)) if n is None else n
+    m = draw(st.integers(1, 4))
+    rows = [sorted(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) for _ in range(n)]
+    return Profile.from_rows(domain, rows), pool
+
+
+class TestBornValid:
+    """Rule outputs and sampled rows are built without validation; each equals,
+    keys included, what the validating constructor builds from its values."""
+
+    @given(case=born_valid_profiles(), data=st.data())
+    def test_rule_outputs(self, case, data):
+        profile, pool = case
+        n, m = profile.n, profile.m
+        ranks = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
+        rows = [sorted(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) for _ in range(n - 1)]
+        interior = tuple(tuple(sorted(column)) for column in zip(*rows)) or ((),) * m
+        rules = [
+            PRule(PositionVector(ranks)),
+            ExtendedMedianRule(boundary_phantoms(ranks, n, profile.domain)),
+            ExtendedMedianRule(PhantomMatrix(profile.domain, interior)),
+            MeanRule(),
+        ]
+        if n % 2:
+            rules.append(MultisetRule())
+        for rule in rules:
+            assert_born_valid(rule(profile))
+
+    # 1000 lies past the finest tabled lattice, so only its drawn points are built
+    @pytest.mark.parametrize("denominator", [4, 16, 32, 64, 97, 1000])
+    @pytest.mark.parametrize("domain", BORN_DOMAINS, ids=["unit", "hundred", "signed", "thirds"])
+    def test_random_profile_rows_are_the_sorted_draws(self, domain, denominator):
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            profile = random_profile(ours, domain, 3, 3, denominator=denominator)
+            expected = tuple(
+                sorted_between(theirs, domain.lower, domain.upper, 3, denominator, False) for _ in range(3)
+            )
+            assert profile.values() == expected and ours.getstate() == theirs.getstate()
+            for row in profile.rows:
+                assert_born_valid(row)
+                assert row.domain is domain
+
+    @pytest.mark.parametrize("denominator", [4, 16, 32, 64, 97, 1000])
+    @pytest.mark.parametrize("domain", BORN_DOMAINS, ids=["unit", "hundred", "signed", "thirds"])
+    def test_strict_rows_are_the_sorted_draws(self, domain, denominator):
+        lower, span = domain.lower, domain.upper - domain.lower
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            m = seed % 4
+            row = strict_row(ours, domain, m, denominator)
+            picks = sorted(theirs.sample(range(1, denominator), m))
+            assert row == tuple(lower + span * F(j, denominator) for j in picks)
+            assert ours.getstate() == theirs.getstate()
+            assert all(a < b for a, b in zip(row, row[1:]))
+            assert EndpointMultiset(domain, row).values == row
