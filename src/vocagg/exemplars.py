@@ -4,16 +4,19 @@ Agents observe a strictly increasing sequence of exemplars and tag each one
 with a word.  What is known of each word is the closed hull of its tagged
 observations, extended outward at the two boundary words; everything else
 is undetermined and lives in the m "gaps" between consecutive known
-extents.  Gaps play the role endpoints play for complete vocabularies:
-they are aggregated columnwise by a position rule, and the collective gap
-sequence attributes the segments it pins down to words.  As observations
-accumulate consistently, gaps contract and attributed extents expand; the
-incremental checker verifies exactly that on explicit before/after data.
+extents, read in two passes: left ends from the left, right ends from the
+right.  Gaps play the role endpoints play for complete vocabularies: they
+are aggregated columnwise by a position rule, and one rule gives each word
+the segment between its two bounding gaps in the collective sequence,
+padded with a corner gap at each end.  As observations accumulate
+consistently, gaps contract and attributed extents expand; the incremental
+checker verifies exactly that on explicit before/after data.
 
-Validation orders values with ``core.less``, and exact pairs pass through
-unread, as in ``core``.  Every gap order maps each gap to a pair that it
-compares lexicographically, and each column's rank is picked by
-``core.select`` on the order keys of the pairs' first components.
+Validation computes one order key per value and orders values, corners
+included, with ``core.less``; exact pairs pass through unread, as in ``core``.
+Every gap order maps each gap to a pair that it compares lexicographically,
+and each column's rank is picked by ``core.select`` on the order keys of
+the pairs' first components.
 """
 
 from __future__ import annotations
@@ -65,12 +68,14 @@ class LabeledExemplars:
     def __post_init__(self) -> None:
         cleaned = _pairs(self.points, as_integer, int)
         object.__setattr__(self, "points", cleaned)
-        for e, w in cleaned:
-            if not self.domain.contains(e):
+        domain = self.domain
+        low, high = domain.keys
+        keys = [order_key(e) for e, _ in cleaned]
+        for (e, w), key in zip(cleaned, keys):
+            if not (less(domain.lower, e, low, key) and less(e, domain.upper, key, high)):
                 raise VocaggError(f"exemplar {shown(e)} outside the open domain")
             if w < 0:
                 raise VocaggError(f"negative word index {shown(w)}")
-        keys = [order_key(e) for e, _ in cleaned]
         for (e1, w1), (e2, w2), k1, k2 in zip(cleaned, cleaned[1:], keys, keys[1:]):
             if not less(e1, e2, k1, k2):
                 raise VocaggError(f"exemplars not strictly increasing: {shown(e1)}, {shown(e2)}")
@@ -91,7 +96,7 @@ class LabeledExemplars:
     def extended_by(
         self, new_points: Sequence[tuple[Fraction, int]]
     ) -> "LabeledExemplars":
-        merged = tuple(sorted(self.points + tuple(new_points)))
+        merged = tuple(sorted(self.points + _pairs(new_points, as_integer, int)))
         return LabeledExemplars(self.domain, merged)
 
 
@@ -182,6 +187,7 @@ def induce(exemplars: LabeledExemplars, m: int) -> InducedVocabulary:
     and last word reach to the respective domain corner as soon as they are
     observed at all: nothing can sit before word 0 or after word m.
     """
+    m = as_integer(m)
     if m < 1:
         raise ShapeMismatch(f"need at least two words, got m={m}")
     extents: list[Optional[tuple[Fraction, Fraction]]] = [None] * (m + 1)
@@ -205,23 +211,18 @@ def gaps_of(vocabulary: InducedVocabulary) -> GapSequence:
     observation among words k..m (the upper corner if there is none).
     """
     domain = vocabulary.domain
-    m = vocabulary.m
-    gaps = []
-    for k in range(1, m + 1):
-        left = domain.lower
-        for j in range(k - 1, -1, -1):
-            extent = vocabulary.extents[j]
-            if extent is not None:
-                left = extent[1]
-                break
-        right = domain.upper
-        for j in range(k, m + 1):
-            extent = vocabulary.extents[j]
-            if extent is not None:
-                right = extent[0]
-                break
-        gaps.append((left, right))
-    return GapSequence(domain, tuple(gaps))
+    extents = vocabulary.extents
+    lefts, top = [], domain.lower
+    for extent in extents[:-1]:
+        if extent is not None:
+            top = extent[1]
+        lefts.append(top)
+    rights, bottom = [], domain.upper
+    for extent in reversed(extents[1:]):
+        if extent is not None:
+            bottom = extent[0]
+        rights.append(bottom)
+    return GapSequence(domain, tuple(zip(lefts, reversed(rights))))
 
 
 def aggregate_gaps(
@@ -241,12 +242,11 @@ def aggregate_gaps(
     positions = as_positions(positions)
     if not rows:
         raise ShapeMismatch("no gap rows to aggregate")
-    try:
-        key = GAP_ORDERS[order]
-    except KeyError:
+    if not (isinstance(order, str) and order in GAP_ORDERS):
         raise ShapeMismatch(
-            f"unknown gap order {order!r}; choose from {sorted(GAP_ORDERS)}"
-        ) from None
+            f"unknown gap order {shown(order)}; choose from {sorted(GAP_ORDERS)}"
+        )
+    key = GAP_ORDERS[order]
     domain = rows[0].domain
     m = rows[0].m
     for row in rows[1:]:
@@ -270,33 +270,22 @@ def aggregate_gaps(
 def collective_incomplete(gaps: GapSequence) -> InducedVocabulary:
     """Attribute to words the segments a gap sequence leaves determined.
 
-    Everything up to gap 1 belongs to word 0 and everything after gap m to
-    word m.  A segment strictly between two distinct consecutive gaps
-    belongs to the word they bound; coincident gaps determine nothing for
-    that word.  Segments that collapse onto a domain corner are empty and
-    attribute nothing.
+    With the corner gaps (lower, lower) and (upper, upper) as gaps 0 and
+    m+1, word j lies between gaps j and j+1.  It is inactive when those two
+    gaps are equal, when the left one's right end lies past the right one's
+    left end, or when the two ends meet outside the open domain; otherwise
+    it gets the closed segment between those ends.  Without gaps, the one
+    word gets the whole domain.
     """
     domain = gaps.domain
-    m = gaps.m
-
-    def segment(lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-        if lo > hi:
-            return None
-        if lo == hi and not domain.contains(lo):
-            return None
-        return (lo, hi)
-
+    bounding = ((domain.lower, domain.lower), *gaps.gaps, (domain.upper, domain.upper))
     extents: list[Optional[tuple[Fraction, Fraction]]] = []
-    first_left = gaps.gaps[0][0]
-    extents.append(segment(domain.lower, first_left) if first_left > domain.lower else None)
-    for j in range(1, m):
-        left_gap, right_gap = gaps.gaps[j - 1], gaps.gaps[j]
-        if left_gap == right_gap:
+    for left_gap, right_gap in zip(bounding, bounding[1:]):
+        lo, hi = left_gap[1], right_gap[0]
+        if left_gap == right_gap or lo > hi or (lo == hi and not domain.contains(lo)):
             extents.append(None)
-            continue
-        extents.append(segment(left_gap[1], right_gap[0]))
-    last_right = gaps.gaps[m - 1][1]
-    extents.append(segment(last_right, domain.upper) if last_right < domain.upper else None)
+        else:
+            extents.append((lo, hi))
     return InducedVocabulary(domain, tuple(extents))
 
 
@@ -346,12 +335,9 @@ def check_incremental_consistency(
             raise InconsistentLabels(
                 f"agent {i} dropped or relabeled an old exemplar"
             )
-    m = positions.m
-    before_gaps = aggregate_gaps(
-        [gaps_of(induce(ex, m)) for ex in before], positions, order
-    )
-    after_gaps = aggregate_gaps(
-        [gaps_of(induce(ex, m)) for ex in after], positions, order
+    before_gaps, after_gaps = (
+        aggregate_gaps([gaps_of(induce(ex, positions.m)) for ex in stage], positions, order)
+        for stage in (before, after)
     )
     before_vocabulary = collective_incomplete(before_gaps)
     after_vocabulary = collective_incomplete(after_gaps)
@@ -359,9 +345,8 @@ def check_incremental_consistency(
     for k, (old_gap, new_gap) in enumerate(zip(before_gaps.gaps, after_gaps.gaps), start=1):
         if not (old_gap[0] <= new_gap[0] and new_gap[1] <= old_gap[1]):
             failures.append(f"gap {k} grew: {_shown_interval(old_gap)} to {_shown_interval(new_gap)}")
-    for j in range(m + 1):
-        old_extent = before_vocabulary.extents[j]
-        new_extent = after_vocabulary.extents[j]
+    words = zip(before_vocabulary.extents, after_vocabulary.extents)
+    for j, (old_extent, new_extent) in enumerate(words):
         if old_extent is None:
             continue
         if new_extent is None or not (

@@ -236,12 +236,8 @@ def apply_p_rule_reversed(
     """
     positions = as_positions(positions)
     positions.check_profile(profile)
-    m = profile.m
-    out = []
-    for k in range(1, m + 1):
-        column = profile.column(m - k + 1)
-        out.append(order_statistic(column, len(column) + 1 - positions.positions[k - 1]))
-    return tuple(out)
+    mirrored = PositionVector(tuple(profile.n + 1 - p for p in reversed(positions.positions)))
+    return PRule(mirrored)(profile).values[::-1]
 
 
 def extended_median(

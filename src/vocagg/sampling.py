@@ -19,8 +19,12 @@ draw order are those of sorting one ``Fraction`` per draw.
 or ``domain`` left ``None`` comes from ``rule.default_shape()``.
 
 Every sampled checker runs its trials through ``first_hit``: trial t draws
-from ``spawn(seed, stream, t)`` alone, the run stops at the first violation,
-and a violated report's ``trials`` is that trial's 1-based index.  Streams:
+from ``spawn(seed, stream, t)``, the run stops at the first violation, and a
+violated report's ``trials`` is that trial's 1-based index.  In two
+checkers the trial also draws from a generator seeded ``f"{seed}:{t}"``:
+sampled stability's map comes from ``spawn(f"{seed}:{t}", "monotone-map",
+direction)``, and the battery's continuity perturbation from
+``spawn(f"{seed}:{t}", "lipschitz", 0)``.  Streams:
 ``unanimity``, ``anonymity``, ``stability-profile``, ``lipschitz``,
 ``continuity-profile``, ``responsiveness``, ``extents``, ``separability``,
 ``sp-fuzz``, ``uncompromising``.  A trial counts even when it evaluates no

@@ -1,5 +1,6 @@
 """One error family: every check on bad input raises a ``VocaggError``."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -21,14 +22,19 @@ from vocagg import (
     PositionVector,
     PRule,
     Profile,
+    ResultDocument,
     SinglePeakedPreference,
     VocaggError,
     aggregate_gaps,
     boundary_phantoms,
     check_incremental_consistency,
+    check_majoritarian_extents,
     check_strict_responsiveness,
     decode_endpoints,
+    induce,
     is_symmetric,
+    parse_profile,
+    parse_result,
     render_diagram,
     search_extent_violation,
 )
@@ -42,6 +48,22 @@ PROFILE = Profile((HALF, HALF))
 TWO_WORDS = decode_endpoints(HALF)
 Q, H, T = F(1, 4), F(1, 2), F(3, 4)
 TWO_COLUMN_MEDIAN = ExtendedMedianRule(PhantomMatrix(UNIT, ((Q, H), (H, T))))
+
+OBSERVED = LabeledExemplars(UNIT, ((Q, 0), (T, 1)))
+ONE_GAP = GapSequence(UNIT, ((Q, T),))
+
+
+def exemplar_document(**fields) -> str:
+    """An exemplar-form profile document with ``fields`` set, a ``None`` field left out."""
+    doc = {
+        "domain": {"lower": "0", "upper": "1"},
+        "words": ["a", "b"],
+        "exemplars": ["1/2"],
+        "agents": [{"exemplar_labels": ["a"]}],
+    }
+    doc.update(fields)
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
 
 # one bad input per check, with the message it gives
 CASES = {
@@ -117,6 +139,10 @@ CASES = {
         lambda: majority_extent_agents(PROFILE, 0, F(0), H),
         "a and b must be interior points",
     ),
+    "extent-word-index": (
+        lambda: check_majoritarian_extents(PRule((1,)), PROFILE, 2, Q, T),
+        "word index 2 outside 0..1",
+    ),
     # a shape the rule refuses is refused before its phantoms are probed
     "responsiveness-more-columns": (
         lambda: check_strict_responsiveness(TWO_COLUMN_MEDIAN, 5, 0, m=3),
@@ -153,6 +179,39 @@ CASES = {
     "hulls-out-of-order": (
         lambda: InducedVocabulary(UNIT, ((0, H), (Q, 1))),
         "known extents out of order: 1/2 > 1/4",
+    ),
+    "induce-words-not-integer": (lambda: induce(OBSERVED, 1.5), "not an integer: 1.5"),
+    "induce-words-text": (lambda: induce(OBSERVED, "2"), "not an integer: '2'"),
+    "induce-words-bool": (lambda: induce(OBSERVED, True), "not an integer: True"),
+    "gap-order-not-a-string": (
+        lambda: aggregate_gaps([ONE_GAP], (1,), ["lex"]),
+        "unknown gap order ['lex']; choose from ['lex', 'midpoint', 'right']",
+    ),
+    "incremental-gap-order-not-a-string": (
+        lambda: check_incremental_consistency([OBSERVED], [OBSERVED], (1,), ["lex"]),
+        "unknown gap order ['lex']; choose from ['lex', 'midpoint', 'right']",
+    ),
+    # io
+    "profile-not-an-object": (
+        lambda: parse_profile("[]"),
+        "expected a JSON object at the top level",
+    ),
+    "exemplars-without-words": (
+        lambda: parse_profile(exemplar_document(words=None)),
+        "words: required for exemplar-form agents",
+    ),
+    "exemplars-missing": (
+        lambda: parse_profile(exemplar_document(exemplars=None)),
+        "exemplars: expected a nonempty list of values",
+    ),
+    "exemplars-empty": (
+        lambda: parse_profile(exemplar_document(exemplars=[])),
+        "exemplars: expected a nonempty list of values",
+    ),
+    "result-not-an-object": (lambda: parse_result("5"), "expected a JSON object at the top level"),
+    "result-vocabulary-short": (
+        lambda: ResultDocument({"kind": "mean"}, UNIT, ("a", "b"), (H,), ((0, H),)),
+        "one extent slot per word required",
     ),
     # render
     "render-names": (lambda: render_diagram(TWO_WORDS, "ascii", ["a"]), "1 names for 2 words"),

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from vocagg import (
     Domain,
@@ -11,6 +11,7 @@ from vocagg import (
     InducedVocabulary,
     LabeledExemplars,
     MalformedGaps,
+    ParseError,
     PositionVector,
     ShapeMismatch,
     aggregate_gaps,
@@ -73,6 +74,14 @@ class TestLabeledExemplars:
     def test_extended_by_rejects_contradictions(self):
         with pytest.raises(InconsistentLabels):
             observer((A, 1), (C, 2)).extended_by(((B, 0),))
+
+    def test_extended_by_reads_points_as_the_constructor_does(self):
+        ex = observer((A, 0), (C, 2))
+        expected = ex.extended_by([(F(1, 2), 1)])
+        assert ex.extended_by([[F(1, 2), 1]]) == expected
+        assert ex.extended_by([("1/2", 1)]) == expected
+        with pytest.raises(ParseError):
+            ex.extended_by([("x", 1)])
 
 
 class TestInduce:
@@ -193,6 +202,9 @@ class TestCollectiveIncomplete:
             None,
             (F(1, 2), F(1)),
         )
+
+    def test_no_gaps_leave_one_word_over_the_whole_domain(self):
+        assert collective_incomplete(GapSequence(UNIT, ())).extents == ((F(0), F(1)),)
 
     def test_interior_singletons_are_kept(self):
         gaps = GapSequence(UNIT, ((F(0), F(1, 4)), (F(1, 4), F(1))))
@@ -335,3 +347,87 @@ def test_shared_pool_extensions_are_always_incremental(family):
     before, after, positions = family
     report = check_incremental_consistency(before, after, positions)
     assert report.holds, report.failures
+
+
+# ---------------------------------------------------------------------------
+# gaps and attribution against references written from their docstrings
+
+DOMAINS = (UNIT, Domain(F(0), F(100)), Domain(F(-1), F(1)), Domain(F(1, 3), F(7, 5)))
+
+
+def lattice(domain, denominator=8):
+    """The corners and ``denominator - 1`` evenly spaced interior points of ``domain``."""
+    step = (domain.upper - domain.lower) / denominator
+    return [domain.lower + i * step for i in range(denominator + 1)]
+
+
+@st.composite
+def induced_vocabularies(draw, domain, m):
+    """An ``InducedVocabulary`` over m+1 words: either induced from labeled
+    exemplars, or hulls cut directly from the closed lattice, where words may
+    be inactive, singletons, or reach either corner."""
+    points = lattice(domain)
+    if draw(st.booleans()):
+        values = sorted(draw(st.sets(st.sampled_from(points[1:-1]), max_size=7)))
+        size = len(values)
+        labels = sorted(draw(st.lists(st.integers(0, m), min_size=size, max_size=size)))
+        return induce(LabeledExemplars(domain, tuple(zip(values, labels))), m)
+    ends = sorted(draw(st.lists(st.sampled_from(points), min_size=2 * m + 2, max_size=2 * m + 2)))
+    keep = draw(st.lists(st.booleans(), min_size=m + 1, max_size=m + 1))
+    hulls = [(ends[2 * j], ends[2 * j + 1]) if kept else None for j, kept in enumerate(keep)]
+    return InducedVocabulary(domain, tuple(hulls))
+
+
+def reference_gaps(vocabulary):
+    """Gap k runs from the top of the last observation among words 0..k-1
+    (else the lower corner) to the bottom of the first among words k..m
+    (else the upper corner)."""
+    domain, extents = vocabulary.domain, vocabulary.extents
+    gaps = []
+    for k in range(1, len(extents)):
+        below = [e for e in extents[:k] if e is not None]
+        above = [e for e in extents[k:] if e is not None]
+        left = below[-1][1] if below else domain.lower
+        right = above[0][0] if above else domain.upper
+        gaps.append((left, right))
+    return tuple(gaps)
+
+
+def reference_attribution(gaps):
+    """Word j between gaps j and j+1, the corner gaps standing for gaps 0 and
+    m+1, read out case by case: the first word, the middle words, the last."""
+    lower, upper = gaps.domain.lower, gaps.domain.upper
+    if not gaps.gaps:
+        return ((lower, upper),)
+
+    def between(lo, hi):
+        if lo > hi or (lo == hi and not lower < lo < upper):
+            return None
+        return (lo, hi)
+
+    first, last = gaps.gaps[0], gaps.gaps[-1]
+    extents = [between(lower, first[0]) if first != (lower, lower) else None]
+    for left_gap, right_gap in zip(gaps.gaps, gaps.gaps[1:]):
+        extents.append(None if left_gap == right_gap else between(left_gap[1], right_gap[0]))
+    extents.append(between(last[1], upper) if last != (upper, upper) else None)
+    return tuple(extents)
+
+
+@given(st.data(), st.sampled_from(DOMAINS), st.integers(1, 6))
+def test_gaps_and_attribution_match_their_references(data, domain, m):
+    vocabulary = data.draw(induced_vocabularies(domain, m))
+    gaps = gaps_of(vocabulary)
+    assert gaps.gaps == reference_gaps(vocabulary)
+    assert collective_incomplete(gaps).extents == reference_attribution(gaps)
+
+
+@given(st.data(), st.sampled_from(DOMAINS), st.integers(1, 6), st.sampled_from(sorted(GAP_ORDERS)))
+def test_attribution_of_aggregated_gaps_matches_its_reference(data, domain, m, order):
+    n = data.draw(st.integers(1, 5))
+    rows = [gaps_of(data.draw(induced_vocabularies(domain, m))) for _ in range(n)]
+    positions = sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
+    try:
+        collective = aggregate_gaps(rows, positions, order)
+    except MalformedGaps:
+        assume(False)
+    assert collective_incomplete(collective).extents == reference_attribution(collective)

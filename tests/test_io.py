@@ -203,6 +203,16 @@ class TestParseProfile:
                 lambda d: d["agents"][1].update(endpoints=["20", "40", "60", "101"]),
                 "agents\\[1\\]",
             ),
+            (lambda d: d.update(domain=5), "^domain: expected an object with lower and upper$"),
+            (lambda d: d["agents"].append(5), "^agents\\[3\\]: expected an object$"),
+            (
+                lambda d: d["agents"][0].update(endpoints="20"),
+                "^agents\\[0\\].endpoints: expected a list$",
+            ),
+            (
+                lambda d: d.update(agents=[{"extents": 5}]),
+                "^agents\\[0\\].extents: expected an object keyed by word name$",
+            ),
         ],
     )
     def test_endpoint_document_errors(self, mutate, message):
@@ -821,6 +831,23 @@ class TestCli:
             "D": None,
         }
         assert payload["agents"][1]["gaps"][0] == ["0", "1/5"]
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["axioms", "--rule", "median"], EXEMPLAR_DOC, "axioms needs a complete profile document"),
+            (
+                ["aggregate", "--rule", "fixture:discontinuous-rule"],
+                TWO_AGENT_DOC,
+                "the jump fixture needs at least three agents",
+            ),
+        ],
+    )
+    def test_a_document_the_command_cannot_take_is_an_input_error(
+        self, argv, doc, message, tmp_path, capsys
+    ):
+        assert main([*argv, "--input", write(tmp_path, "doc.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_induce_needs_exemplars(self, tmp_path, capsys):
         doc = write(tmp_path, "profile.json", GRADING_DOC)
