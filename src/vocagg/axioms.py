@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, order_key, shown
-from .errors import ShapeMismatch, VocaggError
+from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import (
     PRule,
     PositionVector,
@@ -122,9 +122,12 @@ class PiecewiseLinearMap:
     def map_endpoints(self, endpoints: EndpointMultiset) -> EndpointMultiset:
         """Transform a report; a decreasing map reverses the sorted order.
 
-        The map sends the closed domain onto itself, so the sorted image is
-        a valid report and is built without validating it again.
+        The map sends its closed domain onto itself, so the sorted image of a
+        report over that domain (any other is refused) is a valid report and
+        is built without validating it again.
         """
+        if endpoints.domain != self.domain:
+            raise DomainMismatch("report over a different domain than the map")
         return _sorted_report(self.domain, map(self, endpoints.values))
 
     def map_profile(self, profile: Profile) -> Profile:
@@ -352,7 +355,7 @@ def check_lipschitz(
     trials: int,
     seed: int = 0,
 ) -> AxiomReport:
-    """Perturb every endpoint by at most eps and bound the output movement.
+    """Perturb every endpoint by at most eps > 0 and bound the output movement.
 
     The rules studied here are all 1-Lipschitz in the sup norm when they are
     continuous at all, so any output movement beyond the exact input
@@ -360,6 +363,8 @@ def check_lipschitz(
     """
     require_trials(trials)
     eps = as_rational(eps)
+    if eps <= 0:
+        raise VocaggError(f"eps must be positive, got {shown(eps)}")
     base = rule(profile)
     domain = profile.domain
 

@@ -20,9 +20,9 @@ WIDTH = 80
 Diagram = Union[Vocabulary, InducedVocabulary]
 
 
-def _column(value: Fraction, domain: Domain, width: int = WIDTH) -> int:
+def _column(value: Fraction, domain: Domain) -> int:
     span = domain.upper - domain.lower
-    position = Fraction(width - 1) * (value - domain.lower) / span
+    position = Fraction(WIDTH - 1) * (value - domain.lower) / span
     return int(position)  # floor: positions are never negative
 
 
@@ -73,34 +73,22 @@ def _names_for(diagram: Diagram, names: Optional[Sequence[str]]) -> tuple[str, .
 def _render_ascii(diagram: Diagram, names: Optional[Sequence[str]] = None) -> str:
     names = _names_for(diagram, names)
     domain = diagram.domain
-    axis = [" "] * WIDTH
+    complete = isinstance(diagram, Vocabulary)
+    axis = ["-" if complete else "."] * WIDTH
     values: list[Fraction] = [domain.lower, domain.upper]
-    if isinstance(diagram, Vocabulary):
-        for index in range(WIDTH):
-            axis[index] = "-"
-        for extent in diagram.extents:
-            if extent is None:
-                continue
-            for bound in extent:
-                values.append(bound)
-                if domain.contains(bound):
-                    axis[_column(bound, domain)] = "|"
-    else:
-        for index in range(WIDTH):
-            axis[index] = "."
-        for extent in diagram.extents:
-            if extent is None:
-                continue
-            lo, hi = extent
-            values.extend((lo, hi))
-            left, right = _column(lo, domain), _column(hi, domain)
-            if left == right:
-                axis[left] = "*"
-            else:
-                for index in range(left, right + 1):
-                    axis[index] = "="
-                axis[left], axis[right] = "[", "]"
-    axis[0], axis[-1] = "(", ")"
+    for extent in diagram.extents:
+        if extent is None:
+            continue
+        lo, hi = extent
+        values.extend((lo, hi))
+        left, right = _column(lo, domain), _column(hi, domain)
+        if complete:
+            axis[left] = axis[right] = "|"
+        elif left == right:
+            axis[left] = "*"
+        else:
+            axis[left : right + 1] = "[" + "=" * (right - left - 1) + "]"
+    axis[0], axis[-1] = "(", ")"  # in place of the mark of any end at a corner
     lines = [
         _label_row(diagram.extents, names, domain),
         "".join(axis),

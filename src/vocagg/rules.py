@@ -16,7 +16,7 @@ gives the shape the randomized checkers sample it on.
 Every selection goes through ``core.select``, which orders exactly as
 ``core`` describes.  The rules pass it the keys that each
 ``EndpointMultiset`` and ``PhantomMatrix`` kept from validation, so no key
-is computed twice; ``order_statistics`` computes the keys for callers that
+is computed twice; ``order_statistic`` computes the keys for callers that
 hold bare values.  The results are exactly those of sorting the fractions.
 
 ``PRule``, ``ExtendedMedianRule``, ``MultisetRule`` and ``MeanRule`` build
@@ -63,16 +63,6 @@ from .errors import (
 )
 
 
-def order_statistics(
-    values: Sequence[Fraction], ranks: Sequence[int]
-) -> list[Fraction]:
-    """``sorted(values)[k - 1]`` for each k in ``ranks``, each in 1..len (see ``core.select``)."""
-    for k in ranks:
-        if not 1 <= k <= len(values):
-            raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
-    return [value for value, _ in select(values, list(map(order_key, values)), ranks)]
-
-
 def _columns(profile: Profile) -> tuple[zip, zip]:
     """The profile's columns and their kept order keys, as two tuple iterators."""
     rows = profile.rows
@@ -88,7 +78,9 @@ def _collective(domain: Domain, picked: Sequence[tuple[Fraction, int]]) -> Endpo
 
 def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
     """The k-th smallest element, counted with multiplicity, k in 1..len."""
-    return order_statistics(values, (k,))[0]
+    if not 1 <= k <= len(values):
+        raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
+    return select(values, list(map(order_key, values)), (k,))[0][0]
 
 
 @dataclass(frozen=True)

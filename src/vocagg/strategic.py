@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Domain, EndpointMultiset, Profile, as_rationals, between, shown
+from .core import Domain, EndpointMultiset, Profile, as_integer, as_rationals, between, shown
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import Rule
 from .sampling import (
@@ -157,6 +157,8 @@ def sp_fuzz(
     phantom, a corner, or a lattice point) or an entirely fresh row.  The
     first profitable deviation is verified by replay and returned.
     """
+    if as_integer(deviation_grid) < 2:
+        raise VocaggError(f"deviation grid must be at least 2, got {deviation_grid}")
     n, m, domain = sampling_shape(rule, n, m, domain)
 
     def trial(rng, t):

@@ -16,6 +16,7 @@ from vocagg import (
     GapSequence,
     InducedVocabulary,
     LabeledExemplars,
+    MeanRule,
     ParseError,
     PhantomMatrix,
     PiecewiseLinearMap,
@@ -28,7 +29,9 @@ from vocagg import (
     aggregate_gaps,
     boundary_phantoms,
     check_incremental_consistency,
+    check_lipschitz,
     check_majoritarian_extents,
+    check_stability,
     check_strict_responsiveness,
     decode_endpoints,
     induce,
@@ -37,6 +40,7 @@ from vocagg import (
     parse_result,
     render_diagram,
     search_extent_violation,
+    sp_fuzz,
 )
 from vocagg.axioms import majority_extent_agents, random_monotone_map
 from vocagg.rules import apply_p_rule_reversed
@@ -121,6 +125,20 @@ CASES = {
     "map-argument-outside": (
         lambda: PiecewiseLinearMap.identity(UNIT)(F(2)),
         "2 outside the closed domain",
+    ),
+    "map-other-domain": (
+        lambda: check_stability(
+            MeanRule(), PROFILE, PiecewiseLinearMap(Domain(0, 2), ((0, 0), (1, "1/10"), (2, 2)))
+        ),
+        "report over a different domain than the map",
+    ),
+    "lipschitz-eps-zero": (
+        lambda: check_lipschitz(MeanRule(), PROFILE, 0, 5),
+        "eps must be positive, got 0",
+    ),
+    "lipschitz-eps-negative": (
+        lambda: check_lipschitz(MeanRule(), PROFILE, F(-1, 2), 5),
+        "eps must be positive, got -1/2",
     ),
     "report-verdict": (lambda: AxiomReport("x", "maybe"), "unknown verdict 'maybe'"),
     "report-witness": (
@@ -230,6 +248,15 @@ CASES = {
         lambda: SinglePeakedPreference(HALF, (F(0),)),
         "weights must be positive, got 0",
     ),
+    "deviation-grid-one": (
+        lambda: sp_fuzz(MeanRule(), 5, 0, 1),
+        "deviation grid must be at least 2, got 1",
+    ),
+    "deviation-grid-negative": (
+        lambda: sp_fuzz(MeanRule(), 5, 0, -3),
+        "deviation grid must be at least 2, got -3",
+    ),
+    "deviation-grid-not-integer": (lambda: sp_fuzz(MeanRule(), 5, 0, 2.5), "not an integer: 2.5"),
     # entries that are not pairs
     "extent-not-a-pair": (
         lambda: InducedVocabulary(UNIT, (5,)),

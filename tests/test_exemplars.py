@@ -92,6 +92,10 @@ class TestInduce:
         assert third.extents == ((F(0), A), None, (B, C), None)
         assert second.known_words() == (1, 2)
 
+    def test_word_counts(self, three_observers):
+        induced = induce(three_observers[0], 3)
+        assert (induced.word_count, induced.m) == (4, 3)
+
     def test_interior_word_is_not_extended(self):
         v = induce(observer((A, 1), (C, 1)), 2)
         assert v.extents == (None, (A, C), None)

@@ -126,6 +126,10 @@ class TestJsonify:
         with pytest.raises(TypeError):
             jsonify({"x": 0.5})
 
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError, match="^cannot serialize <object object at "):
+            jsonify(object())
+
 
 class TestParseProfile:
     def test_endpoint_form(self):
@@ -213,6 +217,7 @@ class TestParseProfile:
                 lambda d: d.update(agents=[{"extents": 5}]),
                 "^agents\\[0\\].extents: expected an object keyed by word name$",
             ),
+            (lambda d: d["domain"].pop("upper"), "^domain.upper: missing$"),
         ],
     )
     def test_endpoint_document_errors(self, mutate, message):
@@ -496,6 +501,7 @@ class TestResultDocuments:
             ("endpoints", ["20", "40", "55", "7/0"], "endpoints\\[3\\]"),
             ("reports", 5, "reports: expected a list"),
             ("witnesses", None, "witnesses: expected a list"),
+            ("domain", {"lower": "0"}, "^domain.upper: missing$"),
         ],
     )
     def test_malformed_results_name_the_field(self, grading_profile, field, value, message):
@@ -1069,6 +1075,18 @@ PINNED_CALLS = {
     "render-svg": (
         ["render", "--input", "{grades}", "--rule", "median", "--format", "svg"], 0,
         "e8710aa33c23ec22320c515701ed3706f2b913ecde1e68de44972b1c4409b0f2",
+    ),
+    "render-exemplar-agents": (
+        ["render", "--input", "{observations}"], 0,
+        "aab8b59380cfa89931bee35145cc7eaea9bba021c98cbc19d94ea6c462234282",
+    ),
+    "render-exemplar-median": (
+        ["render", "--input", "{observations}", "--rule", "median"], 0,
+        "6620d30b4b1f783ec9fe558eb31a43758f6ef0d43c121a291254309d9e91c035",
+    ),
+    "render-exemplar-agent-svg": (
+        ["render", "--input", "{observations}", "--agent", "2", "--format", "svg"], 0,
+        "7ef81ff384fad12889253495fe524394181499acda8a5be1c439fb79722cbeb8",
     ),
 }
 

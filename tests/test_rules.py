@@ -28,7 +28,7 @@ from vocagg import (
     order_statistic,
 )
 from vocagg.core import order_key
-from vocagg.rules import apply_p_rule_reversed, order_statistics
+from vocagg.rules import apply_p_rule_reversed
 from vocagg.sampling import random_profile, sorted_between, strict_row
 
 UNIT = Domain(F(0), F(1))
@@ -339,7 +339,7 @@ class TestSelectionMatchesSortedFractions:
     @given(values=heavy_duplicates(1, 40), data=st.data())
     def test_order_statistics(self, values, data):
         ranks = data.draw(st.lists(st.integers(1, len(values)), max_size=6))
-        assert order_statistics(values, ranks) == reference(values, ranks)
+        assert [order_statistic(values, k) for k in ranks] == reference(values, ranks)
 
     @given(profile=hard_profiles(), data=st.data())
     def test_p_rule_both_directions(self, profile, data):
