@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .core import Domain, EndpointMultiset, Profile, as_pair, as_rational, order_key, shown
+from .core import (
+    Domain, EndpointMultiset, Profile, as_pair, as_rational, distinct_sorted, less, shown
+)
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import (
     PRule,
@@ -35,6 +37,8 @@ from .rules import (
 )
 from .sampling import (
     AxiomReport,
+    _draws,
+    _strict_report,
     axiom_report,
     first_hit,
     random_permutation,
@@ -113,6 +117,10 @@ class PiecewiseLinearMap:
     def __call__(self, x: Fraction) -> Fraction:
         if not self.domain.contains_closed(x):
             raise VocaggError(f"{shown(x)} outside the closed domain")
+        return self._at(x)
+
+    def _at(self, x: Fraction) -> Fraction:
+        """The map at x, a ``Fraction`` already known to lie in the closed domain."""
         p, q = x.numerator, x.denominator
         for c, d, A, B, C in self.segments:
             if p * d <= c * q:
@@ -122,29 +130,17 @@ class PiecewiseLinearMap:
     def map_endpoints(self, endpoints: EndpointMultiset) -> EndpointMultiset:
         """Transform a report; a decreasing map reverses the sorted order.
 
-        The map sends its closed domain onto itself, so the sorted image of a
-        report over that domain (any other is refused) is a valid report and
-        is built without validating it again.
+        The map sends its closed domain onto itself, so each value of a
+        report over that domain (any other is refused) is mapped without
+        testing it again, and the sorted image is a valid report, built
+        without validating it again.
         """
         if endpoints.domain != self.domain:
             raise DomainMismatch("report over a different domain than the map")
-        return _sorted_report(self.domain, map(self, endpoints.values))
+        return EndpointMultiset._sorted_from_valid(self.domain, map(self._at, endpoints.values))
 
     def map_profile(self, profile: Profile) -> Profile:
-        return Profile(tuple(self.map_endpoints(row) for row in profile.rows))
-
-
-def _sorted_report(domain: Domain, values: Iterable[Fraction]) -> EndpointMultiset:
-    """The report of ``values`` in sorted order, each of them already known to
-    lie in the closure of ``domain``: born valid, with one key per value.
-
-    Sorting (key, value) pairs compares keys first and values only at equal
-    keys, which orders the values exactly.
-    """
-    pairs = sorted([(order_key(q), q) for q in values])
-    return EndpointMultiset._from_valid(
-        domain, tuple([q for _, q in pairs]), tuple([key for key, _ in pairs])
-    )
+        return Profile._from_valid(tuple(self.map_endpoints(row) for row in profile.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +212,9 @@ def check_unanimity(
             row = list(base)
             for a, b in free_runs:
                 row[a : b - 1] = sorted_between(rng, padded[a], padded[b], b - a - 1, 16)
-            rows.append(tuple(row))
-        profile = Profile.from_rows(domain, rows)
+            # frozen columns share the base values and each free run lies between its frozen ends
+            rows.append(EndpointMultiset._from_valid(domain, tuple(row)))
+        profile = Profile._from_valid(tuple(rows))
         output = rule(profile)
         for k in frozen:
             if output.values[k - 1] != base[k - 1]:
@@ -369,14 +366,15 @@ def check_lipschitz(
     domain = profile.domain
 
     def trial(rng, t):
+        offsets = iter(_draws(rng, -8, 8, profile.n * profile.m))
         rows = []
         for row in profile.rows:
             moved = [
-                min(max(v + eps * Fraction(rng.randint(-8, 8), 8), domain.lower), domain.upper)
+                min(max(v + eps * Fraction(next(offsets), 8), domain.lower), domain.upper)
                 for v in row.values
             ]
-            rows.append(_sorted_report(domain, moved))  # clamped into the closed domain
-        perturbed = Profile(tuple(rows))
+            rows.append(EndpointMultiset._sorted_from_valid(domain, moved))  # clamped into the closed domain
+        perturbed = Profile._from_valid(tuple(rows))
         input_distance = max(
             (
                 abs(a - b)
@@ -501,6 +499,44 @@ def majoritarian_band(n: int, weak: bool = False) -> tuple[int, int]:
     return (n - t + 1, t)
 
 
+def _unbacked_extents(
+    profile: Profile, output: EndpointMultiset, threshold: int
+) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """The candidates (word, a, b) of the extent search that ``output`` fails.
+
+    Word j spans boundary j to boundary j + 1, so a runs over the distinct
+    reports at boundary j and b over those at boundary j + 1, with a < b;
+    the corners (boundaries 0 and m + 1) are never interior, so words 0
+    and m get no candidate.  A candidate is yielded, in that order, when
+    ``output`` does not give word j the whole of (a, b) but 2|N| >=
+    ``threshold`` agents do.  Every bound is compared on order keys, and
+    exactly only at equal keys, in one pass over the corner-padded reports.
+    """
+    low, high = profile.domain.keys
+    lower, upper = profile.domain.lower, profile.domain.upper
+    padded = [((lower, *row.values, upper), (low, *row.keys, high)) for row in profile.rows]
+    out, out_keys = (lower, *output.values, upper), (low, *output.keys, high)
+    columns = [
+        distinct_sorted((row.keys[k], row.values[k]) for row in profile.rows) for k in range(profile.m)
+    ]
+    for word in range(1, profile.m):
+        for key_a, a in columns[word - 1]:
+            for key_b, b in columns[word]:
+                if not less(a, b, key_a, key_b) or _covers(out, out_keys, word, a, b, key_a, key_b):
+                    continue
+                backers = sum(_covers(values, keys, word, a, b, key_a, key_b) for values, keys in padded)
+                if 2 * backers >= threshold:
+                    yield word, a, b
+
+
+def _covers(bounds, keys, word, a, b, key_a, key_b) -> bool:
+    """bounds[word] <= a and b <= bounds[word + 1], given every value's order key."""
+    left, right = keys[word], keys[word + 1]
+    return (left < key_a or (left == key_a and bounds[word] <= a)) and (
+        key_b < right or (key_b == right and b <= bounds[word + 1])
+    )
+
+
 def search_extent_violation(
     positions: PositionVector | Sequence[int],
     n: int,
@@ -547,19 +583,11 @@ def search_extent_violation(
     def trial(rng, t):
         if t < len(targeted):
             profile, pairs = targeted[t]
+            output = rule(profile)
         else:
             profile = random_profile(rng, domain, n, m, denominator=16)
-            # word j spans column j to column j + 1; the corners (columns 0, m + 1) are never interior
-            columns = zip(*profile.values())
-            reports = [(), *(sorted(set(c)) for c in columns), ()]
-            pairs = [
-                (word, a, b)
-                for word in range(m + 1)
-                for a in reports[word]
-                for b in reports[word + 1]
-                if a < b
-            ]
-        output = rule(profile)
+            output = rule(profile)
+            pairs = _unbacked_extents(profile, output, threshold)
         for word, a, b in pairs:
             w = _extent_witness(profile, output, word, a, b, threshold)
             if w is not None:
@@ -615,15 +643,15 @@ def check_strict_responsiveness(
                 return axiom_report("strict-responsiveness", witness, seed=seed)
 
     def trial(rng, t):
-        profile = Profile.from_rows(domain, [strict_row(rng, domain, m) for _ in range(n)])
+        profile = Profile._from_valid(tuple(_strict_report(rng, domain, m) for _ in range(n)))
         k = rng.randint(1, m)
         rows = []
         for row in profile.rows:
             slack = row.bound(k + 1) - row.values[k - 1]
             shifted = list(row.values)
-            shifted[k - 1] += slack * Fraction(rng.randint(1, 7), 8)
-            rows.append(tuple(shifted))
-        raised = Profile.from_rows(domain, rows)
+            shifted[k - 1] += slack * Fraction(rng.randint(1, 7), 8)  # still below bound(k + 1)
+            rows.append(EndpointMultiset._from_valid(domain, tuple(shifted)))
+        raised = Profile._from_valid(tuple(rows))
         before = rule(profile)
         after = rule(raised)
         if before.values[k - 1] < after.values[k - 1]:

@@ -16,6 +16,7 @@ of each other) are compared as fractions; no float is involved anywhere.
 ``less`` decides one pair so, and ``select`` picks order statistics so,
 sorting exactly only the run of equal keys that holds a requested rank; on
 the keys of pairs' first components it ranks the pairs lexicographically.
+``distinct_sorted`` sorts and deduplicates (key, value) pairs so.
 ``select`` hands each selected value back with its key.  The rules and the
 exemplar pipeline compare no keys themselves.  An ``EndpointMultiset``
 keeps the keys it computes while validating (its ``keys`` field, left out
@@ -29,9 +30,15 @@ Rows are born valid.  A report read from a document or built from a
 caller's values goes through the validating constructor
 ``EndpointMultiset(domain, values)``.  A report that the package builds
 from parts that are valid by construction (a rule's selected values with
-their keys, a sampled lattice row, a relabeled row) goes through
-``EndpointMultiset._from_valid``, which validates nothing a second time;
-its docstring states what the caller guarantees.
+their keys, a sampled lattice row, a relabeled, perturbed, spliced, raised
+or resampled row, a misreport or a deviation drawn in the domain) goes
+through ``EndpointMultiset._from_valid``, which validates nothing a second
+time and computes one key per value when it is not handed the keys.  A
+profile that a checker assembles from such rows over one domain (sampled,
+relabeled, perturbed, spliced, raised or resampled) goes through
+``Profile._from_valid`` in the same way.  ``Profile(rows)``,
+``Profile.with_row`` and a permuted profile keep their checks.  Each
+``_from_valid`` docstring states what the caller guarantees.
 
 Conventions used throughout the package:
 
@@ -273,6 +280,21 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
     return out
 
 
+def distinct_sorted(pairs: Iterable[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+    """The distinct ``(order_key(q), q)`` pairs of ``pairs``, in increasing order.
+
+    Sorting the pairs compares keys first and values only at equal keys, so
+    equal values end up next to each other, and only pairs with equal keys
+    are compared exactly (at once when they hold one object); the first of
+    each run of equal values is kept.
+    """
+    out: list[tuple[int, Fraction]] = []
+    for pair in sorted(pairs):
+        if not out or pair != out[-1]:
+            out.append(pair)
+    return out
+
+
 def first_descent(
     left: Sequence[Fraction],
     right: Sequence[Fraction],
@@ -376,17 +398,30 @@ class EndpointMultiset:
 
     @classmethod
     def _from_valid(
-        cls, domain: Domain, values: tuple[Fraction, ...], keys: tuple[int, ...]
+        cls, domain: Domain, values: tuple[Fraction, ...], keys: Optional[tuple[int, ...]] = None
     ) -> "EndpointMultiset":
         """``EndpointMultiset(domain, values)``, keys included, built without
         validating it again: the caller guarantees that ``values`` is a
         nondecreasing tuple of ``Fraction``s in the closure of ``domain``
-        and that ``keys`` is ``tuple(map(order_key, values))``."""
+        and that ``keys``, if given, is ``tuple(map(order_key, values))``;
+        left out, they are computed, one per value."""
         born = object.__new__(cls)
         object.__setattr__(born, "domain", domain)
         object.__setattr__(born, "values", values)
-        object.__setattr__(born, "keys", keys)
+        object.__setattr__(born, "keys", tuple(map(order_key, values)) if keys is None else keys)
         return born
+
+    @classmethod
+    def _sorted_from_valid(cls, domain: Domain, values: Iterable[Fraction]) -> "EndpointMultiset":
+        """The report of ``values`` in sorted order, each a ``Fraction`` already
+        known to lie in the closure of ``domain``: built as ``_from_valid``
+        builds it, with one key per value.
+
+        Sorting (key, value) pairs compares keys first and values only at
+        equal keys, which orders the values exactly.
+        """
+        pairs = sorted([(order_key(q), q) for q in values])
+        return cls._from_valid(domain, tuple([q for _, q in pairs]), tuple([key for key, _ in pairs]))
 
     @property
     def m(self) -> int:
@@ -487,6 +522,15 @@ class Profile:
         cls, domain: Domain, rows: Iterable[Sequence[RationalLike]]
     ) -> "Profile":
         return cls(tuple(EndpointMultiset(domain, tuple(row)) for row in rows))
+
+    @classmethod
+    def _from_valid(cls, rows: tuple[EndpointMultiset, ...]) -> "Profile":
+        """``Profile(rows)`` built without checking it again: the caller
+        guarantees that ``rows`` is a nonempty tuple of reports over one
+        domain, all of one length."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "rows", rows)
+        return born
 
     @property
     def domain(self) -> Domain:

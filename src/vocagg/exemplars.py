@@ -14,6 +14,11 @@ checker verifies exactly that on explicit before/after data.
 
 Validation computes one order key per value and orders values, corners
 included, with ``core.less``; exact pairs pass through unread, as in ``core``.
+Rows are born valid, as in ``core``: what a caller passes to
+``InducedVocabulary`` or ``GapSequence`` is validated, and so is the output
+of ``aggregate_gaps``, while ``induce``, ``gaps_of`` and
+``collective_incomplete`` build their rows, valid by construction from
+validated inputs, through ``_from_valid``.
 Every gap order maps each gap to a pair that it compares lexicographically,
 and each column's rank is picked by ``core.select`` on the order keys of
 the pairs' first components.
@@ -132,6 +137,20 @@ class InducedVocabulary:
                     f"known extents out of order: {shown(previous)} > {shown(start)}"
                 )
 
+    @classmethod
+    def _from_valid(
+        cls, domain: Domain, extents: tuple[Optional[tuple[Fraction, Fraction]], ...]
+    ) -> "InducedVocabulary":
+        """``InducedVocabulary(domain, extents)`` built without validating it
+        again: the caller guarantees that ``extents`` is a nonempty tuple of
+        ``None``s and ``(lo, hi)`` tuples of ``Fraction``s with lo <= hi in
+        the closure of ``domain``, each hull starting at or after the end of
+        the one before."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "extents", extents)
+        return born
+
     @property
     def word_count(self) -> int:
         return len(self.extents)
@@ -175,6 +194,17 @@ class GapSequence:
                     f" before ({shown(l2)}, {shown(r2)})"
                 )
 
+    @classmethod
+    def _from_valid(cls, domain: Domain, gaps: tuple[tuple[Fraction, Fraction], ...]) -> "GapSequence":
+        """``GapSequence(domain, gaps)`` built without validating it again: the
+        caller guarantees that ``gaps`` is a tuple of ``(left, right)`` tuples
+        of ``Fraction``s with left <= right in the closure of ``domain``,
+        both ends nondecreasing along the tuple."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "gaps", gaps)
+        return born
+
     @property
     def m(self) -> int:
         return len(self.gaps)
@@ -185,7 +215,10 @@ def induce(exemplars: LabeledExemplars, m: int) -> InducedVocabulary:
 
     Each observed word gets the closed hull of its exemplars.  The first
     and last word reach to the respective domain corner as soon as they are
-    observed at all: nothing can sit before word 0 or after word m.
+    observed at all: nothing can sit before word 0 or after word m.  The
+    exemplars are validated, so the hulls are born valid: each lies in the
+    closed domain, and they follow the strictly increasing exemplars in
+    word order.
     """
     m = as_integer(m)
     if m < 1:
@@ -200,7 +233,7 @@ def induce(exemplars: LabeledExemplars, m: int) -> InducedVocabulary:
         extents[0] = (exemplars.domain.lower, extents[0][1])
     if extents[m] is not None:
         extents[m] = (extents[m][0], exemplars.domain.upper)
-    return InducedVocabulary(exemplars.domain, tuple(extents))
+    return InducedVocabulary._from_valid(exemplars.domain, tuple(extents))
 
 
 def gaps_of(vocabulary: InducedVocabulary) -> GapSequence:
@@ -209,6 +242,9 @@ def gaps_of(vocabulary: InducedVocabulary) -> GapSequence:
     Gap k runs from the top of the last observation among words 0..k-1
     (the lower corner if there is none) to the bottom of the first
     observation among words k..m (the upper corner if there is none).
+    The known extents are validated and in word order, so both ends
+    nondecrease in k, each gap's left end is at most its right end, and the
+    gaps are born valid.
     """
     domain = vocabulary.domain
     extents = vocabulary.extents
@@ -222,7 +258,7 @@ def gaps_of(vocabulary: InducedVocabulary) -> GapSequence:
         if extent is not None:
             bottom = extent[0]
         rights.append(bottom)
-    return GapSequence(domain, tuple(zip(lefts, reversed(rights))))
+    return GapSequence._from_valid(domain, tuple(zip(lefts, reversed(rights))))
 
 
 def aggregate_gaps(
@@ -275,7 +311,9 @@ def collective_incomplete(gaps: GapSequence) -> InducedVocabulary:
     gaps are equal, when the left one's right end lies past the right one's
     left end, or when the two ends meet outside the open domain; otherwise
     it gets the closed segment between those ends.  Without gaps, the one
-    word gets the whole domain.
+    word gets the whole domain.  The gaps are validated, so the segments
+    are born valid: word j ends at the left end of gap j+1, and a later
+    word starts at a right end of a later gap, which is no smaller.
     """
     domain = gaps.domain
     bounding = ((domain.lower, domain.lower), *gaps.gaps, (domain.upper, domain.upper))
@@ -286,7 +324,7 @@ def collective_incomplete(gaps: GapSequence) -> InducedVocabulary:
             extents.append(None)
         else:
             extents.append((lo, hi))
-    return InducedVocabulary(domain, tuple(extents))
+    return InducedVocabulary._from_valid(domain, tuple(extents))
 
 
 @dataclass(frozen=True)

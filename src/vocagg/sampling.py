@@ -15,8 +15,19 @@ free runs, separability's pivots), build their points through
 ``_lattice_points``, with one gcd per value.  Either way the values and the
 draw order are those of sorting one ``Fraction`` per draw.
 
+Integer draws go through ``_draws(rng, lo, hi, count)``, which returns
+exactly ``[rng.randint(lo, hi) for _ in range(count)]`` and leaves ``rng``
+in the same state: it runs ``randint``'s own rejection loop on
+``rng.getrandbits(width.bit_length())`` in one frame instead of three calls
+per draw.  ``random_profile`` draws all n * m indices in one call, and
+``sorted_between``, ``random_weights`` and ``check_lipschitz``'s offsets
+draw through it too.  The profiles ``random_profile`` builds are born valid
+(``Profile._from_valid``) over rows born valid, and so are the rows and
+profiles the checkers assemble from them.
+
 ``sampling_shape`` is the one shape policy: a sampled checker's ``n``, ``m``
-or ``domain`` left ``None`` comes from ``rule.default_shape()``.
+or ``domain`` left ``None`` comes from ``rule.default_shape()``.  Trial
+counts, ``n`` and ``m`` are read through ``core.as_integer``.
 
 Every sampled checker runs its trials through ``first_hit``: trial t draws
 from ``spawn(seed, stream, t)``, the run stops at the first violation, and a
@@ -43,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, TypeVar
 
-from .core import Domain, EndpointMultiset, Profile, order_key
+from .core import Domain, EndpointMultiset, Profile, as_integer, order_key
 from .errors import ShapeMismatch, VocaggError
 from .rules import Rule
 
@@ -86,8 +97,9 @@ def spawn(seed: int, *stream: object) -> random.Random:
 
 
 def require_trials(trials: int) -> None:
-    """Refuse a negative trial count, which would pass a check vacuously."""
-    if trials < 0:
+    """Refuse a trial count that is not an integer (``core.as_integer``), or a
+    negative one, which would pass a check vacuously."""
+    if as_integer(trials) < 0:
         raise VocaggError(f"trials must be nonnegative, got {trials}")
 
 
@@ -129,12 +141,13 @@ def sampling_shape(
     """The (n, m, domain) to sample: each the caller's, or the rule's default if ``None``.
 
     A bare callable gets the default of ``Rule`` (see ``rule_hooks``).
-    A count below one is refused: there would be no agent or no boundary to
-    sample, and a check over it would hold vacuously or fail inside a sampler.
+    A count that is not an integer (``core.as_integer``) or is below one is
+    refused: there would be no agent or no boundary to sample, and a check
+    over it would hold vacuously or fail inside a sampler.
     """
     default_n, default_m, default_domain = rule_hooks(rule).default_shape()
-    n = default_n if n is None else n
-    m = default_m if m is None else m
+    n = default_n if n is None else as_integer(n)
+    m = default_m if m is None else as_integer(m)
     if n < 1:
         raise ShapeMismatch(f"a sampled profile needs at least one agent, got n={n}")
     if m < 1:
@@ -160,18 +173,46 @@ def sorted_between(
     if lo == hi:
         return (lo,) * count
     first, last = (0, denominator) if include_ends else (1, denominator - 1)
-    picks = sorted([rng.randint(first, last) for _ in range(count)])
-    return _lattice_points(lo, hi, denominator, picks)
+    return _lattice_points(lo, hi, denominator, sorted(_draws(rng, first, last, count)))
+
+
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, leaving ``rng`` in the same state.
+
+    ``randint`` draws ``getrandbits(width.bit_length())`` for the width
+    hi - lo + 1 and draws again while the result is at least the width
+    (``Random._randbelow_with_getrandbits``, the same on CPython 3.10-3.13);
+    this runs that loop in one frame instead of three calls per draw.  An
+    empty range goes to ``randint`` itself, which refuses it.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        return [rng.randint(lo, hi) for _ in range(count)]
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        out.append(lo + r)
+    return out
 
 
 def strict_row(
     rng: random.Random, domain: Domain, m: int, denominator: int = 64
 ) -> tuple[Fraction, ...]:
     """m strictly increasing interior lattice points (all words active)."""
+    return _strict_report(rng, domain, m, denominator).values
+
+
+def _strict_report(
+    rng: random.Random, domain: Domain, m: int, denominator: int = 64
+) -> EndpointMultiset:
+    """The born-valid report of ``strict_row(rng, domain, m, denominator)``."""
     if m > denominator - 1:
         raise VocaggError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
-    picks = sorted(rng.sample(range(1, denominator), m))
-    return _lattice_rows(domain, denominator, [picks])[0].values
+    return _lattice_rows(domain, denominator, [sorted(rng.sample(range(1, denominator), m))])[0]
 
 
 def _lattice_points(
@@ -229,15 +270,17 @@ def _lattice_rows(
 def random_profile(
     rng: random.Random, domain: Domain, n: int, m: int, *, denominator: int = 64
 ) -> Profile:
-    """n independent sorted rows of m interior endpoints each.
+    """n >= 1 independent sorted rows of m interior endpoints each, born valid.
 
     Each row draws m indices in 1..denominator - 1, as ``sorted_between``
-    does, and reads its points from the domain's lattice table.  A coarse
+    does (all n * m in one ``_draws`` call), and reads its points from the
+    domain's lattice table.  A coarse
     ``denominator`` makes ties across agents likely, which matters for
     checkers hunting discontinuities at tied columns.
     """
-    picks = [sorted([rng.randint(1, denominator - 1) for _ in range(m)]) for _ in range(n)]
-    return Profile(_lattice_rows(domain, denominator, picks))
+    draws = _draws(rng, 1, denominator - 1, n * m)
+    picks = [sorted(draws[i * m : i * m + m]) for i in range(n)]
+    return Profile._from_valid(_lattice_rows(domain, denominator, picks))
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -249,4 +292,4 @@ def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
 
 def random_weights(rng: random.Random, m: int) -> tuple[Fraction, ...]:
     """m integer weights in 1..5 for a separable preference."""
-    return tuple(Fraction(rng.randint(1, 5)) for _ in range(m))
+    return tuple(map(Fraction, _draws(rng, 1, 5, m)))

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Domain, EndpointMultiset, Profile, as_integer, as_rationals, between, shown
+from .core import (
+    Domain, EndpointMultiset, Profile, as_integer, as_rationals, between, distinct_sorted, order_key, shown
+)
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import Rule
 from .sampling import (
@@ -129,14 +131,19 @@ def check_uncompromising(
 def _targeted_values(
     rule: Rule, profile: Profile
 ) -> tuple[Fraction, ...]:
-    """Misreport values that historically break manipulable rules."""
+    """Misreport values that historically break manipulable rules: the
+    distinct corners, reports and phantoms, in increasing order.
+
+    They are deduplicated and sorted on order keys (``core.distinct_sorted``),
+    with the keys the corners and the reports already carry.
+    """
     domain = profile.domain
-    pool = {domain.lower, domain.upper}
+    pool = list(zip(domain.keys, (domain.lower, domain.upper)))
     for row in profile.rows:
-        pool.update(row.values)
+        pool += zip(row.keys, row.values)
     for column in rule_hooks(rule).phantom_columns(profile.n, profile.m, domain):
-        pool.update(column)
-    return tuple(sorted(pool))
+        pool += [(order_key(q), q) for q in column]
+    return tuple([q for _, q in distinct_sorted(pool)])
 
 
 def sp_fuzz(
@@ -171,15 +178,17 @@ def sp_fuzz(
         if rng.random() < 1 / 2:
             pool = _targeted_values(rule, profile)
             values = list(peak)
-            values[rng.randint(1, m) - 1] = pool[rng.randint(0, len(pool) - 1)]
-            misreport_values = tuple(sorted(values))
+            values[rng.randint(1, m) - 1] = target = pool[rng.randint(0, len(pool) - 1)]
+            if domain.contains_closed(target):
+                misreport = EndpointMultiset._sorted_from_valid(domain, values)
+            else:  # a phantom outside the domain, from a rule's own hook: refused as a report
+                misreport = EndpointMultiset(domain, tuple(sorted(values)))
         else:
-            misreport_values = sorted_between(
-                rng, domain.lower, domain.upper, m, deviation_grid
+            misreport = EndpointMultiset._from_valid(
+                domain, sorted_between(rng, domain.lower, domain.upper, m, deviation_grid)
             )
-        if misreport_values == peak:
+        if misreport.values == peak:
             return None
-        misreport = EndpointMultiset(domain, misreport_values)
         truthful_outcome = rule(profile)
         manipulated_outcome = rule(profile.with_row(agent, misreport))
         gain = utility(preference, manipulated_outcome) - utility(
@@ -219,9 +228,8 @@ def uncompromising_fuzz(
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=16)
         agent = rng.randint(1, n)
-        deviation = EndpointMultiset(
-            domain,
-            sorted_between(rng, domain.lower, domain.upper, m, 16, include_ends=True),
+        deviation = EndpointMultiset._from_valid(
+            domain, sorted_between(rng, domain.lower, domain.upper, m, 16, include_ends=True)
         )
         boundary = rng.randint(1, m)
         verdict = check_uncompromising(rule, profile, agent, deviation, boundary)
@@ -256,8 +264,8 @@ def check_separability_on_deviations(
             pivot = row.values[k - 1]
             left = sorted_between(rng, domain.lower, pivot, k - 1, 16)
             right = sorted_between(rng, pivot, domain.upper, m - k, 16)
-            rows.append(left + (pivot,) + right)
-        resampled = Profile.from_rows(domain, rows)
+            rows.append(EndpointMultiset._from_valid(domain, left + (pivot,) + right))
+        resampled = Profile._from_valid(tuple(rows))
         before = rule(profile).values[k - 1]
         after = rule(resampled).values[k - 1]
         if before == after:

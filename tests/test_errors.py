@@ -39,6 +39,7 @@ from vocagg import (
     parse_profile,
     parse_result,
     render_diagram,
+    run_axiom_battery,
     search_extent_violation,
     sp_fuzz,
 )
@@ -239,6 +240,15 @@ CASES = {
     ),
     # sampling
     "negative-trials": (lambda: require_trials(-1), "trials must be nonnegative, got -1"),
+    # counts are integers: a float would reach ``range``, a bool would run
+    "trials-not-integer": (lambda: sp_fuzz(MeanRule(), 2.5, 0), "not an integer: 2.5"),
+    "agents-not-integer": (lambda: sp_fuzz(MeanRule(), 3, 0, n=2.5), "not an integer: 2.5"),
+    "boundaries-not-integer": (lambda: sp_fuzz(MeanRule(), 3, 0, m=2.0), "not an integer: 2.0"),
+    "lipschitz-trials-not-integer": (
+        lambda: check_lipschitz(MeanRule(), PROFILE, F(1, 16), 1.5),
+        "not an integer: 1.5",
+    ),
+    "battery-trials-bool": (lambda: run_axiom_battery(MeanRule(), True, 0), "not an integer: True"),
     "lattice-too-small": (
         lambda: strict_row(random.Random(0), UNIT, 4, denominator=4),
         "lattice with 3 interior points cannot hold 4 distinct values",

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -435,3 +436,43 @@ def test_attribution_of_aggregated_gaps_matches_its_reference(data, domain, m, o
     except MalformedGaps:
         assume(False)
     assert collective_incomplete(collective).extents == reference_attribution(collective)
+
+
+def assert_born_valid(built):
+    """``built``, made without validation, equals field for field what its
+    validating constructor makes of the same fields, with exact pairs."""
+    fields = [getattr(built, field.name) for field in dataclasses.fields(built)]
+    rebuilt = type(built)(*fields)
+    assert fields == [getattr(rebuilt, field.name) for field in dataclasses.fields(rebuilt)]
+    pairs = fields[1]
+    assert type(pairs) is tuple
+    assert all(
+        pair is None or (type(pair) is tuple and len(pair) == 2 and {type(v) for v in pair} == {F})
+        for pair in pairs
+    )
+
+
+class TestBornValid:
+    """``induce``, ``gaps_of`` and ``collective_incomplete`` build their rows
+    without validating them; each equals the validating constructor's."""
+
+    @given(st.data(), st.sampled_from(DOMAINS), st.integers(1, 6))
+    def test_induced_gap_and_attributed_rows(self, data, domain, m):
+        n = data.draw(st.integers(1, 4))
+        points = lattice(domain, 16)[1:-1]
+        observed = []
+        for _ in range(n):
+            values = sorted(data.draw(st.sets(st.sampled_from(points), max_size=7)))
+            size = len(values)
+            labels = sorted(data.draw(st.lists(st.integers(0, m), min_size=size, max_size=size)))
+            observed.append(LabeledExemplars(domain, tuple(zip(values, labels))))
+        vocabularies = [induce(exemplars, m) for exemplars in observed]
+        rows = [gaps_of(vocabulary) for vocabulary in vocabularies]
+        for built in (*vocabularies, *rows, *map(collective_incomplete, rows)):
+            assert_born_valid(built)
+        positions = sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
+        try:
+            collective = aggregate_gaps(rows, positions)
+        except MalformedGaps:
+            return
+        assert_born_valid(collective_incomplete(collective))

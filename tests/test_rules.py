@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vocagg import (
     DictatorRule,
@@ -22,14 +22,19 @@ from vocagg import (
     ShapeMismatch,
     apply_rule,
     boundary_phantoms,
+    check_separability_on_deviations,
+    check_strict_responsiveness,
     extended_median,
     is_symmetric,
     median_positions,
     order_statistic,
+    run_axiom_battery,
+    sp_fuzz,
+    uncompromising_fuzz,
 )
 from vocagg.core import order_key
 from vocagg.rules import apply_p_rule_reversed
-from vocagg.sampling import random_profile, sorted_between, strict_row
+from vocagg.sampling import _draws, random_profile, sorted_between, strict_row
 
 UNIT = Domain(F(0), F(1))
 THIRDS = Domain(F(1, 3), F(2, 3))
@@ -560,3 +565,76 @@ class TestBornValid:
             assert ours.getstate() == theirs.getstate()
             assert all(a < b for a, b in zip(row, row[1:]))
             assert EndpointMultiset(domain, row).values == row
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        domain=st.sampled_from(BORN_DOMAINS),
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        grid=st.sampled_from([2, 4, 16, 1000]),
+        mean=st.booleans(),
+    )
+    def test_checker_profiles(self, seed, domain, n, m, grid, mean):
+        """Every profile a checker hands its rule: sampled, spliced (unanimity),
+        relabeled (stability), perturbed (continuity), strict and raised
+        (responsiveness), resampled (separability), and with a misreport or a
+        deviation in it (the fuzzers)."""
+        rule = MeanRule() if mean else PRule(PositionVector((1 + n // 2,) * m))
+        seen = []
+
+        def recording(profile):
+            seen.append(profile)
+            return rule(profile)
+
+        shape = {"domain": domain, "n": n, "m": m}
+        run_axiom_battery(recording, 2, seed, **shape)
+        check_strict_responsiveness(recording, 2, seed, **shape)
+        check_separability_on_deviations(recording, 2, seed, **shape)
+        sp_fuzz(recording, 2, seed, grid, **shape)
+        uncompromising_fuzz(recording, 2, seed, **shape)
+        assert seen
+        for profile in seen:
+            assert profile == Profile.from_rows(domain, profile.values())
+            for row in profile.rows:
+                assert_born_valid(row)
+
+
+class TestDrawLoop:
+    """``sampling._draws`` returns the ``randint`` list and leaves the generator
+    where ``randint`` leaves it, on the running interpreter's ``random``."""
+
+    @given(
+        seed=st.integers(0, 2**64),
+        lo=st.one_of(st.integers(-20, 20), st.integers(-(2**80), 2**80)),
+        width=st.one_of(
+            st.integers(1, 70).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])),
+            st.integers(1, 10**6),
+        ),
+        count=st.integers(0, 30),
+    )
+    def test_draws_are_the_randint_draws(self, seed, lo, width, count):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        hi = lo + width - 1
+        assert _draws(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+    def test_widths_at_powers_of_two(self):
+        widths = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65]
+        widths += [2**k + d for k in (31, 32, 53, 64) for d in (-1, 0, 1)]
+        for width in widths:
+            for lo in (-8, -1, 0, 1):
+                for count in (0, 1, 17):
+                    ours, theirs = random.Random(width), random.Random(width)
+                    hi = lo + width - 1
+                    assert _draws(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
+                    assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("lo,hi", [(5, 4), (0, -3)])
+    def test_an_empty_range_is_refused_as_randint_refuses_it(self, lo, hi):
+        assert _draws(random.Random(0), lo, hi, 0) == []
+        with pytest.raises(ValueError) as ours:
+            _draws(random.Random(0), lo, hi, 1)
+        with pytest.raises(ValueError) as theirs:
+            random.Random(0).randint(lo, hi)
+        assert str(ours.value) == str(theirs.value)

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from vocagg import (
     PRule,
     ShapeMismatch,
     SinglePeakedPreference,
+    VocaggError,
     check_separability_on_deviations,
     check_uncompromising,
     median_positions,
@@ -130,6 +132,18 @@ class TestManipulationSearch:
 
     def test_dictatorship_resists(self):
         assert sp_fuzz(DictatorRule(1), 400, seed=1, n=3, m=2) is None
+
+    def test_a_phantom_outside_the_domain_is_refused_as_a_misreport(self):
+        """A rule's own phantom hook may name a value outside the domain; a
+        misreport that takes it is refused, as any such report is."""
+
+        @dataclass(frozen=True)
+        class OutsidePhantoms(DictatorRule):
+            def phantom_columns(self, n, m, domain):
+                return ((domain.upper + 1,) * (n - 1),) * m
+
+        with pytest.raises(VocaggError, match=r"endpoint 2 outside \[0, 1\]"):
+            sp_fuzz(OutsidePhantoms(1), 400, seed=1, n=3, m=2)
 
     def test_search_is_deterministic(self):
         first = sp_fuzz(MeanRule(), 400, seed=1, n=3, m=2)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from vocagg import (
     Domain,
     EndpointMultiset,
+    ExtendedMedianRule,
     GapSequence,
     InconsistentLabels,
     InducedVocabulary,
@@ -21,6 +22,7 @@ from vocagg import (
     LabeledExemplars,
     MalformedGaps,
     MeanRule,
+    PhantomMatrix,
     PositionVector,
     Profile,
     ShapeMismatch,
@@ -29,8 +31,10 @@ from vocagg import (
     aggregate_gaps,
     decode_endpoints,
 )
+from vocagg.axioms import _unbacked_extents, majority_extent_agents
 from vocagg.core import shown
 from vocagg.exemplars import GAP_ORDERS
+from vocagg.strategic import _targeted_values
 
 TINY = F(1, 2**70)
 DOMAINS = [
@@ -301,3 +305,85 @@ class TestMean:
     def test_one_agent_with_negative_coprime_values(self):
         profile = Profile.from_rows(Domain(F(-1), F(1)), [(F(-2, 999_983), F(3, 1_000_003))])
         assert MeanRule()(profile).values == (F(-2, 999_983), F(3, 1_000_003))
+
+
+# ---------------------------------------------------------------------------
+# the checkers' keyed candidate sets
+
+
+def clamped(domain, values):
+    """``values`` moved into the closed domain, in increasing order."""
+    return sorted(min(max(v, domain.lower), domain.upper) for v in values)
+
+
+@st.composite
+def near_profiles(draw, domain, n, m, inside=lambda v: True):
+    """n sorted rows of m near-tie values in the closed domain that pass ``inside``."""
+    values = near(domain).map(lambda v: min(max(v, domain.lower), domain.upper)).filter(inside)
+    rows = [sorted(draw(st.lists(values, min_size=m, max_size=m))) for _ in range(n)]
+    return Profile.from_rows(domain, rows)
+
+
+class TestTargetedValues:
+    @NO_DEADLINE
+    @given(st.data())
+    def test_the_sorted_distinct_pool(self, data):
+        domain = data.draw(st.sampled_from(DOMAINS))
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        profile = data.draw(near_profiles(domain, n, m))
+        size = (n - 1) * m
+        phantoms = clamped(domain, data.draw(st.lists(near(domain), min_size=size, max_size=size)))
+        columns = tuple(tuple(phantoms[i * m + k] for i in range(n - 1)) for k in range(m))
+        rule = data.draw(st.sampled_from([MeanRule(), ExtendedMedianRule(PhantomMatrix(domain, columns))]))
+        pool = [domain.lower, domain.upper, *(v for row in profile.values() for v in row)]
+        pool += [q for column in rule.phantom_columns(n, m, domain) for q in column]
+        assert _targeted_values(rule, profile) == tuple(sorted(set(pool)))
+
+    def test_values_whose_keys_tie(self):
+        domain = Domain(F(0), F(1))
+        third = F(1, 3)
+        profile = Profile.from_rows(domain, [(third + TINY,), (third,), (third + TINY,), (third - TINY,)])
+        rule = ExtendedMedianRule(PhantomMatrix(domain, ((third, third + 2 * TINY, F(1)),)))
+        expected = (F(0), third - TINY, third, third + TINY, third + 2 * TINY, F(1))
+        assert _targeted_values(rule, profile) == expected
+
+
+class TestExtentPretest:
+    """The extent search's one-pass test on keys yields exactly the pairs that
+    ``majority_extent_agents`` and the output's bounds refute."""
+
+    @staticmethod
+    def reference(profile, output, threshold):
+        reports = [(), *(sorted(set(column)) for column in zip(*profile.values())), ()]
+        return [
+            (word, a, b)
+            for word in range(profile.m + 1)
+            for a in reports[word]
+            for b in reports[word + 1]
+            if a < b
+            and 2 * len(majority_extent_agents(profile, word, a, b)) >= threshold
+            and not (output.bound(word) <= a and b <= output.bound(word + 1))
+        ]
+
+    @NO_DEADLINE
+    @given(st.data())
+    def test_every_pair(self, data):
+        domain = data.draw(st.sampled_from(DOMAINS))
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        profile = data.draw(near_profiles(domain, n, m, domain.contains))
+        values = clamped(domain, data.draw(st.lists(near(domain), min_size=m, max_size=m)))
+        output = EndpointMultiset(domain, tuple(values))
+        threshold = n + data.draw(st.integers(0, 1))
+        expected = self.reference(profile, output, threshold)
+        assert list(_unbacked_extents(profile, output, threshold)) == expected
+
+    def test_bounds_whose_keys_tie(self):
+        domain = Domain(F(0), F(1))
+        a = F(1, 3)
+        rows = [(a, a + TINY), (a - TINY, a + TINY), (a, a + 2 * TINY)]
+        profile = Profile.from_rows(domain, rows)
+        for output in [(a, a + TINY), (a + TINY, a + TINY), (a - TINY, a + 2 * TINY), (a, a)]:
+            report = EndpointMultiset(domain, output)
+            for threshold in (3, 4):
+                expected = self.reference(profile, report, threshold)
+                assert list(_unbacked_extents(profile, report, threshold)) == expected
