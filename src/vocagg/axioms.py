@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    Domain, EndpointMultiset, Profile, as_pair, as_rational, distinct_sorted, less, shown
+    Domain, EndpointMultiset, Profile, as_pair, as_rational, as_rationals, distinct_sorted, less, shown
 )
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import (
@@ -38,18 +38,19 @@ from .rules import (
 from .sampling import (
     AxiomReport,
     _draws,
-    _strict_report,
     axiom_report,
     first_hit,
+    lattice_rows,
     random_permutation,
+    random_picks,
     random_profile,
+    refine,
     require_trials,
     rule_hooks,
     sampled_report,
     sampling_shape,
-    sorted_between,
     spawn,
-    strict_row,
+    strict_picks,
 )
 
 
@@ -115,6 +116,7 @@ class PiecewiseLinearMap:
         return cls(domain, ((domain.lower, domain.upper), (domain.upper, domain.lower)))
 
     def __call__(self, x: Fraction) -> Fraction:
+        x = as_rational(x)
         if not self.domain.contains_closed(x):
             raise VocaggError(f"{shown(x)} outside the closed domain")
         return self._at(x)
@@ -155,13 +157,14 @@ def check_consistency(
     """Weak mode: values nondecreasing.  Strict mode: interior and increasing.
 
     An empty sequence (a one-word vocabulary) holds vacuously.  The witness
-    pinpoints the first offending index, 1-based.
+    pinpoints the first offending index, 1-based.  Raw values are read
+    through ``core.as_rationals``.
     """
     if isinstance(endpoints, EndpointMultiset):
         domain = endpoints.domain
         values = endpoints.values
     else:
-        values = tuple(endpoints)
+        values = as_rationals(endpoints)
     axiom = "consistency-strict" if strict else "consistency-weak"
     if strict and domain is None:
         raise ShapeMismatch("strict consistency needs the domain to test interiority")
@@ -197,31 +200,34 @@ def check_unanimity(
 
     Each trial freezes a random nonempty set of columns at shared values and
     fills the remaining entries independently per agent, so unanimity is
-    exercised both on fully unanimous profiles and column by column.
+    exercised both on fully unanimous profiles and column by column.  The
+    shared values lie on the 32-step lattice and the free runs on the
+    32 * 16-step one.
     """
     n, m, domain = sampling_shape(rule, n, m, domain)
 
     def trial(rng, t):
         frozen = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
-        base = sorted_between(rng, domain.lower, domain.upper, m, 32, include_ends=False)
-        padded = (domain.lower, *base, domain.upper)
+        (base,) = random_picks(rng, 1, m, 32)
+        padded = (0, *base, 32)
         cuts = (0, *frozen, m + 1)  # the corners count as frozen columns 0 and m + 1
         free_runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]  # columns a+1..b-1
-        rows = []
+        picks = []
         for _ in range(n):
-            row = list(base)
+            row = [16 * j for j in base]
             for a, b in free_runs:
-                row[a : b - 1] = sorted_between(rng, padded[a], padded[b], b - a - 1, 16)
-            # frozen columns share the base values and each free run lies between its frozen ends
-            rows.append(EndpointMultiset._from_valid(domain, tuple(row)))
-        profile = Profile._from_valid(tuple(rows))
+                row[a : b - 1] = refine(rng, padded[a], padded[b], b - a - 1, 16)
+            # frozen columns share the base indices and each free run lies between its frozen ends
+            picks.append(row)
+        profile = Profile._from_valid(lattice_rows(domain, 32 * 16, picks))
+        shared = profile.rows[0].values
         output = rule(profile)
         for k in frozen:
-            if output.values[k - 1] != base[k - 1]:
+            if output.values[k - 1] != shared[k - 1]:
                 return {
                     "profile": profile.values(),
                     "column": k,
-                    "expected": base[k - 1],
+                    "expected": shared[k - 1],
                     "actual": output.values[k - 1],
                     "output": output.values,
                 }
@@ -284,8 +290,8 @@ def random_monotone_map(
         raise VocaggError(f"unknown direction {direction!r}")
     rng = spawn(seed, "monotone-map", direction)
     breaks = rng.randint(1, 6)
-    xs = (domain.lower, *strict_row(rng, domain, breaks, 97), domain.upper)
-    ys = (domain.lower, *strict_row(rng, domain, breaks, 97), domain.upper)
+    picks = [[0, *strict_picks(rng, breaks, 97), 97] for _ in range(2)]  # abscissae, then ordinates
+    xs, ys = (row.values for row in lattice_rows(domain, 97, picks))
     if direction == "decreasing":
         ys = ys[::-1]
     return PiecewiseLinearMap(domain, tuple(zip(xs, ys)))
@@ -420,6 +426,7 @@ def majority_extent_agents(
     profile: Profile, word: int, a: Fraction, b: Fraction
 ) -> frozenset[int]:
     """Agents whose word ``word`` covers the whole interval (a, b)."""
+    a, b = as_rational(a), as_rational(b)
     if not a < b:
         raise VocaggError(f"need a < b, got {shown(a)} >= {shown(b)}")
     if not (profile.domain.contains(a) and profile.domain.contains(b)):
@@ -483,6 +490,7 @@ def check_majoritarian_extents(
     """
     axiom = "majoritarian-extents-weak" if weak else "majoritarian-extents"
     threshold = profile.n if weak else profile.n + 1
+    a, b = as_rational(a), as_rational(b)
     return axiom_report(axiom, _extent_witness(profile, rule(profile), word, a, b, threshold))
 
 
@@ -531,9 +539,8 @@ def _unbacked_extents(
 
 def _covers(bounds, keys, word, a, b, key_a, key_b) -> bool:
     """bounds[word] <= a and b <= bounds[word + 1], given every value's order key."""
-    left, right = keys[word], keys[word + 1]
-    return (left < key_a or (left == key_a and bounds[word] <= a)) and (
-        key_b < right or (key_b == right and b <= bounds[word + 1])
+    return not less(a, bounds[word], key_a, keys[word]) and not less(
+        bounds[word + 1], b, keys[word + 1], key_b
     )
 
 
@@ -643,7 +650,8 @@ def check_strict_responsiveness(
                 return axiom_report("strict-responsiveness", witness, seed=seed)
 
     def trial(rng, t):
-        profile = Profile._from_valid(tuple(_strict_report(rng, domain, m) for _ in range(n)))
+        picks = [strict_picks(rng, m, 64) for _ in range(n)]
+        profile = Profile._from_valid(lattice_rows(domain, 64, picks))
         k = rng.randint(1, m)
         rows = []
         for row in profile.rows:

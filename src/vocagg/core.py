@@ -618,6 +618,7 @@ def decode_endpoints(endpoints: EndpointMultiset) -> Vocabulary:
 
 def between(x: Fraction, y: Fraction, z: Fraction) -> bool:
     """True iff y lies weakly between x and z (in either order)."""
+    x, y, z = as_rationals((x, y, z))
     return x <= y <= z or z <= y <= x
 
 

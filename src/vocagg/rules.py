@@ -16,8 +16,9 @@ gives the shape the randomized checkers sample it on.
 Every selection goes through ``core.select``, which orders exactly as
 ``core`` describes.  The rules pass it the keys that each
 ``EndpointMultiset`` and ``PhantomMatrix`` kept from validation, so no key
-is computed twice; ``order_statistic`` computes the keys for callers that
-hold bare values.  The results are exactly those of sorting the fractions.
+is computed twice; ``order_statistic`` reads bare values through
+``core.as_rationals`` and computes their keys.  The results are exactly
+those of sorting the fractions.
 
 ``PRule``, ``ExtendedMedianRule``, ``MultisetRule`` and ``MeanRule`` build
 their outputs born valid, through ``EndpointMultiset._from_valid``, from the
@@ -78,6 +79,7 @@ def _collective(domain: Domain, picked: Sequence[tuple[Fraction, int]]) -> Endpo
 
 def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
     """The k-th smallest element, counted with multiplicity, k in 1..len."""
+    values = as_rationals(values)
     if not 1 <= k <= len(values):
         raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
     return select(values, list(map(order_key, values)), (k,))[0][0]

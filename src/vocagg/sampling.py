@@ -3,27 +3,30 @@
 Every sampler draws from ``random.Random`` instances created via ``spawn``,
 which hashes the seed together with a stream label.  String seeding keeps
 the draws independent of ``PYTHONHASHSEED``, so a fixed seed reproduces the
-exact same profiles, maps, and deviations on every run.  All sampled values
-are rationals on a lattice, never floats: the samplers draw integer lattice
-indices j, sort them, and turn each into the point lo + (hi - lo) * j / N.
-Rows over the whole domain (``random_profile``, ``strict_row``) read each
+exact same profiles, maps, and deviations on every run.
+
+Indices first, values from ``lattice_rows``.  A sampler draws integer
+lattice indices and returns them as sorted lists: ``random_picks`` (rows
+over the interior, or with ``ends`` over the closed domain), ``strict_picks``
+(distinct interior indices) and ``refine`` (indices between two lattice
+points, on a lattice ``steps`` times finer).  ``lattice_rows(domain, N,
+picks)`` is the one place an index j becomes a value, the point
+lower + (upper - lower) * j / N, exact and never a float.  It reads each
 point and its ``order_key`` from one bounded ``lru_cache`` table per
-(lower, upper, N), so they are born valid (``EndpointMultiset._from_valid``);
-a lattice of more than ``_MAX_TABLED`` steps builds only its drawn points.
-Draws over a sub-interval, whose ends change on every trial (unanimity's
-free runs, separability's pivots), build their points through
-``_lattice_points``, with one gcd per value.  Either way the values and the
-draw order are those of sorting one ``Fraction`` per draw.
+(lower, upper, N), or, for a lattice of more than ``_MAX_TABLED`` steps,
+builds only the drawn points, and returns reports born valid
+(``EndpointMultiset._from_valid``).  Sorting the indices sorts the values,
+so a row holds the values of sorting one ``Fraction`` per draw.
 
 Integer draws go through ``_draws(rng, lo, hi, count)``, which returns
 exactly ``[rng.randint(lo, hi) for _ in range(count)]`` and leaves ``rng``
 in the same state: it runs ``randint``'s own rejection loop on
 ``rng.getrandbits(width.bit_length())`` in one frame instead of three calls
-per draw.  ``random_profile`` draws all n * m indices in one call, and
-``sorted_between``, ``random_weights`` and ``check_lipschitz``'s offsets
-draw through it too.  The profiles ``random_profile`` builds are born valid
-(``Profile._from_valid``) over rows born valid, and so are the rows and
-profiles the checkers assemble from them.
+per draw.  ``random_picks`` draws all its indices in one call, and
+``refine``, ``random_weights`` and ``check_lipschitz``'s offsets draw
+through it too.  The profiles ``random_profile`` builds are born valid
+(``Profile._from_valid``), and so are the profiles the checkers assemble
+from ``lattice_rows``.
 
 ``sampling_shape`` is the one shape policy: a sampled checker's ``n``, ``m``
 or ``domain`` left ``None`` comes from ``rule.default_shape()``.  Trial
@@ -155,25 +158,30 @@ def sampling_shape(
     return n, m, default_domain if domain is None else domain
 
 
-def sorted_between(
-    rng: random.Random,
-    lo: Fraction,
-    hi: Fraction,
-    count: int,
-    denominator: int = 64,
-    include_ends: bool = True,
-) -> tuple[Fraction, ...]:
-    """``count`` nondecreasing lattice points of [lo, hi], interior unless ``include_ends``.
+def random_picks(
+    rng: random.Random, n: int, m: int, denominator: int, ends: bool = False
+) -> list[list[int]]:
+    """n sorted lists of m lattice indices each, drawn in 1..denominator - 1,
+    or in 0..denominator with ``ends``: all n * m in one ``_draws`` call."""
+    first, last = (0, denominator) if ends else (1, denominator - 1)
+    draws = _draws(rng, first, last, n * m)
+    return [sorted(draws[i * m : i * m + m]) for i in range(n)]
 
-    The integer indices j are drawn and sorted first, and each becomes one
-    ``Fraction`` lo + (hi - lo) * j / denominator; the map is increasing, so
-    this gives the values of sorting one ``Fraction`` per draw.  ``lo == hi``
-    draws nothing.
-    """
-    if lo == hi:
-        return (lo,) * count
-    first, last = (0, denominator) if include_ends else (1, denominator - 1)
-    return _lattice_points(lo, hi, denominator, sorted(_draws(rng, first, last, count)))
+
+def strict_picks(rng: random.Random, m: int, denominator: int) -> list[int]:
+    """m distinct interior lattice indices, increasing (all words active)."""
+    if m > denominator - 1:
+        raise VocaggError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
+    return sorted(rng.sample(range(1, denominator), m))
+
+
+def refine(rng: random.Random, i: int, k: int, count: int, steps: int) -> list[int]:
+    """``count`` sorted indices from lattice index i to k >= i, on the lattice
+    ``steps`` times finer: steps*i + (k - i)*j for each j drawn in 0..steps.
+    ``i == k`` draws nothing."""
+    if i == k:
+        return [steps * i] * count
+    return [steps * i + (k - i) * j for j in sorted(_draws(rng, 0, steps, count))]
 
 
 def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
@@ -197,22 +205,6 @@ def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
             r = getrandbits(bits)
         out.append(lo + r)
     return out
-
-
-def strict_row(
-    rng: random.Random, domain: Domain, m: int, denominator: int = 64
-) -> tuple[Fraction, ...]:
-    """m strictly increasing interior lattice points (all words active)."""
-    return _strict_report(rng, domain, m, denominator).values
-
-
-def _strict_report(
-    rng: random.Random, domain: Domain, m: int, denominator: int = 64
-) -> EndpointMultiset:
-    """The born-valid report of ``strict_row(rng, domain, m, denominator)``."""
-    if m > denominator - 1:
-        raise VocaggError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
-    return _lattice_rows(domain, denominator, [sorted(rng.sample(range(1, denominator), m))])[0]
 
 
 def _lattice_points(
@@ -245,7 +237,7 @@ def _lattice_table(
     return points, tuple(map(order_key, points))
 
 
-def _lattice_rows(
+def lattice_rows(
     domain: Domain, denominator: int, picks: list[list[int]]
 ) -> tuple[EndpointMultiset, ...]:
     """One report per sorted index list in ``picks``: lattice point j of the
@@ -270,17 +262,10 @@ def _lattice_rows(
 def random_profile(
     rng: random.Random, domain: Domain, n: int, m: int, *, denominator: int = 64
 ) -> Profile:
-    """n >= 1 independent sorted rows of m interior endpoints each, born valid.
-
-    Each row draws m indices in 1..denominator - 1, as ``sorted_between``
-    does (all n * m in one ``_draws`` call), and reads its points from the
-    domain's lattice table.  A coarse
-    ``denominator`` makes ties across agents likely, which matters for
-    checkers hunting discontinuities at tied columns.
-    """
-    draws = _draws(rng, 1, denominator - 1, n * m)
-    picks = [sorted(draws[i * m : i * m + m]) for i in range(n)]
-    return Profile._from_valid(_lattice_rows(domain, denominator, picks))
+    """n >= 1 independent sorted rows of m interior lattice points each, born
+    valid.  A coarse ``denominator`` makes ties across agents likely, which
+    matters for checkers hunting discontinuities at tied columns."""
+    return Profile._from_valid(lattice_rows(domain, denominator, random_picks(rng, n, m, denominator)))
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:

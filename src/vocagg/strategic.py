@@ -23,12 +23,14 @@ from .rules import Rule
 from .sampling import (
     AxiomReport,
     first_hit,
+    lattice_rows,
+    random_picks,
     random_profile,
     random_weights,
+    refine,
     rule_hooks,
     sampled_report,
     sampling_shape,
-    sorted_between,
 )
 
 
@@ -184,9 +186,8 @@ def sp_fuzz(
             else:  # a phantom outside the domain, from a rule's own hook: refused as a report
                 misreport = EndpointMultiset(domain, tuple(sorted(values)))
         else:
-            misreport = EndpointMultiset._from_valid(
-                domain, sorted_between(rng, domain.lower, domain.upper, m, deviation_grid)
-            )
+            picks = random_picks(rng, 1, m, deviation_grid, ends=True)
+            (misreport,) = lattice_rows(domain, deviation_grid, picks)
         if misreport.values == peak:
             return None
         truthful_outcome = rule(profile)
@@ -228,9 +229,7 @@ def uncompromising_fuzz(
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=16)
         agent = rng.randint(1, n)
-        deviation = EndpointMultiset._from_valid(
-            domain, sorted_between(rng, domain.lower, domain.upper, m, 16, include_ends=True)
-        )
+        (deviation,) = lattice_rows(domain, 16, random_picks(rng, 1, m, 16, ends=True))
         boundary = rng.randint(1, m)
         verdict = check_uncompromising(rule, profile, agent, deviation, boundary)
         return verdict if verdict.case == "violated" else None
@@ -250,22 +249,23 @@ def check_separability_on_deviations(
 ) -> AxiomReport:
     """Resampling the other columns must not move f^k for a columnwise rule.
 
-    Each trial fixes one column of a random profile and redraws everything
-    else row by row within the brackets that keep the rows sorted.  The
-    pooled-multiset rule fails this quickly; columnwise rules never do.
+    Each trial fixes one column of a random profile on the 16-step lattice
+    and redraws everything else row by row, on the 16 * 16-step lattice,
+    within the brackets that keep the rows sorted.  The pooled-multiset rule
+    fails this quickly; columnwise rules never do.
     """
     n, m, domain = sampling_shape(rule, n, m, domain)
 
     def trial(rng, t):
-        profile = random_profile(rng, domain, n, m, denominator=16)
+        picks = random_picks(rng, n, m, 16)
+        profile = Profile._from_valid(lattice_rows(domain, 16, picks))
         k = rng.randint(1, m)
         rows = []
-        for row in profile.rows:
-            pivot = row.values[k - 1]
-            left = sorted_between(rng, domain.lower, pivot, k - 1, 16)
-            right = sorted_between(rng, pivot, domain.upper, m - k, 16)
-            rows.append(EndpointMultiset._from_valid(domain, left + (pivot,) + right))
-        resampled = Profile._from_valid(tuple(rows))
+        for row in picks:
+            pivot = row[k - 1]
+            left, right = refine(rng, 0, pivot, k - 1, 16), refine(rng, pivot, 16, m - k, 16)
+            rows.append(left + [16 * pivot] + right)
+        resampled = Profile._from_valid(lattice_rows(domain, 16 * 16, rows))
         before = rule(profile).values[k - 1]
         after = rule(resampled).values[k - 1]
         if before == after:

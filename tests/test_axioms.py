@@ -1,5 +1,4 @@
 import hashlib
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -47,7 +46,7 @@ from vocagg.axioms import (
     random_monotone_map,
 )
 from vocagg.rules import ExtendedMedianRule, InfRule, PhantomMatrix
-from vocagg.sampling import sampling_shape, sorted_between, strict_row
+from vocagg.sampling import sampling_shape
 
 from conftest import shared_endpoint_profile
 
@@ -587,49 +586,6 @@ class TestShapePolicy:
     def test_an_explicit_boundary_count_is_kept(self, checker):
         with pytest.raises(ShapeMismatch, match="at least one boundary"):
             checker(MEDIAN_3x3, 5, 0, m=0)
-
-    @given(
-        st.integers(0, 2**32),
-        st.fractions(-3, 3),
-        st.fractions(0, 3),
-        st.integers(0, 6),
-        st.integers(2, 64),
-        st.booleans(),
-    )
-    def test_sorted_between_matches_per_draw_fractions(
-        self, seed, lo, width, count, denominator, ends
-    ):
-        hi = lo + width
-
-        def oracle(rng):
-            if lo == hi:
-                return (lo,) * count
-            first, last = (0, denominator) if ends else (1, denominator - 1)
-            draws = [lo + (hi - lo) * F(rng.randint(first, last), denominator) for _ in range(count)]
-            return tuple(sorted(draws))
-
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert sorted_between(ours, lo, hi, count, denominator, ends) == oracle(theirs)
-        assert ours.getstate() == theirs.getstate()
-
-    @given(
-        st.integers(0, 2**32),
-        st.fractions(-3, 3),
-        st.fractions(0, 3).filter(bool),
-        st.integers(0, 7),
-        st.integers(8, 97),
-    )
-    def test_strict_row_matches_per_draw_fractions(self, seed, lo, width, m, denominator):
-        domain = Domain(lo, lo + width)
-
-        def oracle(rng):
-            picks = sorted(rng.sample(range(1, denominator), m))
-            return tuple(lo + (domain.upper - lo) * F(j, denominator) for j in picks)
-
-        ours, theirs = random.Random(seed), random.Random(seed)
-        row = strict_row(ours, domain, m, denominator)
-        assert row == oracle(theirs) and repr(row) == repr(oracle(random.Random(seed)))
-        assert ours.getstate() == theirs.getstate()
 
     def test_zero_agents_never_reach_the_phantom_probe(self):
         interior = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(1, 3), F(1, 2)),)))

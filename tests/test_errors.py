@@ -27,17 +27,22 @@ from vocagg import (
     SinglePeakedPreference,
     VocaggError,
     aggregate_gaps,
+    between,
     boundary_phantoms,
+    check_consistency,
     check_incremental_consistency,
     check_lipschitz,
     check_majoritarian_extents,
     check_stability,
     check_strict_responsiveness,
     decode_endpoints,
+    extended_median,
     induce,
     is_symmetric,
+    order_statistic,
     parse_profile,
     parse_result,
+    rational_str,
     render_diagram,
     run_axiom_battery,
     search_extent_violation,
@@ -45,7 +50,7 @@ from vocagg import (
 )
 from vocagg.axioms import majority_extent_agents, random_monotone_map
 from vocagg.rules import apply_p_rule_reversed
-from vocagg.sampling import require_trials, strict_row
+from vocagg.sampling import require_trials, strict_picks
 
 UNIT = Domain(F(0), F(1))
 HALF = EndpointMultiset(UNIT, (F(1, 2),))
@@ -75,6 +80,10 @@ CASES = {
     # core
     "empty-domain": (lambda: Domain(F(1), F(0)), "empty domain: (1, 0)"),
     "boundary-index": (lambda: HALF.bound(5), "boundary index 5 outside 0..2"),
+    "between-float": (
+        lambda: between(0.1, 0.2, 0.3),
+        "refusing float 0.1: pass a string or Fraction for exact input",
+    ),
     "endpoint-outside": (lambda: EndpointMultiset(UNIT, (F(2),)), "endpoint 2 outside [0, 1]"),
     "endpoints-unsorted": (
         lambda: EndpointMultiset(UNIT, (H, Q)),
@@ -82,6 +91,11 @@ CASES = {
     ),
     # rules
     "position-zero": (lambda: PositionVector((0, 1)), "positions are 1-based, got 0"),
+    "order-statistic-float": (
+        lambda: order_statistic([0.5], 1),
+        "refusing float 0.5: pass a string or Fraction for exact input",
+    ),
+    "extended-median-text": (lambda: extended_median(["x"], []), "not a rational numeral: 'x'"),
     "positions-descend": (
         lambda: PositionVector((2, 1)),
         "positions not nondecreasing: 2 > 1",
@@ -122,6 +136,22 @@ CASES = {
     "map-not-decreasing": (
         lambda: PiecewiseLinearMap(UNIT, ((0, 1), (Q, H), (H, H), (1, 0))),
         "ordinates not decreasing: 1/2, 1/2",
+    ),
+    "map-argument-text": (
+        lambda: PiecewiseLinearMap.identity(UNIT)("x"),
+        "not a rational numeral: 'x'",
+    ),
+    "consistency-float": (
+        lambda: check_consistency([0.5]),
+        "refusing float 0.5: pass a string or Fraction for exact input",
+    ),
+    "consistency-strict-text": (
+        lambda: check_consistency(["x"], strict=True, domain=UNIT),
+        "not a rational numeral: 'x'",
+    ),
+    "extents-text": (
+        lambda: check_majoritarian_extents(PRule((1,)), PROFILE, 0, "x", "1/2"),
+        "not a rational numeral: 'x'",
     ),
     "map-argument-outside": (
         lambda: PiecewiseLinearMap.identity(UNIT)(F(2)),
@@ -250,7 +280,7 @@ CASES = {
     ),
     "battery-trials-bool": (lambda: run_axiom_battery(MeanRule(), True, 0), "not an integer: True"),
     "lattice-too-small": (
-        lambda: strict_row(random.Random(0), UNIT, 4, denominator=4),
+        lambda: strict_picks(random.Random(0), 4, 4),
         "lattice with 3 interior points cannot hold 4 distinct values",
     ),
     # strategic
@@ -328,6 +358,27 @@ def test_integer_arguments_stay_integers():
 
 
 THREE = Profile.from_rows(UNIT, [(Q, H), (Q, T), (H, T)])
+# every entry point that takes rational values, called with values read by ``q``
+TAKES_RATIONALS = {
+    "between": lambda q: between(q(10), q(9), q(8)),
+    "check_consistency": lambda q: check_consistency([q(10), q(9)]),
+    "check_consistency-strict": lambda q: check_consistency([q(Q), q(Q)], strict=True, domain=UNIT),
+    "check_majoritarian_extents": lambda q: check_majoritarian_extents(
+        PRule((2, 2)), THREE, 1, q(F(1, 3)), q(H)
+    ),
+    "majority_extent_agents": lambda q: majority_extent_agents(THREE, 1, q(F(1, 3)), q(H)),
+    "PiecewiseLinearMap": lambda q: PiecewiseLinearMap.reversal(UNIT)(q(Q)),
+    "order_statistic": lambda q: order_statistic([q(10), q(9)], 1),
+    "extended_median": lambda q: extended_median([q(10), q(9)], [q(8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_RATIONALS))
+def test_rational_arguments_may_be_numeral_text(name):
+    call = TAKES_RATIONALS[name]
+    assert call(rational_str) == call(F)
+
+
 GAP_ROWS = [GapSequence(UNIT, gaps) for gaps in [((F(0), Q), (H, T)), ((Q, H), (H, F(1)))] * 2]
 EXEMPLARS = [LabeledExemplars(UNIT, ((Q, 0), (T, 2)))] * 3
 # every entry point that takes a position vector, called with one for m = 2 boundaries

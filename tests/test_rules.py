@@ -34,7 +34,7 @@ from vocagg import (
 )
 from vocagg.core import order_key
 from vocagg.rules import apply_p_rule_reversed
-from vocagg.sampling import _draws, random_profile, sorted_between, strict_row
+from vocagg.sampling import _draws, lattice_rows, random_picks, random_profile, refine, strict_picks
 
 UNIT = Domain(F(0), F(1))
 THIRDS = Domain(F(1, 3), F(2, 3))
@@ -541,12 +541,12 @@ class TestBornValid:
     @pytest.mark.parametrize("denominator", [4, 16, 32, 64, 97, 1000])
     @pytest.mark.parametrize("domain", BORN_DOMAINS, ids=["unit", "hundred", "signed", "thirds"])
     def test_random_profile_rows_are_the_sorted_draws(self, domain, denominator):
+        lower, span = domain.lower, domain.upper - domain.lower
         for seed in range(20):
             ours, theirs = random.Random(seed), random.Random(seed)
             profile = random_profile(ours, domain, 3, 3, denominator=denominator)
-            expected = tuple(
-                sorted_between(theirs, domain.lower, domain.upper, 3, denominator, False) for _ in range(3)
-            )
+            draws = [lower + span * F(theirs.randint(1, denominator - 1), denominator) for _ in range(9)]
+            expected = tuple(tuple(sorted(draws[i : i + 3])) for i in (0, 3, 6))
             assert profile.values() == expected and ours.getstate() == theirs.getstate()
             for row in profile.rows:
                 assert_born_valid(row)
@@ -559,12 +559,28 @@ class TestBornValid:
         for seed in range(20):
             ours, theirs = random.Random(seed), random.Random(seed)
             m = seed % 4
-            row = strict_row(ours, domain, m, denominator)
+            (report,) = lattice_rows(domain, denominator, [strict_picks(ours, m, denominator)])
             picks = sorted(theirs.sample(range(1, denominator), m))
+            row = report.values
             assert row == tuple(lower + span * F(j, denominator) for j in picks)
             assert ours.getstate() == theirs.getstate()
             assert all(a < b for a, b in zip(row, row[1:]))
-            assert EndpointMultiset(domain, row).values == row
+            assert_born_valid(report)
+
+    @pytest.mark.parametrize("denominator", [2, 16, 1000])
+    @pytest.mark.parametrize("domain", BORN_DOMAINS, ids=["unit", "hundred", "signed", "thirds"])
+    def test_rows_with_ends_are_the_sorted_draws(self, domain, denominator):
+        """The fuzzers' fresh rows: the corners are drawn too."""
+        lower, span = domain.lower, domain.upper - domain.lower
+        corners = 0
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            (report,) = lattice_rows(domain, denominator, random_picks(ours, 1, 4, denominator, ends=True))
+            draws = [lower + span * F(theirs.randint(0, denominator), denominator) for _ in range(4)]
+            assert report.values == tuple(sorted(draws)) and ours.getstate() == theirs.getstate()
+            assert_born_valid(report)
+            corners += sum(v in (domain.lower, domain.upper) for v in report.values)
+        assert corners or denominator == 1000
 
     @settings(deadline=None)
     @given(
@@ -602,7 +618,84 @@ class TestBornValid:
 
 class TestDrawLoop:
     """``sampling._draws`` returns the ``randint`` list and leaves the generator
-    where ``randint`` leaves it, on the running interpreter's ``random``."""
+    where ``randint`` leaves it, on the running interpreter's ``random``; the
+    lattice-index samplers, read through ``lattice_rows``, give the rows of
+    sorting one ``Fraction`` per draw, born valid."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        lo=st.fractions(-3, 3),
+        width=st.fractions(0, 3).filter(bool),
+        n=st.integers(1, 3),
+        count=st.integers(0, 6),
+        denominator=st.one_of(st.integers(2, 64), st.sampled_from([257, 1000])),
+        ends=st.booleans(),
+    )
+    def test_random_picks_match_per_draw_fractions(self, seed, lo, width, n, count, denominator, ends):
+        domain = Domain(lo, lo + width)
+        first, last = (0, denominator) if ends else (1, denominator - 1)
+
+        def oracle(rng):
+            return tuple(
+                tuple(sorted(lo + width * F(rng.randint(first, last), denominator) for _ in range(count)))
+                for _ in range(n)
+            )
+
+        ours, theirs = random.Random(seed), random.Random(seed)
+        rows = lattice_rows(domain, denominator, random_picks(ours, n, count, denominator, ends))
+        assert tuple(row.values for row in rows) == oracle(theirs)
+        assert ours.getstate() == theirs.getstate()
+        for row in rows:
+            assert_born_valid(row)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        lo=st.fractions(-3, 3),
+        width=st.fractions(0, 3).filter(bool),
+        m=st.integers(0, 7),
+        denominator=st.integers(8, 97),
+    )
+    def test_strict_picks_match_per_draw_fractions(self, seed, lo, width, m, denominator):
+        domain = Domain(lo, lo + width)
+
+        def oracle(rng):
+            picks = sorted(rng.sample(range(1, denominator), m))
+            return tuple(lo + width * F(j, denominator) for j in picks)
+
+        ours, theirs = random.Random(seed), random.Random(seed)
+        (row,) = lattice_rows(domain, denominator, [strict_picks(ours, m, denominator)])
+        assert row.values == oracle(theirs) and repr(row.values) == repr(oracle(random.Random(seed)))
+        assert ours.getstate() == theirs.getstate()
+        assert_born_valid(row)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        lo=st.fractions(-3, 3),
+        width=st.fractions(0, 3).filter(bool),
+        denominator=st.integers(1, 40),
+        steps=st.integers(1, 20),
+        count=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_refine_matches_per_draw_fractions(self, seed, lo, width, denominator, steps, count, data):
+        """Indices between lattice points i <= k on the ``steps`` times finer
+        lattice: the values of drawing j in 0..steps per value on [x_i, x_k],
+        and no draw at all when i == k."""
+        i = data.draw(st.integers(0, denominator))
+        k = data.draw(st.integers(i, denominator))
+        domain = Domain(lo, lo + width)
+        left, right = lo + width * F(i, denominator), lo + width * F(k, denominator)
+
+        def oracle(rng):
+            if i == k:
+                return (left,) * count
+            return tuple(sorted(left + (right - left) * F(rng.randint(0, steps), steps) for _ in range(count)))
+
+        ours, theirs = random.Random(seed), random.Random(seed)
+        (row,) = lattice_rows(domain, denominator * steps, [refine(ours, i, k, count, steps)])
+        assert row.values == oracle(theirs)
+        assert ours.getstate() == theirs.getstate()
+        assert_born_valid(row)
 
     @given(
         seed=st.integers(0, 2**64),
