@@ -623,7 +623,9 @@ def check_strict_responsiveness(
     Each interior phantom of the rule (``Rule.phantom_columns``) is probed
     first with a column pinned at the phantom: shifting all reports slightly
     leaves the pooled median stuck, which is the generic failure.  Random
-    trials then shift one column of a strict random profile.
+    trials then raise one column of a strict random profile on the 64-step
+    lattice, each report by r/8 of its slack below the next boundary (r in
+    1..7), which lands on the 64 * 8-step lattice.
     """
     require_trials(trials)
     n, m, domain = sampling_shape(rule, n, m, domain)
@@ -654,12 +656,12 @@ def check_strict_responsiveness(
         profile = Profile._from_valid(lattice_rows(domain, 64, picks))
         k = rng.randint(1, m)
         rows = []
-        for row in profile.rows:
-            slack = row.bound(k + 1) - row.values[k - 1]
-            shifted = list(row.values)
-            shifted[k - 1] += slack * Fraction(rng.randint(1, 7), 8)  # still below bound(k + 1)
-            rows.append(EndpointMultiset._from_valid(domain, tuple(shifted)))
-        raised = Profile._from_valid(tuple(rows))
+        for row in picks:
+            # x_k + (bound(k + 1) - x_k) * r / 8, on the lattice 8 times finer: still below bound(k + 1)
+            lifted = [8 * j for j in row]
+            lifted[k - 1] += ((*row, 64)[k] - row[k - 1]) * rng.randint(1, 7)
+            rows.append(lifted)
+        raised = Profile._from_valid(lattice_rows(domain, 64 * 8, rows))
         before = rule(profile)
         after = rule(raised)
         if before.values[k - 1] < after.values[k - 1]:

@@ -334,21 +334,23 @@ class Domain:
     def unit(cls) -> "Domain":
         return cls(Fraction(0), Fraction(1))
 
-    def contains(self, x: Fraction) -> bool:
+    def contains(self, x: RationalLike) -> bool:
         """Membership in the open interval X."""
+        x = as_rational(x)
         low, high = self.keys
         key = order_key(x)
         return low < key < high or (key in self.keys and self.lower < x < self.upper)
 
-    def contains_closed(self, x: Fraction) -> bool:
+    def contains_closed(self, x: RationalLike) -> bool:
         """Membership in the closure of X, where improper endpoints live."""
+        x = as_rational(x)
         low, high = self.keys
         key = order_key(x)
         return low < key < high or (key in self.keys and self.lower <= x <= self.upper)
 
-    def reflect(self, x: Fraction) -> Fraction:
+    def reflect(self, x: RationalLike) -> Fraction:
         """The order-reversing bijection x -> lower + upper - x."""
-        return self.lower + self.upper - x
+        return self.lower + self.upper - as_rational(x)
 
 
 def first_outside(

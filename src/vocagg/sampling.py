@@ -13,8 +13,8 @@ points, on a lattice ``steps`` times finer).  ``lattice_rows(domain, N,
 picks)`` is the one place an index j becomes a value, the point
 lower + (upper - lower) * j / N, exact and never a float.  It reads each
 point and its ``order_key`` from one bounded ``lru_cache`` table per
-(lower, upper, N), or, for a lattice of more than ``_MAX_TABLED`` steps,
-builds only the drawn points, and returns reports born valid
+(lower, upper, N), or, for a lattice finer than ``_MAX_TABLED`` = 512
+steps, builds only the drawn points, and returns reports born valid
 (``EndpointMultiset._from_valid``).  Sorting the indices sorts the values,
 so a row holds the values of sorting one ``Fraction`` per draw.
 
@@ -221,7 +221,7 @@ def _lattice_points(
 
 
 # the finest lattice that gets a table; a table holds denominator + 1 points
-_MAX_TABLED = 256
+_MAX_TABLED = 512
 
 
 @lru_cache(maxsize=32)

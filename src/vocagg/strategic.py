@@ -3,7 +3,15 @@
 An agent's preference is additive: the peak is their sincere report and the
 disutility of a collective output is a positively weighted L1 distance to
 that peak.  ``sp_fuzz`` hunts for profitable misreports; a returned witness
-always replays exactly.  ``check_uncompromising`` tests the bracketing
+always replays exactly.  Before it weighs a misreport, ``sp_fuzz`` asks
+whether some column of the manipulated outcome lies strictly closer to the
+peak than the truthful one, deciding sides on order keys; only then does it
+compute the two ``utility`` sums.  The pre-test is exact: the gain is the
+sum over columns of w_j (|b_j - p_j| - |a_j - p_j|) with every w_j > 0, so
+it is positive only if some term is, and the skipped trials are exactly
+those that could find no gain.  It refuses an outcome of another shape or
+domain as ``utility`` does, with the same error at the same trial.
+``check_uncompromising`` tests the bracketing
 property that characterizes the deviation-proof rules: a unilateral change
 either leaves the output alone or moves it so that both outputs stay
 between the mover's old and new positions.
@@ -16,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Domain, EndpointMultiset, Profile, as_integer, as_rationals, between, distinct_sorted, order_key, shown
+    Domain, EndpointMultiset, Profile, as_integer, as_rationals, between, distinct_sorted, less, order_key, shown
 )
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import Rule
@@ -52,16 +60,19 @@ class SinglePeakedPreference:
                 raise VocaggError(f"weights must be positive, got {shown(w)}")
 
 
+def _comparable(peak: EndpointMultiset, endpoints: EndpointMultiset) -> None:
+    """Refuse ``endpoints`` of another shape or domain than ``peak``."""
+    if endpoints.m != peak.m:
+        raise ShapeMismatch(f"utility of {endpoints.m} boundaries under a peak with {peak.m}")
+    if endpoints.domain != peak.domain:
+        raise DomainMismatch("utility across different domains")
+
+
 def utility(
     preference: SinglePeakedPreference, endpoints: EndpointMultiset
 ) -> Fraction:
     """Negative weighted L1 distance from the peak; higher is better."""
-    if endpoints.m != preference.peak.m:
-        raise ShapeMismatch(
-            f"utility of {endpoints.m} boundaries under a peak with {preference.peak.m}"
-        )
-    if endpoints.domain != preference.peak.domain:
-        raise DomainMismatch("utility across different domains")
+    _comparable(preference.peak, endpoints)
     return -sum(
         w * abs(v - p)
         for w, v, p in zip(preference.weights, endpoints.values, preference.peak.values)
@@ -130,6 +141,33 @@ def check_uncompromising(
     return UncompromisingVerdict(case, boundary, outcome, deviated_outcome)
 
 
+def _closer_somewhere(
+    peak: EndpointMultiset, truthful: EndpointMultiset, manipulated: EndpointMultiset
+) -> bool:
+    """Whether some column of ``manipulated`` lies strictly closer to ``peak``
+    than the same column of ``truthful``, after ``utility``'s checks of both
+    (``manipulated`` first).
+
+    A column of ``truthful`` above its peak p is beaten by a value below it
+    that does not cross p, and one that crosses p only if it lands nearer;
+    below p the mirror image holds.  The sides are decided on order keys
+    through ``core.less``, and only a value that crosses p is measured, in
+    ``Fraction`` arithmetic.
+    """
+    _comparable(peak, manipulated)
+    _comparable(peak, truthful)
+    for p, b, a, key_p, key_b, key_a in zip(
+        peak.values, truthful.values, manipulated.values, peak.keys, truthful.keys, manipulated.keys
+    ):
+        if less(p, b, key_p, key_b):
+            if less(a, b, key_a, key_b) and (not less(a, p, key_a, key_p) or p - a < b - p):
+                return True
+        elif less(b, p, key_b, key_p):
+            if less(b, a, key_b, key_a) and (not less(p, a, key_p, key_a) or a - p < p - b):
+                return True
+    return False
+
+
 def _targeted_values(
     rule: Rule, profile: Profile
 ) -> tuple[Fraction, ...]:
@@ -173,10 +211,8 @@ def sp_fuzz(
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=deviation_grid)
         agent = rng.randint(1, n)
-        preference = SinglePeakedPreference(
-            profile.row(agent), random_weights(rng, m)
-        )
-        peak = preference.peak.values
+        sincere, weights = profile.row(agent), random_weights(rng, m)
+        peak = sincere.values
         if rng.random() < 1 / 2:
             pool = _targeted_values(rule, profile)
             values = list(peak)
@@ -192,6 +228,9 @@ def sp_fuzz(
             return None
         truthful_outcome = rule(profile)
         manipulated_outcome = rule(profile.with_row(agent, misreport))
+        if not _closer_somewhere(sincere, truthful_outcome, manipulated_outcome):
+            return None  # no column moved closer to the peak, so no positive weighting gains
+        preference = SinglePeakedPreference(sincere, weights)
         gain = utility(preference, manipulated_outcome) - utility(
             preference, truthful_outcome
         )

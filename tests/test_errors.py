@@ -84,6 +84,15 @@ CASES = {
         lambda: between(0.1, 0.2, 0.3),
         "refusing float 0.1: pass a string or Fraction for exact input",
     ),
+    "domain-contains-float": (
+        lambda: UNIT.contains(0.5),
+        "refusing float 0.5: pass a string or Fraction for exact input",
+    ),
+    "domain-contains-closed-text": (lambda: UNIT.contains_closed("x"), "not a rational numeral: 'x'"),
+    "domain-reflect-float": (
+        lambda: UNIT.reflect(0.25),
+        "refusing float 0.25: pass a string or Fraction for exact input",
+    ),
     "endpoint-outside": (lambda: EndpointMultiset(UNIT, (F(2),)), "endpoint 2 outside [0, 1]"),
     "endpoints-unsorted": (
         lambda: EndpointMultiset(UNIT, (H, Q)),
@@ -361,6 +370,9 @@ THREE = Profile.from_rows(UNIT, [(Q, H), (Q, T), (H, T)])
 # every entry point that takes rational values, called with values read by ``q``
 TAKES_RATIONALS = {
     "between": lambda q: between(q(10), q(9), q(8)),
+    "Domain.contains": lambda q: UNIT.contains(q(H)),
+    "Domain.contains_closed": lambda q: UNIT.contains_closed(q(1)),
+    "Domain.reflect": lambda q: UNIT.reflect(q(Q)),
     "check_consistency": lambda q: check_consistency([q(10), q(9)]),
     "check_consistency-strict": lambda q: check_consistency([q(Q), q(Q)], strict=True, domain=UNIT),
     "check_majoritarian_extents": lambda q: check_majoritarian_extents(

@@ -34,7 +34,7 @@ from vocagg import (
 )
 from vocagg.core import order_key
 from vocagg.rules import apply_p_rule_reversed
-from vocagg.sampling import _draws, lattice_rows, random_picks, random_profile, refine, strict_picks
+from vocagg.sampling import _draws, _lattice_points, lattice_rows, random_picks, random_profile, refine, spawn, strict_picks
 
 UNIT = Domain(F(0), F(1))
 THIRDS = Domain(F(1, 3), F(2, 3))
@@ -615,6 +615,41 @@ class TestBornValid:
             for row in profile.rows:
                 assert_born_valid(row)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "domain", [UNIT, Domain(F(-1), F(1, 3)), Domain(F(0), F(100))], ids=["unit", "signed", "hundred"]
+    )
+    def test_raised_rows_are_the_fraction_formula(self, domain, m):
+        """Responsiveness raises column k of each strict row x by r/8 of its
+        slack, x_k + (bound(k + 1) - x_k) * r / 8 with r drawn in 1..7, read
+        off the 512-step lattice; replayed here from the trials' generators
+        with that formula, for every k, k = m included."""
+        rule = PRule(median_positions(3, m))
+        seen = []
+
+        def recording(profile):
+            seen.append(profile)
+            return rule(profile)
+
+        trials = 12 * m
+        assert check_strict_responsiveness(recording, trials, 5, domain=domain, n=3, m=m).holds
+        columns = set()
+        for t in range(trials):
+            rng = spawn(5, "responsiveness", t)
+            profile = Profile._from_valid(lattice_rows(domain, 64, [strict_picks(rng, m, 64) for _ in range(3)]))
+            k = rng.randint(1, m)
+            expected = []
+            for row in profile.rows:
+                shifted = list(row.values)
+                shifted[k - 1] += (row.bound(k + 1) - row.values[k - 1]) * F(rng.randint(1, 7), 8)
+                expected.append(tuple(shifted))
+            before, raised = seen[2 * t : 2 * t + 2]
+            assert before == profile and raised.values() == tuple(expected)
+            for row in raised.rows:
+                assert_born_valid(row)
+            columns.add(k)
+        assert columns == set(range(1, m + 1))
+
 
 class TestDrawLoop:
     """``sampling._draws`` returns the ``randint`` list and leaves the generator
@@ -696,6 +731,18 @@ class TestDrawLoop:
         assert row.values == oracle(theirs)
         assert ours.getstate() == theirs.getstate()
         assert_born_valid(row)
+
+    @pytest.mark.parametrize("denominator", [512, 513])  # the finest tabled lattice, and one step finer
+    @pytest.mark.parametrize("domain", BORN_DOMAINS, ids=["unit", "hundred", "signed", "thirds"])
+    def test_lattice_rows_are_the_lattice_points(self, domain, denominator):
+        every = list(range(denominator + 1))
+        picks = [every[i : i + 5] for i in range(0, denominator + 1, 5)]
+        rows = lattice_rows(domain, denominator, picks)
+        for row, indices in zip(rows, picks):
+            assert row.values == _lattice_points(domain.lower, domain.upper, denominator, indices)
+            assert row.values == tuple(domain.lower + (domain.upper - domain.lower) * F(j, denominator) for j in indices)
+            assert row.domain is domain
+            assert_born_valid(row)
 
     @given(
         seed=st.integers(0, 2**64),

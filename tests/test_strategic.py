@@ -24,7 +24,7 @@ from vocagg import (
     uncompromising_fuzz,
     utility,
 )
-from vocagg.rules import DictatorRule, apply_rule
+from vocagg.rules import DictatorRule, Rule, apply_rule
 
 UNIT = Domain(F(0), F(1))
 MEDIAN = PRule(median_positions(3, 2))
@@ -144,6 +144,32 @@ class TestManipulationSearch:
 
         with pytest.raises(VocaggError, match=r"endpoint 2 outside \[0, 1\]"):
             sp_fuzz(OutsidePhantoms(1), 400, seed=1, n=3, m=2)
+
+    @pytest.mark.parametrize(
+        "reshape, error, message",
+        [
+            (lambda out: EndpointMultiset(UNIT, out.values[:-1]), ShapeMismatch, "utility of 2 boundaries under a peak with 3"),
+            (lambda out: EndpointMultiset(Domain(F(0), F(2)), out.values), DomainMismatch, "utility across different domains"),
+        ],
+        ids=["drops-last-boundary", "other-domain"],
+    )
+    def test_an_outcome_utility_refuses_is_refused_at_the_first_evaluated_trial(self, reshape, error, message):
+        """An outcome that ``utility`` cannot weigh is refused with its error,
+        at the first trial that evaluates the rule, even for a rule whose
+        outcome never moves closer to the peak."""
+        median = PRule(median_positions(3, 3))
+        calls = []
+
+        @dataclass(frozen=True)
+        class Reshaped(Rule):
+            def __call__(self, profile):
+                calls.append(profile)
+                return reshape(median(profile))
+
+        with pytest.raises(error) as info:
+            sp_fuzz(Reshaped(), 400, seed=1, n=3, m=3)
+        assert str(info.value) == message
+        assert len(calls) == 2  # the truthful and the manipulated outcome of one trial
 
     def test_search_is_deterministic(self):
         first = sp_fuzz(MeanRule(), 400, seed=1, n=3, m=2)

@@ -26,15 +26,17 @@ from vocagg import (
     PositionVector,
     Profile,
     ShapeMismatch,
+    SinglePeakedPreference,
     VocaggError,
     Vocabulary,
     aggregate_gaps,
     decode_endpoints,
+    utility,
 )
 from vocagg.axioms import _unbacked_extents, majority_extent_agents
 from vocagg.core import shown
 from vocagg.exemplars import GAP_ORDERS
-from vocagg.strategic import _targeted_values
+from vocagg.strategic import _closer_somewhere, _targeted_values
 
 TINY = F(1, 2**70)
 DOMAINS = [
@@ -387,3 +389,51 @@ class TestExtentPretest:
             for threshold in (3, 4):
                 expected = self.reference(profile, report, threshold)
                 assert list(_unbacked_extents(profile, report, threshold)) == expected
+
+
+class TestCloserSomewhere:
+    """``sp_fuzz``'s keyed pre-test is the ``Fraction`` test of whether some
+    column of the manipulated outcome lies strictly closer to the peak, and
+    when it holds, weights that favour one such column make the gain positive."""
+
+    @staticmethod
+    def reference(peak, truthful, manipulated):
+        return any(
+            abs(a - p) < abs(b - p) for p, b, a in zip(peak.values, truthful.values, manipulated.values)
+        )
+
+    @staticmethod
+    def assert_matches(peak, truthful, manipulated):
+        closer = _closer_somewhere(peak, truthful, manipulated)
+        assert closer == TestCloserSomewhere.reference(peak, truthful, manipulated)
+        if not closer:
+            return
+        distance = [
+            (abs(b - p), abs(a - p)) for p, b, a in zip(peak.values, truthful.values, manipulated.values)
+        ]
+        j = next(j for j, (before, after) in enumerate(distance) if after < before)
+        loss = sum(after - before for i, (before, after) in enumerate(distance) if i != j and after > before)
+        weights = [F(1)] * peak.m
+        weights[j] = loss // (distance[j][0] - distance[j][1]) + 1
+        preference = SinglePeakedPreference(peak, tuple(weights))
+        assert utility(preference, manipulated) - utility(preference, truthful) > 0
+
+    @NO_DEADLINE
+    @given(st.data())
+    def test_every_triple(self, data):
+        domain = data.draw(st.sampled_from(DOMAINS))
+        m = data.draw(st.integers(1, 3))
+        peak, truthful, manipulated = (
+            EndpointMultiset(domain, tuple(clamped(domain, data.draw(st.lists(near(domain), min_size=m, max_size=m)))))
+            for _ in range(3)
+        )
+        self.assert_matches(peak, truthful, manipulated)
+
+    def test_values_whose_keys_tie(self):
+        domain = Domain(F(0), F(1))
+        third = F(1, 3)
+        column = [third + k * TINY for k in range(-3, 4)]
+        for p in column:
+            for b in column:
+                for a in column:
+                    self.assert_matches(*(EndpointMultiset(domain, (v,)) for v in (p, b, a)))
