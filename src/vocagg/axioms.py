@@ -8,7 +8,10 @@ violation was found in the sampled instances, never a proof; verdict
 
 Continuity has no finite test, so it is checked through its quantitative
 surrogate: a 1-Lipschitz bound in the sup norm, which all the well-behaved
-rules here satisfy and which a single jump breaks.
+rules here satisfy and which a single jump breaks.  ``check_lipschitz``
+perturbs, clamps, sorts and measures in exact integers, each value over its
+own denominator, and builds one ``Fraction`` per perturbed value that stays
+inside the domain; its docstring says why that is exact.
 
 A checker only calls its rule on profiles, so any callable from a
 ``Profile`` to an ``EndpointMultiset`` can stand in for a ``Rule``; only the
@@ -92,16 +95,27 @@ class PiecewiseLinearMap:
         increasing = pts[0][1] < pts[-1][1]
         if (pts[0][1], pts[-1][1]) != ((lower, upper) if increasing else (upper, lower)):
             raise VocaggError("a bijection of the domain must map corners to corners")
-        segments = []
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        for (_, y0), (_, y1) in zip(pts, pts[1:]):
             if not (y0 < y1 if increasing else y0 > y1):
                 raise VocaggError(f"ordinates not {self.direction}: {shown(y0)}, {shown(y1)}")
-            a, b, c, d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
-            e, f, g, h = y0.numerator, y0.denominator, y1.numerator, y1.denominator
-            segments.append(
-                (c, d, e * h * b * c - g * f * d * a, b * d * (g * f - e * h), f * h * (c * b - a * d))
-            )
-        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "segments", _segments(pts))
+
+    @classmethod
+    def _from_valid(
+        cls, domain: Domain, points: tuple[tuple[Fraction, Fraction], ...]
+    ) -> "PiecewiseLinearMap":
+        """``PiecewiseLinearMap(domain, points)`` built without checking it
+        again: the caller guarantees that ``points`` is a tuple of at least two
+        pairs of ``Fraction``s (lattice-table points, say), whose abscissae
+        increase strictly from ``domain.lower`` to ``domain.upper``, whose
+        first and last ordinates are the corners (in order for an increasing
+        map, exchanged for a decreasing one) and whose ordinates are strictly
+        monotone in that direction.  Only the segments are computed."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "points", points)
+        object.__setattr__(born, "segments", _segments(points))
+        return born
 
     @property
     def direction(self) -> str:
@@ -143,6 +157,20 @@ class PiecewiseLinearMap:
 
     def map_profile(self, profile: Profile) -> Profile:
         return Profile._from_valid(tuple(self.map_endpoints(row) for row in profile.rows))
+
+
+def _segments(
+    points: tuple[tuple[Fraction, Fraction], ...]
+) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The ``segments`` of a map through ``points``: (c, d, A, B, C) per segment."""
+    segments = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        a, b, c, d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+        e, f, g, h = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+        segments.append(
+            (c, d, e * h * b * c - g * f * d * a, b * d * (g * f - e * h), f * h * (c * b - a * d))
+        )
+    return tuple(segments)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +322,8 @@ def random_monotone_map(
     xs, ys = (row.values for row in lattice_rows(domain, 97, picks))
     if direction == "decreasing":
         ys = ys[::-1]
-    return PiecewiseLinearMap(domain, tuple(zip(xs, ys)))
+    # table points: strictly increasing abscissae and ordinates from corner to corner
+    return PiecewiseLinearMap._from_valid(domain, tuple(zip(xs, ys)))
 
 
 def check_stability(
@@ -363,6 +392,22 @@ def check_lipschitz(
     The rules studied here are all 1-Lipschitz in the sup norm when they are
     continuous at all, so any output movement beyond the exact input
     distance is reported as a continuity violation.
+
+    Each trial moves every value v by eps * k / 8 for a drawn k in -8..8,
+    clamps it into the closed domain, sorts each row and compares the sup
+    distances, all in integers, each value over its own denominator: for
+    v = a/b and eps = e/f the moved value is n/d with n = a*8f + e*k*b and
+    d = b*8f.  Its order key (n << 64) // d is ``order_key(n/d)``, since
+    floor(n * 2**64 / d) does not depend on reducing n/d, so the key decides
+    a clamp against the corners' keys and the value is compared with a
+    corner exactly only at that corner's key.  A clamped value is the corner
+    itself; any other costs one ``Fraction``.  Rows sort as (key, value)
+    pairs, which orders them exactly.  A distance |a/b - c/d| is kept as the
+    pair (|a*d - c*b|, b*d), or as (e*|k|, 8f) when sorting left the moved
+    value at its own place, and two such pairs are compared by
+    cross-multiplication; the output distances compare their keys first,
+    so that long denominators are multiplied out only at equal keys.  No
+    distance is a ``Fraction`` until a witness reports it.
     """
     require_trials(trials)
     eps = as_rational(eps)
@@ -370,38 +415,60 @@ def check_lipschitz(
         raise VocaggError(f"eps must be positive, got {shown(eps)}")
     base = rule(profile)
     domain = profile.domain
+    lower, upper = domain.lower, domain.upper
+    low, high = domain.keys
+    ln, ld, un, ud = lower.numerator, lower.denominator, upper.numerator, upper.denominator
+    at_lower, at_upper = (low, lower, ln, ld, -1, 0), (high, upper, un, ud, -1, 0)  # clamped values
+    e, f8 = eps.numerator, 8 * eps.denominator
+    olds = [[(v.numerator, v.denominator) for v in row.values] for row in profile.rows]
+    # per value a/b: (a*8f, e*b, b*8f), so that a/b + eps*k/8 = (a*8f + e*b*k) / (b*8f)
+    moves = [[(a * f8, e * b, b * f8) for a, b in row] for row in olds]
+    base_pairs = [(v.numerator, v.denominator) for v in base.values]
 
     def trial(rng, t):
         offsets = iter(_draws(rng, -8, 8, profile.n * profile.m))
         rows = []
-        for row in profile.rows:
-            moved = [
-                min(max(v + eps * Fraction(next(offsets), 8), domain.lower), domain.upper)
-                for v in row.values
-            ]
-            rows.append(EndpointMultiset._sorted_from_valid(domain, moved))  # clamped into the closed domain
+        # the sup distances so far, each as a pair (numerator, denominator)
+        input_n, input_d = 0, 1
+        for old, row in zip(olds, moves):
+            moved = []  # (key, value, n, d, its index in the row or -1 when clamped, k)
+            for j, (start, step, d) in enumerate(row):
+                k = next(offsets)
+                n = start + step * k
+                key = (n << 64) // d
+                if key < low or (key == low and n * ld < ln * d):
+                    moved.append(at_lower)
+                elif key > high or (key == high and n * ud > un * d):
+                    moved.append(at_upper)
+                else:
+                    moved.append((key, Fraction(n, d), n, d, j, k))
+            moved.sort()
+            for j, ((a, b), (_, _, c, d, source, k)) in enumerate(zip(old, moved)):
+                if source == j:  # its own value moved by eps*k/8
+                    gap, den = e * abs(k), f8
+                else:
+                    gap, den = abs(a * d - c * b), b * d
+                if gap * input_d > input_n * den:
+                    input_n, input_d = gap, den
+            values, keys = tuple([p[1] for p in moved]), tuple([p[0] for p in moved])
+            rows.append(EndpointMultiset._from_valid(domain, values, keys))
         perturbed = Profile._from_valid(tuple(rows))
-        input_distance = max(
-            (
-                abs(a - b)
-                for old, new in zip(profile.rows, perturbed.rows)
-                for a, b in zip(old.values, new.values)
-            ),
-            default=Fraction(0),
-        )
         output = rule(perturbed)
-        output_distance = max(
-            (abs(a - b) for a, b in zip(base.values, output.values)),
-            default=Fraction(0),
-        )
-        if output_distance <= input_distance:
+        output_key, output_n, output_d = 0, 0, 1
+        for (a, b), v in zip(base_pairs, output.values):
+            c, d = v.numerator, v.denominator
+            gap, den = abs(a * d - c * b), b * d
+            key = (gap << 64) // den  # decides unless the keys tie, as order keys do
+            if key > output_key or (key == output_key and gap * output_d > output_n * den):
+                output_key, output_n, output_d = key, gap, den
+        if output_n * input_d <= input_n * output_d:
             return None
         return {
             "profile": profile.values(),
             "perturbed": perturbed.values(),
             "eps": eps,
-            "input_distance": input_distance,
-            "output_distance": output_distance,
+            "input_distance": Fraction(input_n, input_d),
+            "output_distance": Fraction(output_n, output_d),
             "output": base.values,
             "perturbed_output": output.values,
         }

@@ -12,6 +12,7 @@ from vocagg import (
     FIXTURE_TARGETS,
     HOLDS,
     MeanRule,
+    MultisetRule,
     PiecewiseLinearMap,
     PositionVector,
     Profile,
@@ -130,6 +131,15 @@ class TestPiecewiseLinearMap:
         row = EndpointMultiset(UNIT, (F(1, 8), F(1, 4)))
         assert reversal.map_endpoints(row).values == (F(3, 4), F(7, 8))
 
+    @pytest.mark.parametrize("domain", [UNIT, Domain(F(-1), F(1, 3)), Domain(F(0), F(100))])
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_random_map_is_the_validated_map(self, domain, direction):
+        # random_monotone_map skips the checks; the validating constructor must agree on every map
+        for seed in range(200):
+            phi = random_monotone_map(domain, seed, direction)
+            checked = PiecewiseLinearMap(domain, phi.points)
+            assert phi == checked and phi.segments == checked.segments
+
     def test_random_map_is_seed_deterministic(self):
         a = random_monotone_map(UNIT, 7)
         b = random_monotone_map(UNIT, 7)
@@ -225,8 +235,6 @@ class TestConsistency:
 
 class TestUnanimity:
     def test_median_mean_multiset_hold(self):
-        from vocagg import MultisetRule
-
         for rule in (MEDIAN_3x3, MeanRule(), MultisetRule()):
             assert check_unanimity(rule, 60, seed=5).holds
 
@@ -330,6 +338,18 @@ class TestContinuitySurrogate:
         )
         assert report.verdict == VIOLATED
         assert report.witness["output_distance"] > report.witness["input_distance"]
+
+    @pytest.mark.parametrize(
+        "rule",
+        [MeanRule(), DictatorRule(1), InfRule(), MultisetRule()],
+        ids=["mean", "dictator", "inf", "multiset"],
+    )
+    @pytest.mark.parametrize("trials", [0, 1, 5, 40])
+    def test_rows_without_boundaries_hold(self, rule, trials):
+        # no value to perturb: both sup distances are over empty columns, so 0 <= 0
+        profile = Profile((EndpointMultiset(UNIT, ()),) * 3)
+        report = check_lipschitz(rule, profile, F(1, 16), trials=trials)
+        assert report.verdict == HOLDS and report.trials == trials and report.witness is None
 
 
 class TestMajoritarianWords:

@@ -24,18 +24,23 @@ from vocagg import (
     MeanRule,
     PhantomMatrix,
     PositionVector,
+    PRule,
     Profile,
     ShapeMismatch,
     SinglePeakedPreference,
     VocaggError,
     Vocabulary,
     aggregate_gaps,
+    check_lipschitz,
     decode_endpoints,
+    fixture_rule,
+    median_positions,
     utility,
 )
 from vocagg.axioms import _unbacked_extents, majority_extent_agents
 from vocagg.core import shown
 from vocagg.exemplars import GAP_ORDERS
+from vocagg.sampling import _draws, sampled_report
 from vocagg.strategic import _closer_somewhere, _targeted_values
 
 TINY = F(1, 2**70)
@@ -437,3 +442,56 @@ class TestCloserSomewhere:
             for b in column:
                 for a in column:
                     self.assert_matches(*(EndpointMultiset(domain, (v,)) for v in (p, b, a)))
+
+
+class TestLipschitzReference:
+    """``check_lipschitz``'s integer trial gives the report of the same trial in
+    ``Fraction`` arithmetic, on profiles whose values and perturbations meet
+    the corners' keys."""
+
+    @staticmethod
+    def reference(rule, profile, eps, trials, seed):
+        base = rule(profile)
+        domain = profile.domain
+
+        def trial(rng, t):
+            offsets = iter(_draws(rng, -8, 8, profile.n * profile.m))
+            rows = []
+            for row in profile.rows:
+                moved = [min(max(v + eps * F(next(offsets), 8), domain.lower), domain.upper) for v in row.values]
+                rows.append(EndpointMultiset(domain, tuple(sorted(moved))))
+            perturbed = Profile(tuple(rows))
+            input_distance = max(
+                (abs(a - b) for old, new in zip(profile.values(), perturbed.values()) for a, b in zip(old, new)),
+                default=F(0),
+            )
+            output = rule(perturbed)
+            output_distance = max((abs(a - b) for a, b in zip(base.values, output.values)), default=F(0))
+            if output_distance <= input_distance:
+                return None
+            return {
+                "profile": profile.values(),
+                "perturbed": perturbed.values(),
+                "eps": eps,
+                "input_distance": input_distance,
+                "output_distance": output_distance,
+                "output": base.values,
+                "perturbed_output": output.values,
+            }
+
+        return sampled_report("continuity", trials, seed, "lipschitz", trial)
+
+    @NO_DEADLINE
+    @given(st.data())
+    def test_every_report(self, data):
+        domain = data.draw(st.sampled_from(DOMAINS))
+        n, m = data.draw(st.sampled_from([1, 3, 5])), data.draw(st.integers(1, 3))
+        profile = data.draw(near_profiles(domain, n, m))
+        eps = data.draw(st.sampled_from([F(1, 16), TINY, F(1, 2**64), F(5)]))
+        rule = data.draw(
+            st.sampled_from([PRule(median_positions(n, m)), MeanRule(), fixture_rule("discontinuous-rule")])
+        )
+        trials, seed = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 3))
+        expected = outcome(self.reference, rule, profile, eps, trials, seed)
+        actual = outcome(check_lipschitz, rule, profile, eps, trials, seed)
+        assert actual == expected and repr(actual) == repr(expected)
