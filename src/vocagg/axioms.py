@@ -80,6 +80,8 @@ class PiecewiseLinearMap:
     segments: tuple[tuple[int, int, int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
+    # "increasing" or "decreasing", decided once from the corners' images
+    direction: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(as_pair(point, j) for j, point in enumerate(self.points))
@@ -93,6 +95,7 @@ class PiecewiseLinearMap:
             if not a < b:
                 raise VocaggError(f"breakpoint abscissae not increasing: {shown(a)}, {shown(b)}")
         increasing = pts[0][1] < pts[-1][1]
+        object.__setattr__(self, "direction", "increasing" if increasing else "decreasing")
         if (pts[0][1], pts[-1][1]) != ((lower, upper) if increasing else (upper, lower)):
             raise VocaggError("a bijection of the domain must map corners to corners")
         for (_, y0), (_, y1) in zip(pts, pts[1:]):
@@ -102,7 +105,7 @@ class PiecewiseLinearMap:
 
     @classmethod
     def _from_valid(
-        cls, domain: Domain, points: tuple[tuple[Fraction, Fraction], ...]
+        cls, domain: Domain, points: tuple[tuple[Fraction, Fraction], ...], direction: str
     ) -> "PiecewiseLinearMap":
         """``PiecewiseLinearMap(domain, points)`` built without checking it
         again: the caller guarantees that ``points`` is a tuple of at least two
@@ -110,16 +113,14 @@ class PiecewiseLinearMap:
         increase strictly from ``domain.lower`` to ``domain.upper``, whose
         first and last ordinates are the corners (in order for an increasing
         map, exchanged for a decreasing one) and whose ordinates are strictly
-        monotone in that direction.  Only the segments are computed."""
+        monotone in ``direction``, ``"increasing"`` or ``"decreasing"``.  Only
+        the segments are computed."""
         born = object.__new__(cls)
         object.__setattr__(born, "domain", domain)
         object.__setattr__(born, "points", points)
         object.__setattr__(born, "segments", _segments(points))
+        object.__setattr__(born, "direction", direction)
         return born
-
-    @property
-    def direction(self) -> str:
-        return "increasing" if self.points[0][1] < self.points[-1][1] else "decreasing"
 
     @classmethod
     def identity(cls, domain: Domain) -> "PiecewiseLinearMap":
@@ -323,7 +324,7 @@ def random_monotone_map(
     if direction == "decreasing":
         ys = ys[::-1]
     # table points: strictly increasing abscissae and ordinates from corner to corner
-    return PiecewiseLinearMap._from_valid(domain, tuple(zip(xs, ys)))
+    return PiecewiseLinearMap._from_valid(domain, tuple(zip(xs, ys)), direction)
 
 
 def check_stability(

@@ -36,7 +36,10 @@ through ``EndpointMultiset._from_valid``, which validates nothing a second
 time and computes one key per value when it is not handed the keys.  A
 profile that a checker assembles from such rows over one domain (sampled,
 relabeled, perturbed, spliced, raised or resampled) goes through
-``Profile._from_valid`` in the same way.  ``Profile(rows)``,
+``Profile._from_valid`` in the same way.  The report that
+``encode_vocabulary`` builds from a validated tiling, and the profile of a
+document's endpoint or extent agents (rows read over one domain and checked
+to be of one length), are born valid the same way.  ``Profile(rows)``,
 ``Profile.with_row`` and a permuted profile keep their checks.  Each
 ``_from_valid`` docstring states what the caller guarantees.
 
@@ -74,6 +77,10 @@ RationalLike = Union[Fraction, int, str]
 # digits (20,000 digits take milliseconds, 200,000 over a second), and an
 # exponent writes 10**exponent, so larger numerals are refused unread.
 MAX_NUMERAL_DIGITS = 20_000
+# The longest text that ``as_rational`` reads without the grammar: 640 is the
+# smallest int-from-text limit that ``sys.set_int_max_str_digits`` accepts, so
+# no ``int`` of a part of such a text can raise.
+_PLAIN_NUMERAL_LENGTH = 640
 # The numeral grammar of ``as_rational``; its groups are the sign, the whole
 # digits, the denominator, the decimals and the exponent.  No part can start
 # with a character that the part before it takes, so the first match is the
@@ -151,8 +158,28 @@ def as_rational(value: RationalLike) -> Fraction:
     that bound can write one, so only then are the digits counted.  Every
     refusal raises ``ParseError`` and quotes text longer than 40 characters
     by its first 20.
+
+    A plain ASCII numeral of at most ``_PLAIN_NUMERAL_LENGTH`` characters,
+    ``[-+]?digits/digits`` with a nonzero denominator, ``[-+]?digits`` or
+    ``[-+]?digits.digits``, is read by ``int`` of its parts without the
+    grammar.  The language and every value are unchanged: any other text,
+    a zero denominator included, is read by the grammar.
     """
     if isinstance(value, str):
+        if len(value) <= _PLAIN_NUMERAL_LENGTH and value.isascii():
+            head, slash, tail = value.partition("/")
+            unsigned = head[1:] if head[:1] in "+-" else head
+            if slash:
+                if unsigned.isdigit() and tail.isdigit():
+                    denominator = int(tail)
+                    if denominator:
+                        return Fraction(int(head), denominator)
+            elif unsigned.isdigit():
+                return Fraction(int(head))
+            else:
+                whole, point, decimals = unsigned.partition(".")
+                if point and whole.isdigit() and decimals.isdigit():
+                    return Fraction(int(head.replace(".", "", 1)), 10 ** len(decimals))
         match = _NUMERAL.match(value)
         if match is None or match.end() != len(value):
             raise ParseError(f"not a rational numeral: {_excerpt(value)}")
@@ -263,7 +290,8 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
     ``keys[i] < keys[j]`` must imply ``values[i] < values[j]``, as it does for
     the values' ``order_key``s or for the keys of pairs' first components.
     Indices are sorted by key; for each rank, the run of equal keys holding
-    it is cut out by bisection and only that run is sorted exactly.  Every
+    it is cut out by bisection and only that run is sorted exactly, unless
+    it holds one object repeated or only equal values.  Every
     value in that run has the key at rank k, so it is handed back as it is.
     """
     order = sorted(range(len(values)), key=keys.__getitem__)
@@ -276,7 +304,12 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
         if hi - lo == 1:
             out.append((values[order[lo]], key))
         else:
-            out.append((sorted([values[i] for i in order[lo:hi]])[k - 1 - lo], key))
+            run = [values[i] for i in order[lo:hi]]
+            # ``count`` tests identity before equality: a run of one object or of
+            # equal values is already sorted
+            if run.count(run[0]) != len(run):
+                run.sort()
+            out.append((run[k - 1 - lo], key))
     return out
 
 
@@ -597,7 +630,8 @@ def encode_vocabulary(vocabulary: Vocabulary) -> EndpointMultiset:
         if extent is not None:
             reach = extent[1]
         values.append(reach)
-    return EndpointMultiset(vocabulary.domain, tuple(values))
+    # a validated tiling: the right ends never decrease and stay in the closed domain
+    return EndpointMultiset._from_valid(vocabulary.domain, tuple(values))
 
 
 def decode_endpoints(endpoints: EndpointMultiset) -> Vocabulary:

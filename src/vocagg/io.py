@@ -24,7 +24,10 @@ descriptor or result) is read with its own memo from numeral text to value,
 which lives only for that one call: a numeral repeated anywhere in the
 document is read once and then found by one dict lookup.  Only numerals that
 read correctly are kept, so a bad one raises at each place it occurs and the
-first bad place in the document is the one reported.
+first bad place in the document is the one reported.  A miss costs one
+``as_rational`` call, and a plain ASCII numeral (``p/q``, an integer or a
+decimal without exponent) is read there by ``int`` of its parts, without the
+grammar's pattern; the language read is the same.
 
 The objects built here raise a ``VocaggError`` on bad input; ``_at`` and the
 numeral reader add the place in the document, re-raising it as
@@ -106,12 +109,20 @@ class _Numerals:
             raise ParseError(f"{place}: {exc}") from None
 
     def read_list(self, values: list, where: str) -> tuple[Fraction, ...]:
-        """Each ``values[j]`` read in order, a refusal placed at ``where[j]``."""
-        get = self.seen.get
-        out = [get(v) if type(v) is str else None for v in values]
-        for j, q in enumerate(out):
-            if q is None:
-                out[j] = self.read(values[j], where, j)
+        """Each ``values[j]`` read in order, a refusal placed at ``where[j]``: text
+        is looked up in the memo, and each miss is read by one ``as_rational`` call."""
+        seen = self.seen
+        out = [seen.get(v) if type(v) is str else None for v in values]
+        j = 0
+        try:
+            for j, q in enumerate(out):
+                if q is None:
+                    value = values[j]
+                    out[j] = q = as_rational(value)
+                    if type(value) is str:
+                        seen[value] = q
+        except VocaggError as exc:
+            raise ParseError(f"{where}[{j}]: {exc}") from None
         return tuple(out)
 
 
@@ -134,6 +145,13 @@ def load_json(text: str) -> object:
 
 def jsonify(value: object) -> object:
     """Recursively convert exact values into JSON-ready structures."""
+    kind = type(value)
+    if kind is Fraction:
+        return rational_str(value)
+    if kind is tuple or kind is list:
+        return [jsonify(v) for v in value]
+    if kind is str:
+        return value
     if isinstance(value, Fraction):
         return rational_str(value)
     if value is None or isinstance(value, (bool, int, str)):
@@ -265,7 +283,8 @@ def _parse_endpoint_agents(
         rows.append(_at(where, EndpointMultiset, domain, values))
     if words is not None and len(words) != m + 1:
         raise ParseError(f"words: {len(words)} names for {m + 1} words")
-    profile = Profile(tuple(rows))
+    # every row is over ``domain`` and of length m
+    profile = Profile._from_valid(tuple(rows))
     return ParsedInput(
         "endpoints", domain, words or default_words(m + 1), profile=profile
     )
@@ -302,7 +321,8 @@ def _parse_extent_agents(
         where = f"agents[{i}].extents"
         extents = _parse_extents(agent["extents"], words, where, numerals)
         vocabularies.append(_at(where, Vocabulary, domain, extents))
-    profile = _at("agents", lambda: Profile(tuple(map(encode_vocabulary, vocabularies))))
+    # every vocabulary is over ``domain`` and has one extent per word
+    profile = _at("agents", lambda: Profile._from_valid(tuple(map(encode_vocabulary, vocabularies))))
     return ParsedInput(
         "extents", domain, words, profile=profile, vocabularies=tuple(vocabularies)
     )
@@ -465,12 +485,26 @@ def build_result(
 
 
 def serialize_result(doc: ResultDocument) -> str:
+    """The canonical JSON text of ``doc``.
+
+    Each value object is printed once: the extents of a decoded vocabulary
+    are the corners and the endpoints themselves, so their texts are looked
+    up by object, and only a value held nowhere else is printed on its own.
+    """
+    lower, upper = doc.domain.lower, doc.domain.upper
+    objects = {id(q): q for q in (lower, upper, *doc.endpoints)}
+    texts = {key: rational_str(q) for key, q in objects.items()}
     payload = {
         "rule": doc.rule,
-        "domain": jsonify({"lower": doc.domain.lower, "upper": doc.domain.upper}),
+        "domain": {"lower": texts[id(lower)], "upper": texts[id(upper)]},
         "words": list(doc.words),
-        "endpoints": jsonify(doc.endpoints),
-        "vocabulary": dict(zip(doc.words, jsonify(doc.vocabulary))),
+        "endpoints": [texts[id(q)] for q in doc.endpoints],
+        "vocabulary": {
+            word: None if extent is None else [
+                texts.get(id(q)) or rational_str(q) for q in extent
+            ]
+            for word, extent in zip(doc.words, doc.vocabulary)
+        },
         "reports": list(doc.reports),
         "witnesses": list(doc.witnesses),
     }

@@ -139,6 +139,7 @@ class TestPiecewiseLinearMap:
             phi = random_monotone_map(domain, seed, direction)
             checked = PiecewiseLinearMap(domain, phi.points)
             assert phi == checked and phi.segments == checked.segments
+            assert phi.direction == checked.direction == direction
 
     def test_random_map_is_seed_deterministic(self):
         a = random_monotone_map(UNIT, 7)

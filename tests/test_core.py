@@ -141,8 +141,34 @@ class TestNumeralScanner:
     @example("1/" + "9" * (INT_TEXT_LIMIT + 1))
     @example("-" + "9" * (INT_TEXT_LIMIT + 1) + ".5")
     @example("9" * (INT_TEXT_LIMIT + 1) + "/0")
+    # the edges of the plain form that ``int`` reads without the grammar
+    @example("+5/3")
+    @example("+-5/3")
+    @example("-0/5")
+    @example("05/3")
+    @example("-7/0")
+    @example("1/2 ")
+    @example("-.5")
+    @example("7" * 319 + "/" + "3" * 320)
+    @example("7" * 320 + "/" + "3" * 320)
+    @example("9" * (INT_TEXT_LIMIT + 1) + "/7")
     def test_agrees_with_the_reference_grammar(self, text):
         assert_reads_like_the_reference(text)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-from-text limit to lower"
+    )
+    @pytest.mark.parametrize(
+        "text",
+        ["-" + "7" * 319 + "/" + "3" * 320, "+" + "7" * 639, "7" * 320 + "." + "3" * 319],
+    )
+    def test_plain_numerals_read_at_the_lowest_int_text_limit(self, text):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert as_rational(text) == reference_rational(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(NUMERAL_LIKE_TEXT)
     @example("1.d")

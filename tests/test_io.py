@@ -44,6 +44,8 @@ from vocagg.core import decode_endpoints, default_words
 from vocagg.exemplars import GapSequence, collective_incomplete
 
 UNIT = Domain(F(0), F(1))
+# the interpreter's int-to-text limit (0 when switched off)
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
 
 GRADING_DOC = {
     "domain": {"lower": "0", "upper": "100"},
@@ -490,6 +492,40 @@ class TestResultDocuments:
         text = serialize_result(doc)
         assert json.loads(text)["endpoints"][0] == "1/1" + "0" * 4998 + "7"
         assert parse_result(text) == doc
+
+    def test_values_past_the_int_text_limit_print_as_jsonify_prints_them(self):
+        # a mean over 1001 distinct primes near 10**6: its denominator passes the
+        # int-to-text limit, so every text goes through ``Decimal``
+        sieve = bytearray([1]) * 1_020_000
+        for p in range(2, 1010):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+        primes = [p for p in range(1_000_000, len(sieve)) if sieve[p]][:1001]
+        assert len(primes) == 1001
+        profile = Profile.from_rows(UNIT, [(F(1, p), F(p - 1, p)) for p in primes])
+        built = build_result(MeanRule(), default_words(3), apply_rule(profile, MeanRule()))
+        # the same extents, each value a distinct object equal to the one decoded
+        copies = tuple(
+            None if e is None else tuple(F(q.numerator, q.denominator) for q in e)
+            for e in built.vocabulary
+        )
+        doc = ResultDocument(built.rule, built.domain, built.words, built.endpoints, copies)
+        # more than INT_TEXT_LIMIT decimal digits
+        assert doc.endpoints[0].denominator.bit_length() > 3.33 * INT_TEXT_LIMIT
+        assert doc.vocabulary[1][0] == doc.endpoints[0]
+        assert doc.vocabulary[1][0] is not doc.endpoints[0]
+        # the payload as ``jsonify`` prints it, value by value
+        payload = {
+            "rule": doc.rule,
+            "domain": jsonify({"lower": doc.domain.lower, "upper": doc.domain.upper}),
+            "words": list(doc.words),
+            "endpoints": jsonify(doc.endpoints),
+            "vocabulary": dict(zip(doc.words, jsonify(doc.vocabulary))),
+            "reports": list(doc.reports),
+            "witnesses": list(doc.witnesses),
+        }
+        assert serialize_result(doc) == json.dumps(payload, indent=2) + "\n"
+        assert serialize_result(built) == serialize_result(doc)
 
     @pytest.mark.parametrize(
         "field,value,message",
