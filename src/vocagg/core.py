@@ -39,9 +39,16 @@ relabeled, perturbed, spliced, raised or resampled) goes through
 ``Profile._from_valid`` in the same way.  The report that
 ``encode_vocabulary`` builds from a validated tiling, and the profile of a
 document's endpoint or extent agents (rows read over one domain and checked
-to be of one length), are born valid the same way.  ``Profile(rows)``,
-``Profile.with_row`` and a permuted profile keep their checks.  Each
-``_from_valid`` docstring states what the caller guarantees.
+to be of one length), are born valid the same way.  A document's endpoint
+row and extent agent arrive with the order keys of their values, read once
+per distinct text: ``EndpointMultiset._from_keyed`` and
+``Vocabulary._from_keyed`` check them on those keys as the validating
+constructors check them, with the same refusals.  A vocabulary that
+``decode_endpoints`` reads off a report goes through
+``Vocabulary._from_valid``.  ``Profile(rows)``, ``Profile.with_row``, a
+permuted profile and ``Vocabulary(domain, extents)`` keep their checks.
+Each ``_from_valid`` and ``_from_keyed`` docstring states what the caller
+guarantees.
 
 Conventions used throughout the package:
 
@@ -59,6 +66,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -392,12 +400,16 @@ def first_outside(
     """The first of ``values`` outside the closure of ``domain``, or None.
 
     A key strictly between the corners' keys puts its value inside; a value
-    whose key reaches a corner's key is compared with that corner exactly.
+    whose key reaches a corner's key is compared with that corner exactly,
+    unless it is that corner's own object.
     """
     low, high = domain.keys
     if keys and (min(keys) <= low or max(keys) >= high):
+        lower, upper = domain.lower, domain.upper
         for v, key in zip(values, keys):
-            if (key <= low and v < domain.lower) or (key >= high and v > domain.upper):
+            if (key <= low and v is not lower and v < lower) or (
+                key >= high and v is not upper and v > upper
+            ):
                 return v
     return None
 
@@ -419,17 +431,36 @@ class EndpointMultiset:
     def __post_init__(self) -> None:
         coerced = as_rationals(self.values)
         object.__setattr__(self, "values", coerced)
-        keys = tuple(map(order_key, coerced))
-        object.__setattr__(self, "keys", keys)
-        outside = first_outside(self.domain, coerced, keys)
+        self._check(tuple(map(order_key, coerced)))
+
+    def _check(self, keys: tuple[int, ...]) -> None:
+        """Check that the values, whose order keys are ``keys``, never decrease
+        and lie in the closure of the domain, and keep those keys."""
+        values = self.values
+        outside = first_outside(self.domain, values, keys)
         if outside is not None:
             raise VocaggError(
                 f"endpoint {shown(outside)} outside"
                 f" [{shown(self.domain.lower)}, {shown(self.domain.upper)}]"
             )
-        descent = first_descent(coerced, coerced[1:], keys, keys[1:])
+        descent = first_descent(values, values[1:], keys, keys[1:])
         if descent is not None:
             raise VocaggError(f"endpoints not sorted: {shown(descent[0])} > {shown(descent[1])}")
+        object.__setattr__(self, "keys", keys)
+
+    @classmethod
+    def _from_keyed(
+        cls, domain: Domain, values: tuple[Fraction, ...], keys: tuple[int, ...]
+    ) -> "EndpointMultiset":
+        """``EndpointMultiset(domain, values)``, checked as it checks it but
+        without converting ``values`` or keying them again: the caller
+        guarantees that ``values`` is a tuple of ``Fraction``s and ``keys`` is
+        ``tuple(map(order_key, values))``."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "values", values)
+        born._check(keys)
+        return born
 
     @classmethod
     def _from_valid(
@@ -496,21 +527,29 @@ class Vocabulary:
 
     domain: Domain
     extents: tuple[Optional[tuple[Fraction, Fraction]], ...]
+    # the order keys of the active extents' right ends, in word order, kept
+    # from validation for ``encode_vocabulary``
+    _right_keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "extents", as_extents(self.extents))
-        active = [(j, e) for j, e in enumerate(self.extents) if e is not None]
+        extents = as_extents(self.extents)
+        object.__setattr__(self, "extents", extents)
+        self._check(tuple([order_key(e[1]) for e in extents if e is not None]))
+
+    def _check(self, right_keys: tuple[int, ...]) -> None:
+        """Check that the active extents tile the domain in word order, the
+        order keys of their right ends being ``right_keys``, and keep those."""
+        active = [e for e in self.extents if e is not None]
         if not active:
             raise InvalidVocabulary("no active word")
         cursor, cursor_key = self.domain.lower, self.domain.keys[0]
-        for _, (left, right) in active:
+        for (left, right), key in zip(active, right_keys):
             if left is not cursor and left != cursor:
                 raise InvalidVocabulary(
                     f"extent [{shown(left)}, {shown(right)})"
                     f" does not continue the tiling at {shown(cursor)}"
                 )
             # left equals the cursor, so it has the cursor's key
-            key = order_key(right)
             if not less(left, right, cursor_key, key):
                 raise InvalidVocabulary(f"empty extent [{shown(left)}, {shown(right)})")
             cursor, cursor_key = right, key
@@ -518,6 +557,41 @@ class Vocabulary:
             raise InvalidVocabulary(
                 f"tiling stops at {shown(cursor)}, not {shown(self.domain.upper)}"
             )
+        object.__setattr__(self, "_right_keys", right_keys)
+
+    @classmethod
+    def _from_keyed(
+        cls,
+        domain: Domain,
+        extents: tuple[Optional[tuple[Fraction, Fraction]], ...],
+        right_keys: tuple[int, ...],
+    ) -> "Vocabulary":
+        """``Vocabulary(domain, extents)``, checked as it checks it but without
+        converting ``extents`` or keying them again: the caller guarantees
+        that ``extents`` is a tuple of ``None``s and ``(left, right)`` tuples
+        of ``Fraction``s, and that ``right_keys`` holds the ``order_key`` of
+        each active extent's right end, in word order."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "extents", extents)
+        born._check(right_keys)
+        return born
+
+    @classmethod
+    def _from_valid(
+        cls,
+        domain: Domain,
+        extents: tuple[Optional[tuple[Fraction, Fraction]], ...],
+        right_keys: tuple[int, ...],
+    ) -> "Vocabulary":
+        """``Vocabulary(domain, extents)`` built without validating it again:
+        the caller guarantees what ``_from_keyed`` asks, and that the active
+        extents, at least one, tile ``domain`` in word order with left < right."""
+        born = object.__new__(cls)
+        object.__setattr__(born, "domain", domain)
+        object.__setattr__(born, "extents", extents)
+        object.__setattr__(born, "_right_keys", right_keys)
+        return born
 
     @property
     def word_count(self) -> int:
@@ -623,15 +697,17 @@ def encode_vocabulary(vocabulary: Vocabulary) -> EndpointMultiset:
     """
     if vocabulary.degenerate:
         raise InvalidVocabulary("one active word carries no boundary information")
-    values = []
-    reach = vocabulary.domain.lower
-    for j in range(vocabulary.m):
-        extent = vocabulary.extents[j]
+    domain = vocabulary.domain
+    reach, reach_key = domain.lower, domain.keys[0]
+    right_keys = iter(vocabulary._right_keys)
+    values, keys = [], []
+    for extent in vocabulary.extents[:-1]:
         if extent is not None:
-            reach = extent[1]
+            reach, reach_key = extent[1], next(right_keys)
         values.append(reach)
+        keys.append(reach_key)
     # a validated tiling: the right ends never decrease and stay in the closed domain
-    return EndpointMultiset._from_valid(vocabulary.domain, tuple(values))
+    return EndpointMultiset._from_valid(domain, tuple(values), tuple(keys))
 
 
 def decode_endpoints(endpoints: EndpointMultiset) -> Vocabulary:
@@ -645,11 +721,13 @@ def decode_endpoints(endpoints: EndpointMultiset) -> Vocabulary:
     bounds = (domain.lower, *endpoints.values, domain.upper)
     low, high = domain.keys
     keys = (low, *endpoints.keys, high)
+    active = list(map(less, bounds, bounds[1:], keys, keys[1:]))
     extents = tuple(
-        (left, right) if less(left, right, key, next_key) else None
-        for left, right, key, next_key in zip(bounds, bounds[1:], keys, keys[1:])
+        (left, right) if nonempty else None
+        for left, right, nonempty in zip(bounds, bounds[1:], active)
     )
-    return Vocabulary(domain, extents)
+    # consecutive bounds of a valid report: the active extents tile the domain
+    return Vocabulary._from_valid(domain, extents, tuple(compress(keys[1:], active)))
 
 
 def between(x: Fraction, y: Fraction, z: Fraction) -> bool:

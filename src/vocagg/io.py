@@ -21,13 +21,21 @@ Numerals are read by ``core.as_rational``, whose one grammar (stated in its
 docstring) reads the same on every supported interpreter; JSON numbers reach
 it as their text (RFC 8259 section 6).  Each document (profile, rule
 descriptor or result) is read with its own memo from numeral text to value,
-which lives only for that one call: a numeral repeated anywhere in the
-document is read once and then found by one dict lookup.  Only numerals that
-read correctly are kept, so a bad one raises at each place it occurs and the
-first bad place in the document is the one reported.  A miss costs one
+which lives only for that one call: a numeral read once is found again by one
+dict lookup (a text repeated within the row or list where it first occurs is
+read at each of those places, and the memo keeps the last).  Only numerals
+that read correctly are kept, so a bad one raises at each place it occurs and
+the first bad place in the document is the one reported.  A miss costs one
 ``as_rational`` call, and a plain ASCII numeral (``p/q``, an integer or a
 decimal without exponent) is read there by ``int`` of its parts, without the
 grammar's pattern; the language read is the same.
+
+Beside each value, the memo keeps the text's ``order_key`` once a row has
+held it, so each distinct text is keyed once.  An endpoint row is checked on
+those keys by ``EndpointMultiset._from_keyed`` and an extent agent's tiling by
+``Vocabulary._from_keyed``, which refuse what the validating constructors
+refuse, in the same words; the vocabulary keeps its right ends' keys, so
+``encode_vocabulary`` keys nothing again.
 
 The objects built here raise a ``VocaggError`` on bad input; ``_at`` and the
 numeral reader add the place in the document, re-raising it as
@@ -43,7 +51,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .core import (
     MAX_NUMERAL_DIGITS,
@@ -57,6 +65,7 @@ from .core import (
     decode_endpoints,
     default_words,
     encode_vocabulary,
+    order_key,
     rational_str,
     shown,
 )
@@ -64,6 +73,7 @@ from .errors import ParseError, VocaggError
 from .rules import (
     DictatorRule,
     ExtendedMedianRule,
+    InfRule,
     MeanRule,
     MultisetRule,
     PhantomMatrix,
@@ -88,15 +98,18 @@ def _at(where: str, build: Callable[..., _T], *args: object) -> _T:
 
 
 class _Numerals:
-    """The numeral reader of one document: each distinct text is read once."""
+    """The numeral reader of one document: the memo keeps the value of each text
+    read, and its order key once a row has held it."""
 
     def __init__(self) -> None:
         self.seen: dict[str, Fraction] = {}
+        # the ``order_key`` of each text of ``seen`` that a row held
+        self.keys: dict[str, int] = {}
 
-    def read(self, value: object, where: str, index: Optional[int] = None) -> Fraction:
+    def read(self, value: object, where: str) -> Fraction:
         """``value``, numeral text or an exact number, as a ``Fraction``: text is looked
         up in the memo, else read by one ``as_rational`` call.  A refusal raises
-        ``ParseError`` at ``where``, or at ``where[index]``; the place is written only then."""
+        ``ParseError`` at ``where``."""
         try:
             if type(value) is str:
                 q = self.seen.get(value)
@@ -105,8 +118,7 @@ class _Numerals:
                 return q
             return as_rational(value)
         except VocaggError as exc:
-            place = where if index is None else f"{where}[{index}]"
-            raise ParseError(f"{place}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
 
     def read_list(self, values: list, where: str) -> tuple[Fraction, ...]:
         """Each ``values[j]`` read in order, a refusal placed at ``where[j]``: text
@@ -124,6 +136,31 @@ class _Numerals:
         except VocaggError as exc:
             raise ParseError(f"{where}[{j}]: {exc}") from None
         return tuple(out)
+
+    def read_row(self, values: list, where: str) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """``read_list(values, where)``, the same objects, and the values' order
+        keys: each text is keyed once, and its key kept beside its value."""
+        seen, keys = self.seen, self.keys
+        out = [seen.get(v) if type(v) is str else None for v in values]
+        row_keys = []
+        j = 0
+        try:
+            for j, q in enumerate(out):
+                value = values[j]
+                if q is None:
+                    out[j] = q = as_rational(value)
+                    key = order_key(q)
+                    if type(value) is str:
+                        seen[value] = q
+                        keys[value] = key
+                else:
+                    key = keys.get(value)
+                    if key is None:
+                        key = keys[value] = order_key(q)
+                row_keys.append(key)
+        except VocaggError as exc:
+            raise ParseError(f"{where}[{j}]: {exc}") from None
+        return tuple(out), tuple(row_keys)
 
 
 def _read_int(literal: str) -> int:
@@ -275,12 +312,12 @@ def _parse_endpoint_agents(
         entries = agent["endpoints"]
         if not isinstance(entries, list):
             raise ParseError(f"{where}: expected a list")
-        values = numerals.read_list(entries, where)
+        values, keys = numerals.read_row(entries, where)
         if m is None:
             m = len(values)
         elif len(values) != m:
             raise ParseError(f"{where}: {len(values)} endpoints, expected {m}")
-        rows.append(_at(where, EndpointMultiset, domain, values))
+        rows.append(_at(where, EndpointMultiset._from_keyed, domain, values, keys))
     if words is not None and len(words) != m + 1:
         raise ParseError(f"words: {len(words)} names for {m + 1} words")
     # every row is over ``domain`` and of length m
@@ -290,22 +327,23 @@ def _parse_endpoint_agents(
     )
 
 
-def _parse_extents(
-    payload: object, words: tuple[str, ...], where: str, numerals: _Numerals
-) -> tuple[Optional[tuple[Fraction, ...]], ...]:
-    """One ``[left, right]`` or ``None`` per word, from an object keyed by word name."""
+def _extent_entries(
+    payload: object, words: tuple[str, ...], where: str
+) -> Iterator[tuple[str, Optional[list]]]:
+    """The place and ``[left, right]`` entry (or ``None``) of each word, in word
+    order, from an object keyed by word name; an entry of another shape is
+    refused when its turn comes, so the first refusal in the document is the
+    one raised."""
     if not isinstance(payload, dict):
         raise ParseError(f"{where}: expected an object keyed by word name")
     unknown = set(payload) - set(words)
     if unknown:
         raise ParseError(f"{where}: unknown words {sorted(unknown)}")
-    extents = []
     for name in words:
         entry = payload.get(name)
         if entry is not None and not (isinstance(entry, list) and len(entry) == 2):
             raise ParseError(f"{where}.{name}: expected [left, right] or null")
-        extents.append(None if entry is None else numerals.read_list(entry, f"{where}.{name}"))
-    return tuple(extents)
+        yield f"{where}.{name}", entry
 
 
 def _parse_extent_agents(
@@ -319,9 +357,19 @@ def _parse_extent_agents(
     vocabularies = []
     for i, agent in enumerate(agents):
         where = f"agents[{i}].extents"
-        extents = _parse_extents(agent["extents"], words, where, numerals)
-        vocabularies.append(_at(where, Vocabulary, domain, extents))
-    # every vocabulary is over ``domain`` and has one extent per word
+        extents, right_keys = [], []
+        for place, entry in _extent_entries(agent["extents"], words, where):
+            if entry is None:
+                extents.append(None)
+            else:
+                extent, keys = numerals.read_row(entry, place)
+                extents.append(extent)
+                right_keys.append(keys[1])
+        vocabularies.append(
+            _at(where, Vocabulary._from_keyed, domain, tuple(extents), tuple(right_keys))
+        )
+    # every vocabulary is over ``domain`` and has one extent per word; a
+    # degenerate one is refused only once every agent is read
     profile = _at("agents", lambda: Profile._from_valid(tuple(map(encode_vocabulary, vocabularies))))
     return ParsedInput(
         "extents", domain, words, profile=profile, vocabularies=tuple(vocabularies)
@@ -471,17 +519,54 @@ class ResultDocument:
         if len(self.vocabulary) != len(self.words):
             raise ParseError("one extent slot per word required")
 
+    @classmethod
+    def _from_valid(
+        cls,
+        rule: dict,
+        domain: Domain,
+        words: tuple[str, ...],
+        endpoints: tuple[Fraction, ...],
+        vocabulary: tuple[Optional[tuple[Fraction, Fraction]], ...],
+    ) -> "ResultDocument":
+        """``ResultDocument(rule, domain, words, endpoints, vocabulary)``, without
+        reports or witnesses, built without converting or checking it again:
+        the caller guarantees that ``rule`` is JSON already (objects, lists,
+        strings and integers, as the package's rules describe themselves),
+        that ``endpoints`` is a tuple of ``Fraction``s, ``words`` a tuple of
+        one more name, and ``vocabulary`` one ``None`` or ``(left, right)``
+        tuple of ``Fraction``s per word."""
+        born = object.__new__(cls)
+        for name, value in (
+            ("rule", rule), ("domain", domain), ("words", words), ("endpoints", endpoints),
+            ("vocabulary", vocabulary), ("reports", ()), ("witnesses", ()),
+        ):
+            object.__setattr__(born, name, value)
+        return born
+
+
+# the ``describe`` methods of the package's rules, each of which writes its
+# descriptor as JSON already (objects, lists, strings and integers)
+_JSON_DESCRIBERS = frozenset(
+    cls.describe for cls in (PRule, ExtendedMedianRule, MeanRule, MultisetRule, DictatorRule, InfRule)
+)
+
 
 def build_result(
     rule: Rule, words: Sequence[str], endpoints: EndpointMultiset
 ) -> ResultDocument:
-    return ResultDocument(
-        rule=describe_rule(rule),
-        domain=endpoints.domain,
-        words=tuple(words),
-        endpoints=endpoints.values,
-        vocabulary=decode_endpoints(endpoints).extents,
-    )
+    """The result document of ``endpoints`` under ``rule``, its vocabulary
+    decoded from ``endpoints``.  A rule described by one of the package's
+    ``describe`` methods gives a document born valid, where only the count
+    of ``words`` is checked; any other rule's descriptor goes through
+    ``ResultDocument``, which converts and checks it."""
+    descriptor = describe_rule(rule)
+    words = tuple(words)
+    extents = decode_endpoints(endpoints).extents
+    if type(rule).describe not in _JSON_DESCRIBERS:
+        return ResultDocument(descriptor, endpoints.domain, words, endpoints.values, extents)
+    if len(words) != endpoints.m + 1:
+        raise ParseError(f"{len(words)} words for {endpoints.m} endpoints")
+    return ResultDocument._from_valid(descriptor, endpoints.domain, words, endpoints.values, extents)
 
 
 def serialize_result(doc: ResultDocument) -> str:
@@ -529,7 +614,10 @@ def parse_result(text: str) -> ResultDocument:
     if not isinstance(payload["endpoints"], list):
         raise ParseError("endpoints: expected a list")
     endpoints = numerals.read_list(payload["endpoints"], "endpoints")
-    vocabulary = _parse_extents(payload["vocabulary"], words, "vocabulary", numerals)
+    vocabulary = tuple(
+        None if entry is None else numerals.read_list(entry, place)
+        for place, entry in _extent_entries(payload["vocabulary"], words, "vocabulary")
+    )
     for key in ("reports", "witnesses"):
         if not isinstance(payload.get(key, []), list):
             raise ParseError(f"{key}: expected a list")

@@ -482,9 +482,12 @@ class TestDuality:
         for values in triples:
             s = EndpointMultiset(UNIT, values)
             v = decode_endpoints(s)
+            # the right ends' keys that decoding keeps are those validation computes
+            assert v._right_keys == Vocabulary(UNIT, v.extents)._right_keys
             if v.degenerate:
                 continue
             assert encode_vocabulary(v).values == values
+            assert encode_vocabulary(v).keys == s.keys
 
     @given(
         st.lists(
@@ -496,8 +499,10 @@ class TestDuality:
     def test_roundtrip_property(self, raw):
         s = EndpointMultiset(UNIT, tuple(sorted(raw)))
         v = decode_endpoints(s)
+        assert v._right_keys == Vocabulary(UNIT, v.extents)._right_keys
         if not v.degenerate:
             assert encode_vocabulary(v) == s
+            assert encode_vocabulary(v).keys == s.keys
 
 
 class TestProfile:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vocagg
 
@@ -40,8 +41,9 @@ from vocagg import (
     serialize_result,
 )
 from vocagg.cli import main
-from vocagg.core import decode_endpoints, default_words
+from vocagg.core import decode_endpoints, default_words, encode_vocabulary
 from vocagg.exemplars import GapSequence, collective_incomplete
+from vocagg.io import ParsedInput, _at
 
 UNIT = Domain(F(0), F(1))
 # the interpreter's int-to-text limit (0 when switched off)
@@ -492,6 +494,20 @@ class TestResultDocuments:
         text = serialize_result(doc)
         assert json.loads(text)["endpoints"][0] == "1/1" + "0" * 4998 + "7"
         assert parse_result(text) == doc
+
+    def test_a_rule_described_outside_the_package_has_its_descriptor_converted(self):
+        class WeightedMean(MeanRule):
+            def describe(self):
+                return {"kind": "mean", "weights": (F(1, 2), F(1, 2)), "phantoms": [F(1, 3)]}
+
+        rule = WeightedMean()
+        profile = Profile.from_rows(UNIT, [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))])
+        endpoints = apply_rule(profile, rule)
+        doc = build_result(rule, default_words(3), endpoints)
+        assert doc.rule == {"kind": "mean", "weights": ["1/2", "1/2"], "phantoms": ["1/3"]}
+        assert parse_result(serialize_result(doc)) == doc
+        with pytest.raises(ParseError, match="^2 words for 2 endpoints$"):
+            build_result(rule, default_words(2), endpoints)
 
     def test_values_past_the_int_text_limit_print_as_jsonify_prints_them(self):
         # a mean over 1001 distinct primes near 10**6: its denominator passes the
@@ -1141,3 +1157,226 @@ class TestPinnedCliOutputs:
         assert main([arg.format(**paths) for arg in argv]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the row reader against the per-row reader it replaced
+
+# the texts of each value: HALF_UP lies within 2**-64 of 1/2, so both have
+# one order key, and so do the corner 1 and ONE_UP, which lies outside (0, 1)
+HALF_UP = F(2**69 + 1, 2**70)
+ONE_UP_TEXT = f"{2**70 + 1}/{2**70}"
+TEXTS = {
+    F(0): ["0", "0/1", "0.0"],
+    F(1, 8): ["1/8"],
+    F(1, 4): ["1/4", "0.25"],
+    F(1, 2): ["1/2", "2/4", "0.5"],
+    HALF_UP: [f"{2**69 + 1}/{2**70}"],
+    F(3, 4): ["3/4"],
+    F(1): ["1", "1/1", "1.0"],
+}
+LATTICE = sorted(TEXTS)
+
+
+def reference_endpoint_agents(domain, words, agents, numerals):
+    """Each row read by ``read_list`` and validated by ``EndpointMultiset``."""
+    rows, m = [], None
+    for i, agent in enumerate(agents):
+        where = f"agents[{i}].endpoints"
+        entries = agent["endpoints"]
+        if not isinstance(entries, list):
+            raise ParseError(f"{where}: expected a list")
+        values = numerals.read_list(entries, where)
+        if m is None:
+            m = len(values)
+        elif len(values) != m:
+            raise ParseError(f"{where}: {len(values)} endpoints, expected {m}")
+        rows.append(_at(where, EndpointMultiset, domain, values))
+    if words is not None and len(words) != m + 1:
+        raise ParseError(f"words: {len(words)} names for {m + 1} words")
+    return ParsedInput("endpoints", domain, words or default_words(m + 1), profile=Profile(tuple(rows)))
+
+
+def reference_extents(payload, words, where, numerals):
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}: expected an object keyed by word name")
+    unknown = set(payload) - set(words)
+    if unknown:
+        raise ParseError(f"{where}: unknown words {sorted(unknown)}")
+    extents = []
+    for name in words:
+        entry = payload.get(name)
+        if entry is not None and not (isinstance(entry, list) and len(entry) == 2):
+            raise ParseError(f"{where}.{name}: expected [left, right] or null")
+        extents.append(None if entry is None else numerals.read_list(entry, f"{where}.{name}"))
+    return tuple(extents)
+
+
+def reference_extent_agents(domain, words, agents, numerals):
+    """Each agent validated by ``Vocabulary``, and every one encoded once all are read."""
+    if words is None:
+        raise ParseError("words: required for extent-form agents")
+    vocabularies = []
+    for i, agent in enumerate(agents):
+        where = f"agents[{i}].extents"
+        extents = reference_extents(agent["extents"], words, where, numerals)
+        vocabularies.append(_at(where, Vocabulary, domain, extents))
+    profile = _at("agents", lambda: Profile(tuple(map(encode_vocabulary, vocabularies))))
+    return ParsedInput("extents", domain, words, profile=profile, vocabularies=tuple(vocabularies))
+
+
+def reference_parse(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vocagg.io, "_parse_endpoint_agents", reference_endpoint_agents)
+        patch.setattr(vocagg.io, "_parse_extent_agents", reference_extent_agents)
+        return parse_profile(text)
+
+
+def parse_outcome(parse, doc):
+    """What ``parse`` makes of ``doc``: the parsed input, its rows' keys, its
+    vocabularies' right ends' keys and the pattern of shared value objects, or
+    the text of its ``ParseError``."""
+    try:
+        parsed = parse(json.dumps(doc))
+    except ParseError as exc:
+        return "error", str(exc)
+    values = [parsed.domain.lower, parsed.domain.upper]
+    for row in parsed.profile.rows:
+        values += row.values
+    for vocabulary in parsed.vocabularies:
+        values += [q for extent in vocabulary.extents if extent is not None for q in extent]
+    first = {}
+    sharing = [first.setdefault(id(q), len(first)) for q in values]
+    right_keys = [vocabulary._right_keys for vocabulary in parsed.vocabularies]
+    return parsed, [row.keys for row in parsed.profile.rows], right_keys, sharing
+
+
+@st.composite
+def profile_docs(draw):
+    """An endpoint or extent document over (0, 1) whose values repeat, come in
+    several texts and meet the corners' and 1/2's keys.  Agents repeat rows
+    from a small pool, so later rows are often read from the memo alone."""
+    spelling = {q: draw(st.sampled_from(texts)) for q, texts in TEXTS.items()}
+    if draw(st.booleans()):
+        text = lambda q: spelling[q]
+    else:
+        text = lambda q: draw(st.sampled_from(TEXTS[q]))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    pool = [sorted(draw(st.lists(st.sampled_from(LATTICE), min_size=m, max_size=m))) for _ in range(3)]
+    rows = [draw(st.sampled_from(pool)) for _ in range(n)]
+    words = [f"w{j}" for j in range(m + 1)]
+    doc = {"domain": {"lower": text(F(0)), "upper": text(F(1))}, "words": words}
+    if draw(st.booleans()):
+        doc["agents"] = [{"endpoints": [text(q) for q in row]} for row in rows]
+        return doc
+    agents = []
+    for row in rows:
+        bounds = [F(0), *row, F(1)]
+        extents = {}
+        for word, left, right in zip(words, bounds, bounds[1:]):
+            if left < right:
+                extents[word] = [text(left), text(right)]
+            elif draw(st.booleans()):
+                extents[word] = None
+        agents.append({"extents": extents})
+    doc["agents"] = agents
+    return doc
+
+
+FAULTS = (
+    "json-integer", "true", "nested-list", "ragged", "outside-at-a-corner-key",
+    "unsorted-within-a-key", "empty-extent", "unknown-word", "broken-tiling",
+    "degenerate-then-bad-numeral",
+)
+NOT_A_TEXT = {"json-integer": 1, "true": True, "nested-list": ["1/2"]}
+
+
+def inject(doc, fault, i):
+    """Put ``fault`` into agent i of ``doc``: into its endpoints, or into its
+    active extents (an extent fault in an endpoint row is a bad numeral)."""
+    agent = doc["agents"][i]
+    if "endpoints" in agent:
+        row = agent["endpoints"]
+        if fault in NOT_A_TEXT:
+            row[0] = NOT_A_TEXT[fault]
+        elif fault == "ragged":
+            row.pop()
+        elif fault == "outside-at-a-corner-key":
+            row[-1] = ONE_UP_TEXT
+        elif fault == "unsorted-within-a-key" and len(row) > 1:
+            row[:2] = [TEXTS[HALF_UP][0], "1/2"]
+        else:
+            doc["agents"][-1]["endpoints"][-1] = "x/2"
+        return
+    active = [extent for extent in agent["extents"].values() if extent is not None]
+    if fault in NOT_A_TEXT:
+        active[0][1] = NOT_A_TEXT[fault]
+    elif fault == "ragged":
+        active[0].pop()
+    elif fault == "outside-at-a-corner-key":
+        active[-1][1] = ONE_UP_TEXT
+    elif fault == "unsorted-within-a-key":
+        active[0][1] = TEXTS[HALF_UP][0]
+        if len(active) > 1:
+            active[1][0] = "1/2"
+    elif fault == "empty-extent":
+        active[0][1] = active[0][0]
+        if len(active) > 1:
+            active[1][0] = active[0][0]
+    elif fault == "unknown-word":
+        agent["extents"]["nonesuch"] = None
+    elif fault == "broken-tiling":
+        active[0][0] = "-1/8"
+    else:
+        doc["agents"].insert(i, {"extents": {"w0": [doc["domain"]["lower"], doc["domain"]["upper"]]}})
+        last = [extent for extent in doc["agents"][-1]["extents"].values() if extent is not None]
+        last[0][1] = "x/2"
+
+
+class TestRowReaderReference:
+    """``parse_profile`` reads endpoint rows and extent agents through the keyed
+    memo as the per-row reader, with ``EndpointMultiset`` and ``Vocabulary``
+    validating every row, reads them: the same values, keys, shared objects,
+    vocabularies with their right ends' keys, and error texts."""
+
+    @settings(deadline=None)
+    @given(profile_docs())
+    def test_documents(self, doc):
+        expected = parse_outcome(reference_parse, doc)
+        assert parse_outcome(parse_profile, doc) == expected
+
+    @settings(deadline=None)
+    @given(profile_docs(), st.sampled_from(FAULTS), st.data())
+    def test_documents_with_a_fault(self, doc, fault, data):
+        inject(doc, fault, data.draw(st.integers(0, len(doc["agents"]) - 1)))
+        expected = parse_outcome(reference_parse, doc)
+        assert parse_outcome(parse_profile, doc) == expected
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("form", ["endpoints", "extents"])
+    def test_a_fault_in_an_agent_after_its_texts_are_keyed(self, form, fault):
+        agents = {
+            "endpoints": [{"endpoints": ["1/8", "1/4", "1/2", "1/2"]}, {"endpoints": ["1/4", "1/2", "1/2", "3/4"]}],
+            "extents": [
+                {"extents": {"w0": ["0", "1/8"], "w1": ["1/8", "1/2"], "w3": ["1/2", "3/4"], "w4": ["3/4", "1"]}},
+                {"extents": {"w0": ["0", "1/4"], "w1": ["1/4", "1/2"], "w3": ["1/2", "3/4"], "w4": ["3/4", "1"]}},
+            ],
+        }[form]
+        doc = {"domain": {"lower": "0", "upper": "1"}, "words": ["w0", "w1", "w2", "w3", "w4"]}
+        doc["agents"] = json.loads(json.dumps(agents + agents[1:] * 2))
+        inject(doc, fault, 3)
+        expected = parse_outcome(reference_parse, doc)
+        assert expected[0] == "error"
+        assert parse_outcome(parse_profile, doc) == expected
+
+    def test_a_degenerate_vocabulary_yields_to_a_later_bad_numeral(self):
+        doc = {
+            "domain": {"lower": "0", "upper": "1"},
+            "words": ["a", "b"],
+            "agents": [{"extents": {"a": ["0", "1"]}}, {"extents": {"a": ["0", "x/2"], "b": ["1/2", "1"]}}],
+        }
+        message = "agents[1].extents.a[1]: not a rational numeral: 'x/2'"
+        assert parse_outcome(reference_parse, doc) == parse_outcome(parse_profile, doc) == ("error", message)
+        del doc["agents"][1]
+        message = "agents: one active word carries no boundary information"
+        assert parse_outcome(parse_profile, doc) == ("error", message)
