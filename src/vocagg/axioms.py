@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    Domain, EndpointMultiset, Profile, as_pair, as_rational, as_rationals, distinct_sorted, less, shown
+    Domain, EndpointMultiset, Profile, as_pair, as_rational, as_rationals, distinct_sorted, less, order_key, shown
 )
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import (
@@ -145,16 +145,19 @@ class PiecewiseLinearMap:
         raise AssertionError("unreachable: corners span the domain")
 
     def map_endpoints(self, endpoints: EndpointMultiset) -> EndpointMultiset:
-        """Transform a report; a decreasing map reverses the sorted order.
+        """Transform a report; a decreasing map reverses its order.
 
-        The map sends its closed domain onto itself, so each value of a
-        report over that domain (any other is refused) is mapped without
-        testing it again, and the sorted image is a valid report, built
-        without validating it again.
+        The map sends its closed domain onto itself monotonically, so each
+        value of a report over that domain (any other is refused) is mapped
+        without testing it again, and the image, reversed for a decreasing
+        map, is a valid report, built without checking it again.
         """
         if endpoints.domain != self.domain:
             raise DomainMismatch("report over a different domain than the map")
-        return EndpointMultiset._sorted_from_valid(self.domain, map(self._at, endpoints.values))
+        values = tuple(map(self._at, endpoints.values))
+        if self.direction == "decreasing":
+            values = values[::-1]
+        return EndpointMultiset._from_valid(self.domain, values, tuple(map(order_key, values)))
 
     def map_profile(self, profile: Profile) -> Profile:
         return Profile._from_valid(tuple(self.map_endpoints(row) for row in profile.rows))

@@ -26,29 +26,22 @@ for its membership tests (``contains``, ``contains_closed``,
 ``first_outside``), which, like ``first_descent``, spell the decision out
 inline rather than call ``less`` per value.
 
-Rows are born valid.  A report read from a document or built from a
-caller's values goes through the validating constructor
-``EndpointMultiset(domain, values)``.  A report that the package builds
-from parts that are valid by construction (a rule's selected values with
+Each value type has one checked constructor, one unchecked builder and one
+check.  ``EndpointMultiset(domain, values)`` and ``Vocabulary(domain,
+extents)`` coerce their input, key it and call ``_check()``, which checks
+the object on the keys it holds and returns it.  ``_from_valid`` takes every
+stored field, keys included, and checks nothing; its docstring states what
+the caller guarantees.  Rows are born valid: a report that the package
+builds from parts valid by construction (a rule's selected values with
 their keys, a sampled lattice row, a relabeled, perturbed, spliced, raised
-or resampled row, a misreport or a deviation drawn in the domain) goes
-through ``EndpointMultiset._from_valid``, which validates nothing a second
-time and computes one key per value when it is not handed the keys.  A
-profile that a checker assembles from such rows over one domain (sampled,
-relabeled, perturbed, spliced, raised or resampled) goes through
-``Profile._from_valid`` in the same way.  The report that
-``encode_vocabulary`` builds from a validated tiling, and the profile of a
-document's endpoint or extent agents (rows read over one domain and checked
-to be of one length), are born valid the same way.  A document's endpoint
-row and extent agent arrive with the order keys of their values, read once
-per distinct text: ``EndpointMultiset._from_keyed`` and
-``Vocabulary._from_keyed`` check them on those keys as the validating
-constructors check them, with the same refusals.  A vocabulary that
-``decode_endpoints`` reads off a report goes through
-``Vocabulary._from_valid``.  ``Profile(rows)``, ``Profile.with_row``, a
-permuted profile and ``Vocabulary(domain, extents)`` keep their checks.
-Each ``_from_valid`` and ``_from_keyed`` docstring states what the caller
-guarantees.
+or resampled row, the report ``encode_vocabulary`` builds from a validated
+tiling) and the vocabulary ``decode_endpoints`` reads off a report go
+through ``_from_valid`` alone.  A document's endpoint row and extent agent,
+which arrive with the order keys of their values, go through
+``_from_valid(...)._check()``: the constructors' refusals, in the same
+words, without keying a value again.  ``Profile._from_valid`` builds a
+profile from such rows over one domain, all of one length; ``Profile(rows)``,
+``Profile.with_row`` and a permuted profile keep their checks.
 
 Conventions used throughout the package:
 
@@ -429,14 +422,15 @@ class EndpointMultiset:
     keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coerced = as_rationals(self.values)
-        object.__setattr__(self, "values", coerced)
-        self._check(tuple(map(order_key, coerced)))
+        values = as_rationals(self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "keys", tuple(map(order_key, values)))
+        self._check()
 
-    def _check(self, keys: tuple[int, ...]) -> None:
-        """Check that the values, whose order keys are ``keys``, never decrease
-        and lie in the closure of the domain, and keep those keys."""
-        values = self.values
+    def _check(self) -> "EndpointMultiset":
+        """The report itself, once checked on the keys it holds: its values
+        never decrease and lie in the closure of the domain."""
+        values, keys = self.values, self.keys
         outside = first_outside(self.domain, values, keys)
         if outside is not None:
             raise VocaggError(
@@ -446,48 +440,22 @@ class EndpointMultiset:
         descent = first_descent(values, values[1:], keys, keys[1:])
         if descent is not None:
             raise VocaggError(f"endpoints not sorted: {shown(descent[0])} > {shown(descent[1])}")
-        object.__setattr__(self, "keys", keys)
-
-    @classmethod
-    def _from_keyed(
-        cls, domain: Domain, values: tuple[Fraction, ...], keys: tuple[int, ...]
-    ) -> "EndpointMultiset":
-        """``EndpointMultiset(domain, values)``, checked as it checks it but
-        without converting ``values`` or keying them again: the caller
-        guarantees that ``values`` is a tuple of ``Fraction``s and ``keys`` is
-        ``tuple(map(order_key, values))``."""
-        born = object.__new__(cls)
-        object.__setattr__(born, "domain", domain)
-        object.__setattr__(born, "values", values)
-        born._check(keys)
-        return born
+        return self
 
     @classmethod
     def _from_valid(
-        cls, domain: Domain, values: tuple[Fraction, ...], keys: Optional[tuple[int, ...]] = None
+        cls, domain: Domain, values: tuple[Fraction, ...], keys: tuple[int, ...]
     ) -> "EndpointMultiset":
-        """``EndpointMultiset(domain, values)``, keys included, built without
-        validating it again: the caller guarantees that ``values`` is a
-        nondecreasing tuple of ``Fraction``s in the closure of ``domain``
-        and that ``keys``, if given, is ``tuple(map(order_key, values))``;
-        left out, they are computed, one per value."""
+        """``EndpointMultiset(domain, values)`` built without checking it: the
+        caller guarantees that ``values`` is a tuple of ``Fraction``s and
+        ``keys`` is ``tuple(map(order_key, values))``, and, unless
+        ``_check()`` follows, that the values never decrease and lie in the
+        closure of ``domain``."""
         born = object.__new__(cls)
         object.__setattr__(born, "domain", domain)
         object.__setattr__(born, "values", values)
-        object.__setattr__(born, "keys", tuple(map(order_key, values)) if keys is None else keys)
+        object.__setattr__(born, "keys", keys)
         return born
-
-    @classmethod
-    def _sorted_from_valid(cls, domain: Domain, values: Iterable[Fraction]) -> "EndpointMultiset":
-        """The report of ``values`` in sorted order, each a ``Fraction`` already
-        known to lie in the closure of ``domain``: built as ``_from_valid``
-        builds it, with one key per value.
-
-        Sorting (key, value) pairs compares keys first and values only at
-        equal keys, which orders the values exactly.
-        """
-        pairs = sorted([(order_key(q), q) for q in values])
-        return cls._from_valid(domain, tuple([q for _, q in pairs]), tuple([key for key, _ in pairs]))
 
     @property
     def m(self) -> int:
@@ -534,16 +502,18 @@ class Vocabulary:
     def __post_init__(self) -> None:
         extents = as_extents(self.extents)
         object.__setattr__(self, "extents", extents)
-        self._check(tuple([order_key(e[1]) for e in extents if e is not None]))
+        object.__setattr__(self, "_right_keys", tuple([order_key(e[1]) for e in extents if e is not None]))
+        self._check()
 
-    def _check(self, right_keys: tuple[int, ...]) -> None:
-        """Check that the active extents tile the domain in word order, the
-        order keys of their right ends being ``right_keys``, and keep those."""
+    def _check(self) -> "Vocabulary":
+        """The vocabulary itself, once checked on the keys it holds: its
+        active extents, at least one, tile the domain in word order, each
+        nonempty."""
         active = [e for e in self.extents if e is not None]
         if not active:
             raise InvalidVocabulary("no active word")
         cursor, cursor_key = self.domain.lower, self.domain.keys[0]
-        for (left, right), key in zip(active, right_keys):
+        for (left, right), key in zip(active, self._right_keys):
             if left is not cursor and left != cursor:
                 raise InvalidVocabulary(
                     f"extent [{shown(left)}, {shown(right)})"
@@ -557,25 +527,7 @@ class Vocabulary:
             raise InvalidVocabulary(
                 f"tiling stops at {shown(cursor)}, not {shown(self.domain.upper)}"
             )
-        object.__setattr__(self, "_right_keys", right_keys)
-
-    @classmethod
-    def _from_keyed(
-        cls,
-        domain: Domain,
-        extents: tuple[Optional[tuple[Fraction, Fraction]], ...],
-        right_keys: tuple[int, ...],
-    ) -> "Vocabulary":
-        """``Vocabulary(domain, extents)``, checked as it checks it but without
-        converting ``extents`` or keying them again: the caller guarantees
-        that ``extents`` is a tuple of ``None``s and ``(left, right)`` tuples
-        of ``Fraction``s, and that ``right_keys`` holds the ``order_key`` of
-        each active extent's right end, in word order."""
-        born = object.__new__(cls)
-        object.__setattr__(born, "domain", domain)
-        object.__setattr__(born, "extents", extents)
-        born._check(right_keys)
-        return born
+        return self
 
     @classmethod
     def _from_valid(
@@ -584,9 +536,12 @@ class Vocabulary:
         extents: tuple[Optional[tuple[Fraction, Fraction]], ...],
         right_keys: tuple[int, ...],
     ) -> "Vocabulary":
-        """``Vocabulary(domain, extents)`` built without validating it again:
-        the caller guarantees what ``_from_keyed`` asks, and that the active
-        extents, at least one, tile ``domain`` in word order with left < right."""
+        """``Vocabulary(domain, extents)`` built without checking it: the
+        caller guarantees that ``extents`` is a tuple of ``None``s and
+        ``(left, right)`` tuples of ``Fraction``s and that ``right_keys``
+        holds the ``order_key`` of each active extent's right end, in word
+        order, and, unless ``_check()`` follows, that the active extents, at
+        least one, tile ``domain`` in word order with left < right."""
         born = object.__new__(cls)
         object.__setattr__(born, "domain", domain)
         object.__setattr__(born, "extents", extents)

@@ -31,10 +31,12 @@ decimal without exponent) is read there by ``int`` of its parts, without the
 grammar's pattern; the language read is the same.
 
 Beside each value, the memo keeps the text's ``order_key`` once a row has
-held it, so each distinct text is keyed once.  An endpoint row is checked on
-those keys by ``EndpointMultiset._from_keyed`` and an extent agent's tiling by
-``Vocabulary._from_keyed``, which refuse what the validating constructors
-refuse, in the same words; the vocabulary keeps its right ends' keys, so
+held it, so each distinct text is keyed once.  As ``core`` states, each
+value type has one checked constructor, one ``_from_valid`` that takes every
+field and checks nothing, and one ``_check()``.  An endpoint row and an
+extent agent are built by ``_from_valid`` with the keys read and checked on
+them by ``_check()``, which refuses what the validating constructors refuse,
+in the same words.  The vocabulary keeps its right ends' keys, so
 ``encode_vocabulary`` keys nothing again.
 
 The objects built here raise a ``VocaggError`` on bad input; ``_at`` and the
@@ -247,12 +249,15 @@ def _parse_domain(payload: object, numerals: _Numerals) -> Domain:
 
 
 def _parse_words(payload: object) -> tuple[str, ...]:
+    """``payload``, a nonempty list or tuple of distinct strings, as a tuple."""
     if not (
-        isinstance(payload, list)
+        isinstance(payload, (list, tuple))
         and payload
         and all(isinstance(w, str) for w in payload)
     ):
         raise ParseError("words: expected a nonempty list of strings")
+    if len(set(payload)) != len(payload):
+        raise ParseError("words: names must be distinct")
     return tuple(payload)
 
 
@@ -277,8 +282,6 @@ def parse_profile(text: str) -> ParsedInput:
     words: Optional[tuple[str, ...]] = None
     if words_payload is not None:
         words = _parse_words(words_payload)
-        if len(set(words)) != len(words):
-            raise ParseError("words: names must be distinct")
     forms = set()
     for i, agent in enumerate(agents):
         if not isinstance(agent, dict):
@@ -317,7 +320,7 @@ def _parse_endpoint_agents(
             m = len(values)
         elif len(values) != m:
             raise ParseError(f"{where}: {len(values)} endpoints, expected {m}")
-        rows.append(_at(where, EndpointMultiset._from_keyed, domain, values, keys))
+        rows.append(_at(where, EndpointMultiset._from_valid(domain, values, keys)._check))
     if words is not None and len(words) != m + 1:
         raise ParseError(f"words: {len(words)} names for {m + 1} words")
     # every row is over ``domain`` and of length m
@@ -366,7 +369,7 @@ def _parse_extent_agents(
                 extents.append(extent)
                 right_keys.append(keys[1])
         vocabularies.append(
-            _at(where, Vocabulary._from_keyed, domain, tuple(extents), tuple(right_keys))
+            _at(where, Vocabulary._from_valid(domain, tuple(extents), tuple(right_keys))._check)
         )
     # every vocabulary is over ``domain`` and has one extent per word; a
     # degenerate one is refused only once every agent is read
@@ -507,7 +510,7 @@ class ResultDocument:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rule", jsonify(self.rule))
-        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "words", _parse_words(self.words))
         object.__setattr__(self, "endpoints", as_rationals(self.endpoints))
         object.__setattr__(self, "vocabulary", as_extents(self.vocabulary))
         object.__setattr__(self, "reports", tuple(jsonify(r) for r in self.reports))
@@ -533,8 +536,8 @@ class ResultDocument:
         the caller guarantees that ``rule`` is JSON already (objects, lists,
         strings and integers, as the package's rules describe themselves),
         that ``endpoints`` is a tuple of ``Fraction``s, ``words`` a tuple of
-        one more name, and ``vocabulary`` one ``None`` or ``(left, right)``
-        tuple of ``Fraction``s per word."""
+        one more name, each a distinct string, and ``vocabulary`` one
+        ``None`` or ``(left, right)`` tuple of ``Fraction``s per word."""
         born = object.__new__(cls)
         for name, value in (
             ("rule", rule), ("domain", domain), ("words", words), ("endpoints", endpoints),
@@ -556,14 +559,14 @@ def build_result(
 ) -> ResultDocument:
     """The result document of ``endpoints`` under ``rule``, its vocabulary
     decoded from ``endpoints``.  A rule described by one of the package's
-    ``describe`` methods gives a document born valid, where only the count
-    of ``words`` is checked; any other rule's descriptor goes through
-    ``ResultDocument``, which converts and checks it."""
+    ``describe`` methods gives a document born valid, where only ``words``
+    is checked, as ``ResultDocument`` checks it; any other rule's descriptor
+    goes through ``ResultDocument``, which converts and checks it."""
     descriptor = describe_rule(rule)
-    words = tuple(words)
     extents = decode_endpoints(endpoints).extents
     if type(rule).describe not in _JSON_DESCRIBERS:
         return ResultDocument(descriptor, endpoints.domain, words, endpoints.values, extents)
+    words = _parse_words(words)
     if len(words) != endpoints.m + 1:
         raise ParseError(f"{len(words)} words for {endpoints.m} endpoints")
     return ResultDocument._from_valid(descriptor, endpoints.domain, words, endpoints.values, extents)

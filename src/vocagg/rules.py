@@ -21,12 +21,14 @@ is computed twice; ``order_statistic`` reads bare values through
 those of sorting the fractions.
 
 ``PRule``, ``ExtendedMedianRule``, ``MultisetRule`` and ``MeanRule`` build
-their outputs born valid, through ``EndpointMultiset._from_valid``, from the
+their outputs born valid, through ``EndpointMultiset._from_valid``, the one
+unchecked builder, which takes every stored field and checks nothing: the
 values and keys that ``select`` hands back (the mean keys its own values).
 Nothing can fail there: rows and phantom columns are nondecreasing, so a
 rank that never falls with k, or a column mean, never decreases, and every
 output is a report, a phantom or a mean of reports.  The fixtures, and rules
-written outside this module, use the validating constructor.
+written outside this module, use the validating constructor, which coerces
+and keys the values and checks them by ``_check()``.
 
 The mean sums each column as integers: numerators are added per
 denominator, the groups are added pairwise in a product tree without any

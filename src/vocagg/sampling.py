@@ -14,8 +14,9 @@ picks)`` is the one place an index j becomes a value, the point
 lower + (upper - lower) * j / N, exact and never a float.  It reads each
 point and its ``order_key`` from one bounded ``lru_cache`` table per
 (lower, upper, N), or, for a lattice finer than ``_MAX_TABLED`` = 512
-steps, builds only the drawn points, and returns reports born valid
-(``EndpointMultiset._from_valid``).  Sorting the indices sorts the values,
+steps, builds only the drawn points, and returns reports born valid through
+``EndpointMultiset._from_valid``, the one unchecked builder, given the values
+and their keys and checking nothing.  Sorting the indices sorts the values,
 so a row holds the values of sorting one ``Fraction`` per draw.
 
 Integer draws go through ``_draws(rng, lo, hi, count)``, which returns

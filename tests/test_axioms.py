@@ -46,6 +46,7 @@ from vocagg.axioms import (
     majority_word_sets,
     random_monotone_map,
 )
+from vocagg.core import order_key
 from vocagg.rules import ExtendedMedianRule, InfRule, PhantomMatrix
 from vocagg.sampling import sampling_shape
 
@@ -53,6 +54,12 @@ from conftest import shared_endpoint_profile
 
 UNIT = Domain(F(0), F(1))
 MEDIAN_3x3 = PRule(median_positions(3, 3))
+KEY_TIED_DOMAINS = [
+    UNIT,
+    Domain(F(1, 3), F(2, 3)),  # corners whose keys are floors, not exact
+    Domain(F(-1), F(1, 2**64)),  # an upper corner one key step above zero
+    Domain(F(0), F(1, 2**66)),  # the whole domain inside one key step
+]
 
 
 def open_unit_points(count):
@@ -130,6 +137,26 @@ class TestPiecewiseLinearMap:
         reversal = PiecewiseLinearMap.reversal(UNIT)
         row = EndpointMultiset(UNIT, (F(1, 8), F(1, 4)))
         assert reversal.map_endpoints(row).values == (F(3, 4), F(7, 8))
+
+    @given(st.data())
+    def test_mapped_reports_are_the_exactly_sorted_image(self, data):
+        # map_endpoints reverses a decreasing map's image instead of sorting it;
+        # the result must be the sorted image, keyed, on domains whose corners
+        # share keys with their neighbours and on rows holding ties and corners
+        domain = data.draw(st.sampled_from(KEY_TIED_DOMAINS))
+        direction = data.draw(st.sampled_from(["increasing", "decreasing"]))
+        phi = random_monotone_map(domain, data.draw(st.integers(0, 10**6)), direction)
+        lower, upper = domain.lower, domain.upper
+        tiny = F(1, 2**70)
+        pool = [lower, upper, lower + tiny, upper - tiny, *(x for x, _ in phi.points[1:-1])]
+        pool += [(a + b) / 2 for a, b in zip(pool, pool[1:])]
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        rows = [sorted(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) for _ in range(n)]
+        profile = Profile.from_rows(domain, rows)
+        for row, image in zip(profile.rows, phi.map_profile(profile).rows):
+            expected = tuple(sorted(map(phi, row.values)))
+            assert phi.map_endpoints(row) == image
+            assert image.values == expected and image.keys == tuple(map(order_key, expected))
 
     @pytest.mark.parametrize("domain", [UNIT, Domain(F(-1), F(1, 3)), Domain(F(0), F(100))])
     @pytest.mark.parametrize("direction", ["increasing", "decreasing"])

@@ -554,6 +554,7 @@ class TestResultDocuments:
             ("reports", 5, "reports: expected a list"),
             ("witnesses", None, "witnesses: expected a list"),
             ("domain", {"lower": "0"}, "^domain.upper: missing$"),
+            ("words", ["F", "D", "C", "B", "F"], "^words: names must be distinct$"),
         ],
     )
     def test_malformed_results_name_the_field(self, grading_profile, field, value, message):
@@ -561,6 +562,38 @@ class TestResultDocuments:
         payload[field] = value
         with pytest.raises(ParseError, match=message):
             parse_result(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "words,message",
+        [
+            (["F", "F", "C", "B", "A"], "^words: names must be distinct$"),
+            (["F", "D", "C", "B", 5], "^words: expected a nonempty list of strings$"),
+            ([1, 2, 3, 4, 5], "^words: expected a nonempty list of strings$"),
+            ("FDCBA", "^words: expected a nonempty list of strings$"),
+        ],
+        ids=["repeated", "one-not-a-string", "integers", "one-string"],
+    )
+    def test_results_are_built_only_from_words_that_parse(self, grading_profile, words, message):
+        """``build_result``, on its born-valid branch and through
+        ``ResultDocument``, refuses the word lists that ``parse_result``
+        refuses, with the same message."""
+
+        class SelfDescribedMedian(PRule):
+            def describe(self):
+                return {"kind": "p-rule", "positions": list(self.positions.positions)}
+
+        doc = self.build(grading_profile)
+        payload = json.loads(serialize_result(doc))
+        payload["words"] = words
+        builds = [
+            lambda: parse_result(json.dumps(payload)),
+            lambda: ResultDocument(doc.rule, doc.domain, words, doc.endpoints, doc.vocabulary),
+        ]
+        for rule in (PRule(median_positions(3, 4)), SelfDescribedMedian(median_positions(3, 4))):
+            builds.append(lambda rule=rule: build_result(rule, words, apply_rule(grading_profile, rule)))
+        for build in builds:
+            with pytest.raises(ParseError, match=message):
+                build()
 
     @pytest.mark.parametrize(
         "endpoints,vocabulary,message,rule",

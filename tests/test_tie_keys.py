@@ -38,7 +38,7 @@ from vocagg import (
     utility,
 )
 from vocagg.axioms import _unbacked_extents, majority_extent_agents
-from vocagg.core import shown
+from vocagg.core import order_key, shown
 from vocagg.exemplars import GAP_ORDERS
 from vocagg.sampling import _draws, sampled_report
 from vocagg.strategic import _closer_somewhere, _targeted_values
@@ -214,18 +214,28 @@ class TestCoreValidators:
     @NO_DEADLINE
     @given(domain_and_values(max_size=4))
     def test_endpoint_multiset(self, case):
+        # the validating constructor, and the keyed path that a document row
+        # takes: ``_from_valid`` with the values' keys, then ``_check()``
         domain, values = case
+        keys = tuple(map(order_key, values))
         built, error = outcome(EndpointMultiset, domain, tuple(values))
+        keyed, keyed_error = outcome(lambda: EndpointMultiset._from_valid(domain, tuple(values), keys)._check())
         expected = ref_endpoints(domain, values)
-        assert error == (None if expected is None else expected[1])
+        assert error == keyed_error == (None if expected is None else expected[1])
+        if expected is None:
+            assert keyed == built and keyed.keys == built.keys == keys
 
     @NO_DEADLINE
     @given(tilings())
     def test_vocabulary(self, case):
         domain, extents = case
+        right_keys = tuple(order_key(e[1]) for e in extents if e is not None)
         built, error = outcome(Vocabulary, domain, extents)
+        keyed, keyed_error = outcome(lambda: Vocabulary._from_valid(domain, extents, right_keys)._check())
         expected = ref_vocabulary(domain, extents)
-        assert error == (None if expected is None else expected[1])
+        assert error == keyed_error == (None if expected is None else expected[1])
+        if expected is None:
+            assert keyed == built and keyed._right_keys == built._right_keys == right_keys
 
     @NO_DEADLINE
     @given(domain_and_values(max_size=4))
