@@ -36,7 +36,6 @@ from .rules import (
     PositionVector,
     Rule,
     as_positions,
-    extended_median,
 )
 from .sampling import (
     AxiomReport,
@@ -680,6 +679,13 @@ def search_extent_violation(
 # strict responsiveness
 
 
+def _pinned(domain: Domain, m: int, k: int, column: Sequence[Fraction]) -> Profile:
+    """The profile whose column k is ``column`` and whose other columns sit at
+    the corners: the lower one before column k, the upper one after it."""
+    before, after = (domain.lower,) * (k - 1), (domain.upper,) * (m - k)
+    return Profile.from_rows(domain, [(*before, v, *after) for v in column])
+
+
 def check_strict_responsiveness(
     rule: Rule,
     trials: int,
@@ -692,8 +698,11 @@ def check_strict_responsiveness(
     """Strictly raising every report in one column must strictly raise f^k.
 
     Each interior phantom of the rule (``Rule.phantom_columns``) is probed
-    first with a column pinned at the phantom: shifting all reports slightly
-    leaves the pooled median stuck, which is the generic failure.  Random
+    first with column k pinned at the phantom, the other columns at the
+    corners (the lower one before column k, the upper one after it).
+    Shifting all of column k slightly up must raise the rule's k-th output;
+    a pooled median stays stuck at the phantom, which is the generic
+    failure.  Random
     trials then raise one column of a strict random profile on the 64-step
     lattice, each report by r/8 of its slack below the next boundary (r in
     1..7), which lands on the 64 * 8-step lattice.
@@ -709,8 +718,8 @@ def check_strict_responsiveness(
             above = [q + (j + 1) * step for j in range(idx)]
             column = tuple(below + above)
             shifted = tuple(v + step / 2 for v in column)
-            before = extended_median(column, column_phantoms)
-            after = extended_median(shifted, column_phantoms)
+            before = rule(_pinned(domain, m, k, column)).values[k - 1]
+            after = rule(_pinned(domain, m, k, shifted)).values[k - 1]
             if not before < after:
                 witness = {
                     "column_index": k,

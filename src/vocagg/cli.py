@@ -22,7 +22,6 @@ only its own modules.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -31,6 +30,7 @@ from .core import Domain, as_rational, decode_endpoints
 from .errors import ParseError, VocaggError
 from .io import (
     ParsedInput,
+    _indented,
     build_result,
     describe_rule,
     jsonify,
@@ -159,7 +159,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "reports": [report_to_json(report) for report in reports],
     }
-    _write_text(args.output, json.dumps(bundle, indent=2) + "\n")
+    _write_text(args.output, _indented(bundle, "\n") + "\n")
     return 0 if all(report.holds for report in reports) else 1
 
 
@@ -192,7 +192,7 @@ def _cmd_sp_check(args: argparse.Namespace) -> int:
             "deviated_outcome": verdict.deviated_outcome,
         },
     }
-    _write_text(args.output, json.dumps(jsonify(bundle), indent=2) + "\n")
+    _write_text(args.output, _indented(jsonify(bundle), "\n") + "\n")
     return 1 if witness is not None or verdict is not None else 0
 
 
@@ -228,7 +228,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         "collective_gaps": collective_gaps.gaps,
         "vocabulary": dict(zip(words, collective.extents)),
     }
-    _write_text(args.output, json.dumps(jsonify(payload), indent=2) + "\n")
+    _write_text(args.output, _indented(jsonify(payload), "\n") + "\n")
     return 0
 
 

@@ -22,8 +22,10 @@ docstring) reads the same on every supported interpreter; JSON numbers reach
 it as their text (RFC 8259 section 6).  Each document (profile, rule
 descriptor or result) is read with its own memo from numeral text to value,
 which lives only for that one call: a numeral read once is found again by one
-dict lookup (a text repeated within the row or list where it first occurs is
-read at each of those places, and the memo keeps the last).  Only numerals
+dict lookup, and every place of one text in a document holds one value object
+(a text repeated within the row or list where it first occurs is still read
+by one ``as_rational`` call at each of those places, and the memo keeps the
+first value and key).  Only numerals
 that read correctly are kept, so a bad one raises at each place it occurs and
 the first bad place in the document is the one reported.  A miss costs one
 ``as_rational`` call, and a plain ASCII numeral (``p/q``, an integer or a
@@ -38,6 +40,17 @@ extent agent are built by ``_from_valid`` with the keys read and checked on
 them by ``_check()``, which refuses what the validating constructors refuse,
 in the same words.  The vocabulary keeps its right ends' keys, so
 ``encode_vocabulary`` keys nothing again.
+
+Every JSON document the package writes (result documents here, the CLI's
+``axioms``, ``sp-check`` and ``induce`` bundles) is the text of
+``json.dumps(..., indent=2)``, written by one private writer, ``_indented``.
+Any ``indent`` sends ``json.dumps`` to its pure-Python encoder; the writer
+instead quotes strings and whole lists of strings with json's own C
+``encode_basestring_ascii``, prints exact ints with ``int.__repr__`` and
+writes lists and string-keyed dicts itself, and hands every other value to
+``json.dumps`` unchanged, so it writes the same text and refuses nothing
+that ``json.dumps`` takes.  ``serialize_result`` writes the fixed top level
+of a result document and quotes each value object once.
 
 The objects built here raise a ``VocaggError`` on bad input; ``_at`` and the
 numeral reader add the place in the document, re-raising it as
@@ -132,9 +145,8 @@ class _Numerals:
             for j, q in enumerate(out):
                 if q is None:
                     value = values[j]
-                    out[j] = q = as_rational(value)
-                    if type(value) is str:
-                        seen[value] = q
+                    q = as_rational(value)
+                    out[j] = seen.setdefault(value, q) if type(value) is str else q
         except VocaggError as exc:
             raise ParseError(f"{where}[{j}]: {exc}") from None
         return tuple(out)
@@ -150,11 +162,12 @@ class _Numerals:
             for j, q in enumerate(out):
                 value = values[j]
                 if q is None:
-                    out[j] = q = as_rational(value)
+                    q = as_rational(value)
                     key = order_key(q)
                     if type(value) is str:
-                        seen[value] = q
-                        keys[value] = key
+                        q = seen.setdefault(value, q)
+                        key = keys.setdefault(value, key)
+                    out[j] = q
                 else:
                     key = keys.get(value)
                     if key is None:
@@ -208,6 +221,41 @@ def jsonify(value: object) -> object:
     if isinstance(value, Profile):
         return [[rational_str(v) for v in row.values] for row in value.rows]
     raise TypeError(f"cannot serialize {value!r}")
+
+
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _indented(value: object, newline: str) -> str:
+    """``json.dumps(value, indent=2)``, each line after the first begun with
+    ``newline`` (``"\\n"`` and the indentation of the place it is nested at).
+
+    Strings, lists of strings and exact ints are written by json's own C
+    string quoting and ``int.__repr__``, lists and dicts keyed by strings
+    recursively; any other value (``None``, bools, floats, other keys,
+    subclasses) is written by ``json.dumps`` itself, so nothing is written
+    differently and nothing ``json.dumps`` takes is refused."""
+    kind = type(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(_quoted, value))
+        except TypeError:
+            body = ("," + inner).join([_indented(v, inner) for v in value])
+        return f"[{inner}{body}{newline}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        body = ("," + inner).join([f"{_quoted(k)}: {_indented(v, inner)}" for k, v in value.items()])
+        return f"{{{inner}{body}{newline}}}"
+    # json writes no raw line break inside a value, so each one it writes starts a line
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def report_to_json(report) -> dict:
@@ -575,28 +623,36 @@ def build_result(
 def serialize_result(doc: ResultDocument) -> str:
     """The canonical JSON text of ``doc``.
 
-    Each value object is printed once: the extents of a decoded vocabulary
-    are the corners and the endpoints themselves, so their texts are looked
-    up by object, and only a value held nowhere else is printed on its own.
+    The text is ``json.dumps`` of the document's fields with ``indent=2``.
+    Its fixed top level is written here and each field inside it by
+    ``_indented``.  Each value object is printed and quoted once: the
+    extents of a decoded vocabulary are the corners and the endpoints
+    themselves, so their texts are looked up by object, and only a value
+    held nowhere else is printed on its own.
     """
     lower, upper = doc.domain.lower, doc.domain.upper
     objects = {id(q): q for q in (lower, upper, *doc.endpoints)}
-    texts = {key: rational_str(q) for key, q in objects.items()}
-    payload = {
-        "rule": doc.rule,
-        "domain": {"lower": texts[id(lower)], "upper": texts[id(upper)]},
-        "words": list(doc.words),
-        "endpoints": [texts[id(q)] for q in doc.endpoints],
-        "vocabulary": {
-            word: None if extent is None else [
-                texts.get(id(q)) or rational_str(q) for q in extent
-            ]
-            for word, extent in zip(doc.words, doc.vocabulary)
-        },
-        "reports": list(doc.reports),
-        "witnesses": list(doc.witnesses),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    texts = {key: _quoted(rational_str(q)) for key, q in objects.items()}
+    endpoints = ",\n    ".join([texts[id(q)] for q in doc.endpoints])
+    text = texts.get
+    vocabulary = ",\n    ".join([
+        f"{_quoted(word)}: null" if extent is None else (
+            f"{_quoted(word)}: [\n"
+            f"      {text(id(extent[0])) or _quoted(rational_str(extent[0]))},\n"
+            f"      {text(id(extent[1])) or _quoted(rational_str(extent[1]))}\n    ]"
+        )
+        for word, extent in zip(doc.words, doc.vocabulary)
+    ])
+    return (
+        '{\n  "rule": ' + _indented(doc.rule, "\n  ")
+        + ',\n  "domain": {\n    "lower": ' + texts[id(lower)] + ',\n    "upper": ' + texts[id(upper)]
+        + '\n  },\n  "words": ' + _indented(list(doc.words), "\n  ")
+        + ',\n  "endpoints": ' + ("[\n    " + endpoints + "\n  ]" if endpoints else "[]")
+        + ',\n  "vocabulary": {\n    ' + vocabulary
+        + '\n  },\n  "reports": ' + _indented(list(doc.reports), "\n  ")
+        + ',\n  "witnesses": ' + _indented(list(doc.witnesses), "\n  ")
+        + "\n}\n"
+    )
 
 
 def parse_result(text: str) -> ResultDocument:

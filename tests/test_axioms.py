@@ -504,6 +504,20 @@ class TestStrictResponsiveness:
         assert report.verdict == VIOLATED
         assert report.witness["before"] == report.witness["after"] == F(1, 2)
 
+    def test_the_phantom_probe_judges_the_rule(self):
+        class PlainMedian(ExtendedMedianRule):
+            """Carries interior phantoms but ignores them: the median of the reports."""
+
+            def __call__(self, profile):
+                return PRule(median_positions(profile.n, profile.m))(profile)
+
+        matrix = PhantomMatrix(UNIT, ((F(1, 2), F(1, 2)), (F(1, 2), F(3, 4))))
+        stuck = check_strict_responsiveness(ExtendedMedianRule(matrix), 0, 2)
+        assert stuck.verdict == VIOLATED
+        assert set(stuck.witness) == {"column_index", "phantom", "column", "shifted_column", "before", "after"}
+        assert stuck.witness["before"] == stuck.witness["after"] == F(1, 2)
+        assert check_strict_responsiveness(PlainMedian(matrix), 40, 2).holds
+
     def test_corner_phantoms_do_respond(self):
         from vocagg import boundary_phantoms
 

@@ -37,13 +37,15 @@ from vocagg import (
     parse_result,
     rational_str,
     render_diagram,
+    report_to_json,
     rule_from_descriptor,
+    run_axiom_battery,
     serialize_result,
 )
 from vocagg.cli import main
 from vocagg.core import decode_endpoints, default_words, encode_vocabulary
 from vocagg.exemplars import GapSequence, collective_incomplete
-from vocagg.io import ParsedInput, _at
+from vocagg.io import ParsedInput, _at, _indented
 
 UNIT = Domain(F(0), F(1))
 # the interpreter's int-to-text limit (0 when switched off)
@@ -83,6 +85,23 @@ TWO_AGENT_DOC = {
     "domain": {"lower": "0", "upper": "1"},
     "agents": [{"endpoints": ["1/4"]}, {"endpoints": ["1/2"]}],
 }
+
+
+def dumped_result(doc):
+    """The text of a result document as ``json.dumps(indent=2)`` writes its fields."""
+    payload = {
+        "rule": doc.rule,
+        "domain": {"lower": rational_str(doc.domain.lower), "upper": rational_str(doc.domain.upper)},
+        "words": list(doc.words),
+        "endpoints": [rational_str(q) for q in doc.endpoints],
+        "vocabulary": {
+            word: None if extent is None else [rational_str(q) for q in extent]
+            for word, extent in zip(doc.words, doc.vocabulary)
+        },
+        "reports": list(doc.reports),
+        "witnesses": list(doc.witnesses),
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 class TestRationals:
@@ -133,6 +152,88 @@ class TestJsonify:
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError, match="^cannot serialize <object object at "):
             jsonify(object())
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def written(write, value):
+    """``write(value)``, or the type of the exception it raises."""
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc)
+
+
+def same_as_json_dumps(value):
+    expected = written(lambda v: json.dumps(v, indent=2), value)
+    assert written(lambda v: _indented(v, "\n"), value) == expected
+    return expected
+
+
+# text that json must escape: quotes, backslashes, control characters, DEL,
+# non-ASCII, astral characters and a lone surrogate
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é \ud800'), st.characters()),
+    max_size=8,
+)
+JSON_INTS = st.one_of(
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+    # past the interpreter's int-to-text limit: json.dumps raises ValueError
+    st.builds(lambda digits, sign: sign * 10**digits, st.integers(INT_TEXT_LIMIT, INT_TEXT_LIMIT + 5), st.sampled_from([1, -1])),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=5), st.dictionaries(JSON_TEXT, children, max_size=5)),
+    max_leaves=20,
+)
+
+
+class TestIndentedWriter:
+    """``io._indented(value, "\\n")`` writes what ``json.dumps(value, indent=2)``
+    writes, or raises an exception of the same type."""
+
+    @settings(deadline=None)
+    @given(JSON_VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        same_as_json_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: "a", "b": [2]},
+            {"a": {1: [True]}, "b": ["x", {None: 1.5, True: 2, 2.5: 3}]},
+            [Text("a\"b"), "c"],
+            {Text("k"): Text("v")},
+            [Count(3), Count(-4)],
+            {"n": Count(5)},
+            [0.1, -0.0, 1e300, float("inf"), float("-inf"), float("nan")],
+            {"x": float("nan")},
+            ("a", (1, [2])),
+            {"k": ("a", None)},
+            [[], {}, [[]], [{}], ""],
+        ],
+    )
+    def test_hands_every_other_value_to_json_dumps(self, value):
+        assert isinstance(same_as_json_dumps(value), str)
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), [1, object()], {"a": {1, 2}}, ["a", b"x"], {(1, 2): 3}, [10**(INT_TEXT_LIMIT + 1)]],
+    )
+    def test_refuses_what_json_dumps_refuses(self, value):
+        assert same_as_json_dumps(value) in (TypeError, ValueError)
+
+    def test_nests_after_the_newline_it_is_given(self):
+        value = {"a": [1, {"b": ["c"]}], "d": {}}
+        assert _indented(value, "\n    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
 
 
 class TestParseProfile:
@@ -318,6 +419,14 @@ class TestParseProfile:
         second = parse_profile(text)
         assert len(reads) == 24 and sorted(reads[:12]) == sorted(reads[12:])
         assert first == second
+
+    def test_a_text_repeated_where_it_first_occurs_is_one_object(self):
+        doc = {"domain": {"lower": "0", "upper": "1"}, "agents": [{"endpoints": ["1/8", "1/8", "1/8"]}]}
+        first, second, third = parse_profile(json.dumps(doc)).profile.rows[0].values
+        assert first is second is third
+        descriptor = {"kind": "extended-median", "columns": [["1/4", "1/4"]]}
+        low, high = rule_from_descriptor(descriptor, 3, 1, UNIT).phantoms.columns[0]
+        assert low is high
 
     def test_extents_need_word_names(self):
         doc = {
@@ -542,6 +651,49 @@ class TestResultDocuments:
         }
         assert serialize_result(doc) == json.dumps(payload, indent=2) + "\n"
         assert serialize_result(built) == serialize_result(doc)
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["median", "p:1,2,2,3", "mean", "multiset", "dictator:2", "emed", "fixture:inf-rule",
+         "fixture:discontinuous-rule"],
+    )
+    def test_the_text_is_json_dumps_of_the_fields(self, grading_profile, rule):
+        if rule == "emed":
+            rule = {"kind": "extended-median", "columns": GRADING_PHANTOMS}
+        rule = rule_from_descriptor(rule, 3, 4, grading_profile.domain)
+        doc = build_result(rule, GRADING_DOC["words"], apply_rule(grading_profile, rule))
+        assert serialize_result(doc) == dumped_result(doc)
+
+    @pytest.mark.parametrize("rule", [MeanRule(), MultisetRule()])
+    def test_a_one_word_document_is_json_dumps_of_the_fields(self, rule):
+        profile = Profile.from_rows(UNIT, [(), (), ()])
+        doc = build_result(rule, ["all"], apply_rule(profile, rule))
+        assert doc.endpoints == () and doc.vocabulary == ((F(0), F(1)),)
+        assert serialize_result(doc) == dumped_result(doc)
+
+    def test_foreign_descriptors_reports_and_witnesses_are_json_dumps_of_the_fields(self, grading_profile):
+        class WeightedMean(MeanRule):
+            def describe(self):
+                return {"kind": "mean", "weights": (F(1, 2), F(1, 2)), 3: [True, None, -7]}
+
+        rule = WeightedMean()
+        built = build_result(rule, GRADING_DOC["words"], apply_rule(grading_profile, rule))
+        assert serialize_result(built) == dumped_result(built)
+        reports = [
+            report_to_json(report)
+            for report in run_axiom_battery(MeanRule(), 20, 7, n=3, m=2).values()
+        ]
+        assert any(report["witness"] is None for report in reports)
+        assert any(report["witness"] is not None for report in reports)
+        witness = {"agent": 2, "holds": False, "values": ["1/3", [], {}], "nested": [[{"a": None}]]}
+        doc = ResultDocument(
+            describe_rule(PRule(median_positions(3, 4))), built.domain, built.words,
+            built.endpoints, built.vocabulary, reports=tuple(reports), witnesses=(witness, {}),
+        )
+        text = serialize_result(doc)
+        assert text == dumped_result(doc)
+        assert parse_result(text) == doc
+        assert serialize_result(parse_result(text)) == text
 
     @pytest.mark.parametrize(
         "field,value,message",
