@@ -23,8 +23,8 @@ keeps the keys it computes while validating (its ``keys`` field, left out
 of ``==``, hashing and ``repr``), so the rules order its values without
 computing them again.  A ``Domain`` keeps its corners' keys the same way
 for its membership tests (``contains``, ``contains_closed``,
-``first_outside``), which, like ``first_descent``, spell the decision out
-inline rather than call ``less`` per value.
+``first_outside``), which, like ``first_descent`` and ``Vocabulary._check``,
+spell the decision out inline rather than call ``less`` per value.
 
 Each value type has one checked constructor, one unchecked builder and one
 check.  ``EndpointMultiset(domain, values)`` and ``Vocabulary(domain,
@@ -519,8 +519,8 @@ class Vocabulary:
                     f"extent [{shown(left)}, {shown(right)})"
                     f" does not continue the tiling at {shown(cursor)}"
                 )
-            # left equals the cursor, so it has the cursor's key
-            if not less(left, right, cursor_key, key):
+            # left equals the cursor, so it has the cursor's key; ``less``, inline
+            if key <= cursor_key and (key < cursor_key or left is right or not left < right):
                 raise InvalidVocabulary(f"empty extent [{shown(left)}, {shown(right)})")
             cursor, cursor_key = right, key
         if cursor is not self.domain.upper and cursor != self.domain.upper:
@@ -562,7 +562,7 @@ class Vocabulary:
     @property
     def degenerate(self) -> bool:
         """True when only one word is active; such vocabularies carry no boundary."""
-        return len(self.active_words()) < 2
+        return len(self._right_keys) < 2
 
 
 @dataclass(frozen=True)

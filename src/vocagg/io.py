@@ -23,34 +23,36 @@ it as their text (RFC 8259 section 6).  Each document (profile, rule
 descriptor or result) is read with its own memo from numeral text to value,
 which lives only for that one call: a numeral read once is found again by one
 dict lookup, and every place of one text in a document holds one value object
-(a text repeated within the row or list where it first occurs is still read
-by one ``as_rational`` call at each of those places, and the memo keeps the
-first value and key).  Only numerals
-that read correctly are kept, so a bad one raises at each place it occurs and
-the first bad place in the document is the one reported.  A miss costs one
-``as_rational`` call, and a plain ASCII numeral (``p/q``, an integer or a
-decimal without exponent) is read there by ``int`` of its parts, without the
-grammar's pattern; the language read is the same.
+(a text repeated within the endpoint row or list where it first occurs is
+still read by one ``as_rational`` call at each of those places, and the memo
+keeps the first value and key).  Only numerals that read correctly are kept,
+so a bad one raises at each place it occurs and the first bad place in the
+document is the one reported.  A miss costs one ``as_rational`` call, and a
+plain ASCII numeral (``p/q``, an integer or a decimal without exponent) is
+read there by ``int`` of its parts, without the grammar's pattern; the
+language read is the same.
 
-Beside each value, the memo keeps the text's ``order_key`` once a row has
-held it, so each distinct text is keyed once.  As ``core`` states, each
-value type has one checked constructor, one ``_from_valid`` that takes every
-field and checks nothing, and one ``_check()``.  An endpoint row and an
-extent agent are built by ``_from_valid`` with the keys read and checked on
-them by ``_check()``, which refuses what the validating constructors refuse,
-in the same words.  The vocabulary keeps its right ends' keys, so
-``encode_vocabulary`` keys nothing again.
+Beside each value, the memo keeps the text's ``order_key`` once a row or a
+right end has held it, so each distinct text is keyed once.  An extent object
+(an agent's or a result's ``vocabulary``) is read in one pass by
+``_Numerals.read_extents``, a place built only for a refusal.  As ``core``
+states, each value type has one checked constructor, one ``_from_valid``
+that takes every field and checks nothing, and one ``_check()``.  An
+endpoint row and an extent agent are built by ``_from_valid`` with the keys
+read and checked on them by ``_check()``, which refuses what the validating
+constructors refuse, in the same words.  The vocabulary keeps its right
+ends' keys, so ``encode_vocabulary`` keys nothing again.
 
 Every JSON document the package writes (result documents here, the CLI's
 ``axioms``, ``sp-check`` and ``induce`` bundles) is the text of
 ``json.dumps(..., indent=2)``, written by one private writer, ``_indented``.
 Any ``indent`` sends ``json.dumps`` to its pure-Python encoder; the writer
 instead quotes strings and whole lists of strings with json's own C
-``encode_basestring_ascii``, prints exact ints with ``int.__repr__`` and
-writes lists and string-keyed dicts itself, and hands every other value to
-``json.dumps`` unchanged, so it writes the same text and refuses nothing
-that ``json.dumps`` takes.  ``serialize_result`` writes the fixed top level
-of a result document and quotes each value object once.
+``encode_basestring_ascii``, prints exact ints with ``int.__repr__``,
+writes ``null``, ``true``, ``false``, lists and string-keyed dicts itself,
+and hands every other value to ``json.dumps`` unchanged, so it writes the
+same text and refuses nothing that ``json.dumps`` takes.  ``serialize_result``
+writes the fixed top level of a result document and quotes each value once.
 
 The objects built here raise a ``VocaggError`` on bad input; ``_at`` and the
 numeral reader add the place in the document, re-raising it as
@@ -66,7 +68,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
 
 from .core import (
     MAX_NUMERAL_DIGITS,
@@ -177,6 +179,48 @@ class _Numerals:
             raise ParseError(f"{where}[{j}]: {exc}") from None
         return tuple(out), tuple(row_keys)
 
+    def read_extents(self, payload: object, words: tuple, word_set: frozenset, where: str) -> tuple:
+        """The extent (``(left, right)`` or ``None``) of each of ``words`` in the object
+        ``payload``, and the active extents' right ends' keys: each end is read as
+        ``read_row`` reads it, inline, and ``where.name[j]`` is built only to raise."""
+        if not isinstance(payload, dict):
+            raise ParseError(f"{where}: expected an object keyed by word name")
+        if not payload.keys() <= word_set:
+            raise ParseError(f"{where}: unknown words {sorted(payload.keys() - word_set)}")
+        seen, keys, get = self.seen, self.keys, payload.get
+        extents, right_keys = [], []
+        for name in words:
+            entry = get(name)
+            if entry is None:
+                extents.append(None)
+                continue
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ParseError(f"{where}.{name}: expected [left, right] or null")
+            left, right = entry
+            j = 0
+            try:
+                if type(left) is str:
+                    q = seen.get(left)
+                    left = seen.setdefault(left, as_rational(left)) if q is None else q
+                else:
+                    left = as_rational(left)
+                j = 1
+                if type(right) is not str:
+                    right = as_rational(right)
+                    key = order_key(right)
+                elif (key := keys.get(right)) is not None:
+                    right = seen[right]
+                else:
+                    q = seen.get(right)
+                    q = seen.setdefault(right, as_rational(right)) if q is None else q
+                    key = keys[right] = order_key(q)
+                    right = q
+            except VocaggError as exc:
+                raise ParseError(f"{where}.{name}[{j}]: {exc}") from None
+            extents.append((left, right))
+            right_keys.append(key)
+        return tuple(extents), tuple(right_keys)
+
 
 def _read_int(literal: str) -> int:
     """A JSON integer literal of at most ``MAX_NUMERAL_DIGITS`` digits, read exactly."""
@@ -186,10 +230,16 @@ def _read_int(literal: str) -> int:
     return int(Decimal(literal))
 
 
+# the decoder ``json.loads`` builds per call with these hooks, once it has refused a BOM or decoded bytes
+_DECODER = json.JSONDecoder(parse_float=str, parse_int=_read_int)
+
+
 def load_json(text: str) -> object:
     """Parse JSON keeping float literals as raw strings; integers up to
     ``MAX_NUMERAL_DIGITS`` digits read exactly, longer ones refused."""
     try:
+        if isinstance(text, str) and not text.startswith("\ufeff"):
+            return _DECODER.decode(text)
         return json.loads(text, parse_float=str, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
@@ -230,16 +280,18 @@ def _indented(value: object, newline: str) -> str:
     """``json.dumps(value, indent=2)``, each line after the first begun with
     ``newline`` (``"\\n"`` and the indentation of the place it is nested at).
 
-    Strings, lists of strings and exact ints are written by json's own C
-    string quoting and ``int.__repr__``, lists and dicts keyed by strings
-    recursively; any other value (``None``, bools, floats, other keys,
-    subclasses) is written by ``json.dumps`` itself, so nothing is written
-    differently and nothing ``json.dumps`` takes is refused."""
+    Strings, lists of strings, exact ints, ``None`` and exact bools are written
+    by json's own C string quoting, ``int.__repr__`` and json's literals, lists
+    and dicts keyed by strings recursively; any other value (floats, other
+    keys, subclasses) is written by ``json.dumps`` itself, so nothing is
+    written differently and nothing ``json.dumps`` takes is refused."""
     kind = type(value)
     if kind is str:
         return _quoted(value)
     if kind is int:
         return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else ("true" if value else "false")
     inner = newline + "  "
     if kind is list:
         if not value:
@@ -309,6 +361,9 @@ def _parse_words(payload: object) -> tuple[str, ...]:
     return tuple(payload)
 
 
+_FORMS = frozenset(("endpoints", "extents", "exemplar_labels"))
+
+
 def parse_profile(text: str) -> ParsedInput:
     """Decode a profile document into exact objects.
 
@@ -334,7 +389,7 @@ def parse_profile(text: str) -> ParsedInput:
     for i, agent in enumerate(agents):
         if not isinstance(agent, dict):
             raise ParseError(f"agents[{i}]: expected an object")
-        keys = {"endpoints", "extents", "exemplar_labels"} & agent.keys()
+        keys = _FORMS.intersection(agent)
         if len(keys) != 1:
             raise ParseError(
                 f"agents[{i}]: need exactly one of endpoints, extents, exemplar_labels"
@@ -378,25 +433,6 @@ def _parse_endpoint_agents(
     )
 
 
-def _extent_entries(
-    payload: object, words: tuple[str, ...], where: str
-) -> Iterator[tuple[str, Optional[list]]]:
-    """The place and ``[left, right]`` entry (or ``None``) of each word, in word
-    order, from an object keyed by word name; an entry of another shape is
-    refused when its turn comes, so the first refusal in the document is the
-    one raised."""
-    if not isinstance(payload, dict):
-        raise ParseError(f"{where}: expected an object keyed by word name")
-    unknown = set(payload) - set(words)
-    if unknown:
-        raise ParseError(f"{where}: unknown words {sorted(unknown)}")
-    for name in words:
-        entry = payload.get(name)
-        if entry is not None and not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError(f"{where}.{name}: expected [left, right] or null")
-        yield f"{where}.{name}", entry
-
-
 def _parse_extent_agents(
     domain: Domain,
     words: Optional[tuple[str, ...]],
@@ -405,20 +441,11 @@ def _parse_extent_agents(
 ) -> ParsedInput:
     if words is None:
         raise ParseError("words: required for extent-form agents")
-    vocabularies = []
+    vocabularies, word_set = [], frozenset(words)
     for i, agent in enumerate(agents):
         where = f"agents[{i}].extents"
-        extents, right_keys = [], []
-        for place, entry in _extent_entries(agent["extents"], words, where):
-            if entry is None:
-                extents.append(None)
-            else:
-                extent, keys = numerals.read_row(entry, place)
-                extents.append(extent)
-                right_keys.append(keys[1])
-        vocabularies.append(
-            _at(where, Vocabulary._from_valid(domain, tuple(extents), tuple(right_keys))._check)
-        )
+        extents, right_keys = numerals.read_extents(agent["extents"], words, word_set, where)
+        vocabularies.append(_at(where, Vocabulary._from_valid(domain, extents, right_keys)._check))
     # every vocabulary is over ``domain`` and has one extent per word; a
     # degenerate one is refused only once every agent is read
     profile = _at("agents", lambda: Profile._from_valid(tuple(map(encode_vocabulary, vocabularies))))
@@ -673,10 +700,7 @@ def parse_result(text: str) -> ResultDocument:
     if not isinstance(payload["endpoints"], list):
         raise ParseError("endpoints: expected a list")
     endpoints = numerals.read_list(payload["endpoints"], "endpoints")
-    vocabulary = tuple(
-        None if entry is None else numerals.read_list(entry, place)
-        for place, entry in _extent_entries(payload["vocabulary"], words, "vocabulary")
-    )
+    vocabulary, _ = numerals.read_extents(payload["vocabulary"], words, frozenset(words), "vocabulary")
     for key in ("reports", "witnesses"):
         if not isinstance(payload.get(key, []), list):
             raise ParseError(f"{key}: expected a list")

@@ -43,9 +43,9 @@ from vocagg import (
     serialize_result,
 )
 from vocagg.cli import main
-from vocagg.core import decode_endpoints, default_words, encode_vocabulary
+from vocagg.core import MAX_NUMERAL_DIGITS, decode_endpoints, default_words, encode_vocabulary, shown
 from vocagg.exemplars import GapSequence, collective_incomplete
-from vocagg.io import ParsedInput, _at, _indented
+from vocagg.io import ParsedInput, _Numerals, _at, _indented, _read_int
 
 UNIT = Domain(F(0), F(1))
 # the interpreter's int-to-text limit (0 when switched off)
@@ -127,6 +127,44 @@ class TestRationals:
             parse_profile(json.dumps(doc))
 
 
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# ``load_json`` against ``json.loads`` with its hooks: text, and what json.loads
+# refuses or decodes itself before decoding
+LOAD_CASES = {
+    "numbers-and-literals": '{"x": [48.33, 7, -0, 1e5, "1/3", null, true]}',
+    "str-subclass": Text('{"a": 1}'),
+    "bom": "\ufeff{}",
+    "bom-object": '\ufeff{"x": 1}',
+    "bytes": b'{"x": 1.5}',
+    "bytes-bom": b'\xef\xbb\xbf{"x": 2}',
+    "bytearray": bytearray(b"[1]"),
+    "bytes-not-utf8": b"\xff",
+    "none": None,
+    "int": 5,
+    "list": ["{}"],
+    "empty": "",
+    "blank": " ",
+    "open-object": "{",
+    "missing-value": '{"a": }',
+    "open-list": "[1, 2",
+    "double-comma": "[1,,2]",
+    "extra-data": '{"a": 1} x',
+    "missing-colon-on-line-3": '\n\n  {"a" 1}',
+    "bad-escape": '["\\x"]',
+    "infinities": "[Infinity, -Infinity]",
+    "integer-past-the-bound": "1" * (MAX_NUMERAL_DIGITS + 1),
+    "negative-integer-past-the-bound": "[-" + "1" * (MAX_NUMERAL_DIGITS + 1) + "]",
+    "integer-at-the-bound": "1" * MAX_NUMERAL_DIGITS,
+}
+
+
 class TestLoadJson:
     def test_float_literals_stay_textual(self):
         assert load_json('{"x": 48.33}') == {"x": "48.33"}
@@ -134,6 +172,22 @@ class TestLoadJson:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match="line 2, column"):
             load_json('{"x":\n }')
+
+    @pytest.mark.parametrize("text", LOAD_CASES.values(), ids=LOAD_CASES.keys())
+    def test_reads_what_json_loads_reads(self, text):
+        def reference(text):
+            try:
+                return json.loads(text, parse_float=str, parse_int=_read_int)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+        def outcome(load):
+            try:
+                return "value", load(text)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(load_json) == outcome(reference)
 
 
 class TestJsonify:
@@ -152,14 +206,6 @@ class TestJsonify:
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError, match="^cannot serialize <object object at "):
             jsonify(object())
-
-
-class Text(str):
-    pass
-
-
-class Count(int):
-    pass
 
 
 def written(write, value):
@@ -1345,7 +1391,7 @@ class TestPinnedCliOutputs:
 
 
 # ---------------------------------------------------------------------------
-# the row reader against the per-row reader it replaced
+# the row and extent readers against the per-row reader they replaced
 
 # the texts of each value: HALF_UP lies within 2**-64 of 1/2, so both have
 # one order key, and so do the corner 1 and ONE_UP, which lies outside (0, 1)
@@ -1436,6 +1482,57 @@ def parse_outcome(parse, doc):
     return parsed, [row.keys for row in parsed.profile.rows], right_keys, sharing
 
 
+def reference_parse_result(text):
+    """``parse_result`` with the vocabulary read extent by extent, each by ``read_list``."""
+    payload = load_json(text)
+    if not isinstance(payload, dict):
+        raise ParseError("expected a JSON object at the top level")
+    for key in ("rule", "domain", "words", "endpoints", "vocabulary"):
+        if key not in payload:
+            raise ParseError(f"{key}: missing")
+    rule = payload["rule"]
+    if not isinstance(rule, dict):
+        raise ParseError(f"rule: expected a descriptor object, got {shown(rule)}")
+    if rule.get("kind") not in vocagg.io._DESCRIBED_KINDS:
+        raise ParseError(f"rule: unknown rule kind {shown(rule.get('kind'))}")
+    numerals = _Numerals()
+    domain = vocagg.io._parse_domain(payload["domain"], numerals)
+    words = vocagg.io._parse_words(payload["words"])
+    if not isinstance(payload["endpoints"], list):
+        raise ParseError("endpoints: expected a list")
+    endpoints = numerals.read_list(payload["endpoints"], "endpoints")
+    vocabulary = reference_extents(payload["vocabulary"], words, "vocabulary", numerals)
+    for key in ("reports", "witnesses"):
+        if not isinstance(payload.get(key, []), list):
+            raise ParseError(f"{key}: expected a list")
+    doc = ResultDocument(
+        rule=rule,
+        domain=domain,
+        words=words,
+        endpoints=endpoints,
+        vocabulary=vocabulary,
+        reports=tuple(payload.get("reports", ())),
+        witnesses=tuple(payload.get("witnesses", ())),
+    )
+    collective = _at("endpoints", EndpointMultiset, domain, doc.endpoints)
+    if decode_endpoints(collective).extents != doc.vocabulary:
+        raise ParseError("vocabulary: does not match the decoded endpoints")
+    return doc
+
+
+def result_outcome(parse, payload):
+    """What ``parse`` makes of the result document ``payload``: the document and
+    the pattern of shared value objects, or the text of its ``ParseError``."""
+    try:
+        doc = parse(json.dumps(payload))
+    except ParseError as exc:
+        return "error", str(exc)
+    values = [doc.domain.lower, doc.domain.upper, *doc.endpoints]
+    values += [q for extent in doc.vocabulary if extent is not None for q in extent]
+    first = {}
+    return doc, [first.setdefault(id(q), len(first)) for q in values]
+
+
 @st.composite
 def profile_docs(draw):
     """An endpoint or extent document over (0, 1) whose values repeat, come in
@@ -1471,8 +1568,12 @@ def profile_docs(draw):
 FAULTS = (
     "json-integer", "true", "nested-list", "ragged", "outside-at-a-corner-key",
     "unsorted-within-a-key", "empty-extent", "unknown-word", "broken-tiling",
-    "degenerate-then-bad-numeral",
+    "degenerate-then-bad-numeral", "non-object-extents", "string-entry", "three-list",
+    "bad-left-numeral", "json-integer-left", "respelled-left",
 )
+# a fault that leaves an extent document valid: each left end keeps its value
+# in another text, so it must be a value object of its own
+VALID_FAULTS = ("respelled-left",)
 NOT_A_TEXT = {"json-integer": 1, "true": True, "nested-list": ["1/2"]}
 
 
@@ -1512,6 +1613,22 @@ def inject(doc, fault, i):
         agent["extents"]["nonesuch"] = None
     elif fault == "broken-tiling":
         active[0][0] = "-1/8"
+    elif fault == "non-object-extents":
+        agent["extents"] = list(agent["extents"])
+    elif fault == "string-entry":
+        name = next(name for name, extent in agent["extents"].items() if extent is not None)
+        agent["extents"][name] = "1/2"
+    elif fault == "three-list":
+        active[0].append(active[0][1])
+    elif fault == "bad-left-numeral":
+        active[0][0] = "x/2"
+    elif fault == "json-integer-left":
+        active[0][0] = 1
+    elif fault == "respelled-left":
+        # "0.25" after "1/4": equal ends, distinct texts
+        for extent in active:
+            texts = next(texts for texts in TEXTS.values() if extent[0] in texts)
+            extent[0] = texts[(texts.index(extent[0]) + 1) % len(texts)]
     else:
         doc["agents"].insert(i, {"extents": {"w0": [doc["domain"]["lower"], doc["domain"]["upper"]]}})
         last = [extent for extent in doc["agents"][-1]["extents"].values() if extent is not None]
@@ -1522,7 +1639,8 @@ class TestRowReaderReference:
     """``parse_profile`` reads endpoint rows and extent agents through the keyed
     memo as the per-row reader, with ``EndpointMultiset`` and ``Vocabulary``
     validating every row, reads them: the same values, keys, shared objects,
-    vocabularies with their right ends' keys, and error texts."""
+    vocabularies with their right ends' keys, and error texts.  ``parse_result``
+    reads a result's vocabulary as it did extent by extent."""
 
     @settings(deadline=None)
     @given(profile_docs())
@@ -1551,8 +1669,27 @@ class TestRowReaderReference:
         doc["agents"] = json.loads(json.dumps(agents + agents[1:] * 2))
         inject(doc, fault, 3)
         expected = parse_outcome(reference_parse, doc)
-        assert expected[0] == "error"
+        assert (expected[0] == "error") is (form == "endpoints" or fault not in VALID_FAULTS)
         assert parse_outcome(parse_profile, doc) == expected
+
+    @settings(deadline=None)
+    @given(profile_docs(), st.sampled_from((None,) + FAULTS))
+    def test_result_vocabularies_with_a_fault(self, doc, fault):
+        # the vocabulary of agent 1's report under the dictator rule, with the fault in it
+        try:
+            parsed = parse_profile(json.dumps(doc))
+        except ParseError:
+            return
+        result = build_result(DictatorRule(1), parsed.words, parsed.profile.rows[0])
+        payload = json.loads(serialize_result(result))
+        if fault is not None:
+            agents = {"domain": payload["domain"], "agents": [{"extents": payload["vocabulary"]}]}
+            inject(agents, fault, 0)
+            payload["vocabulary"] = agents["agents"][-1]["extents"]
+        expected = result_outcome(reference_parse_result, payload)
+        assert result_outcome(parse_result, payload) == expected
+        if fault is None or fault in VALID_FAULTS:
+            assert expected[0] != "error"
 
     def test_a_degenerate_vocabulary_yields_to_a_later_bad_numeral(self):
         doc = {
