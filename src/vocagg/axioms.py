@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    Domain, EndpointMultiset, Profile, as_pair, as_rational, as_rationals, distinct_sorted, less, order_key, shown
+    Domain, EndpointMultiset, Profile, as_integer, as_pair, as_rational, as_rationals, distinct_sorted, less,
+    order_key, shown,
 )
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import (
@@ -573,6 +574,7 @@ def majoritarian_band(n: int, weak: bool = False) -> tuple[int, int]:
     modes pin p to the median rank (n+1)/2; for even n the strict band is
     {n/2, n/2 + 1} while the weak band is empty (lo > hi).
     """
+    n = as_integer(n)
     t = (n + 2) // 2 if not weak else (n + 1) // 2
     return (n - t + 1, t)
 

@@ -290,11 +290,31 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
 
     ``keys[i] < keys[j]`` must imply ``values[i] < values[j]``, as it does for
     the values' ``order_key``s or for the keys of pairs' first components.
-    Indices are sorted by key; for each rank, the run of equal keys holding
-    it is cut out by bisection and only that run is sorted exactly, unless
-    it holds one object repeated or only equal values.  Every
-    value in that run has the key at rank k, so it is handed back as it is.
+    The keys are plain ``int``s, so ``key.__eq__`` never returns
+    ``NotImplemented``.  For each rank, the run of equal keys holding it is
+    found by bisection and only that run is sorted exactly, unless it holds
+    one object repeated or only equal values.  Every value in that run has
+    the key at rank k, so it is handed back as it is.
+
+    One rank sorts the keys themselves, with no key function.  A key held
+    once names its value by ``keys.index``; a tied run is gathered in index
+    order by ``compress``, as a stable sort of the indices would give it.
+    Several ranks (the pooled multiset asks one per boundary) sort the
+    indices by key once and cut every run from that order, since a
+    ``keys.index`` or ``compress`` pass per rank would read all the keys
+    once for each rank.
     """
+    if len(ranks) == 1:
+        k = ranks[0]
+        sorted_keys = sorted(keys)
+        key = sorted_keys[k - 1]
+        lo = bisect_left(sorted_keys, key, 0, k - 1)
+        if bisect_right(sorted_keys, key, k) - lo == 1:
+            return [(values[keys.index(key)], key)]
+        run = list(compress(values, map(key.__eq__, keys)))
+        if run.count(run[0]) != len(run):
+            run.sort()
+        return [(run[k - 1 - lo], key)]
     order = sorted(range(len(values)), key=keys.__getitem__)
     sorted_keys = [keys[i] for i in order]
     out = []

@@ -81,7 +81,7 @@ def _collective(domain: Domain, picked: Sequence[tuple[Fraction, int]]) -> Endpo
 
 def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
     """The k-th smallest element, counted with multiplicity, k in 1..len."""
-    values = as_rationals(values)
+    values, k = as_rationals(values), as_integer(k)
     if not 1 <= k <= len(values):
         raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
     return select(values, list(map(order_key, values)), (k,))[0][0]
@@ -196,6 +196,7 @@ def median_positions(n: int, m: int) -> PositionVector:
     that case is only defined when the two ranks coincide, i.e. for an odd
     number of agents; otherwise ``ParityViolation`` is raised.
     """
+    n, m = as_integer(n), as_integer(m)
     if n < 1 or m < 1:
         raise ShapeMismatch(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if m % 2 == 1 and n % 2 == 0:
@@ -214,7 +215,7 @@ def is_symmetric(positions: PositionVector | Sequence[int], n: int) -> bool:
     Symmetric vectors treat the two reading directions of the line evenly;
     they are exactly the ones whose rule commutes with order reversal.
     """
-    positions = as_positions(positions)
+    n, positions = as_integer(n), as_positions(positions)
     positions.validate_for(n)
     p = positions.positions
     return all(p[k] + p[len(p) - 1 - k] == n + 1 for k in range(len(p)))
@@ -256,7 +257,7 @@ def boundary_phantoms(
     copies of the upper corner, which forces the pooled median onto the
     p_k-th smallest report.
     """
-    positions = as_positions(positions)
+    n, positions = as_integer(n), as_positions(positions)
     positions.validate_for(n)
     columns = tuple(
         (domain.lower,) * (n - p) + (domain.upper,) * (p - 1)

@@ -39,6 +39,8 @@ from vocagg import (
     extended_median,
     induce,
     is_symmetric,
+    majoritarian_band,
+    median_positions,
     order_statistic,
     parse_profile,
     parse_result,
@@ -331,6 +333,20 @@ CASES = {
         "not an integer: 1.7",
     ),
     "dictator-not-integer": (lambda: DictatorRule(1.0), "not an integer: 1.0"),
+    # a rank or count is read before any arithmetic: a float would index or
+    # reach ``range``, a bool would pass as 0 or 1
+    "order-statistic-rank-float": (lambda: order_statistic([H], 1.0), "not an integer: 1.0"),
+    "order-statistic-rank-bool": (lambda: order_statistic([Q, H], True), "not an integer: True"),
+    "median-positions-agents-text": (lambda: median_positions("3", 3), "not an integer: '3'"),
+    "median-positions-agents-bool": (lambda: median_positions(True, 1), "not an integer: True"),
+    "median-positions-agents-float": (lambda: median_positions(3.0, 3), "not an integer: 3.0"),
+    "median-positions-boundaries-float": (lambda: median_positions(3, 3.0), "not an integer: 3.0"),
+    "boundary-phantoms-agents-float": (
+        lambda: boundary_phantoms((1, 2), 3.0, UNIT),
+        "not an integer: 3.0",
+    ),
+    "is-symmetric-agents-float": (lambda: is_symmetric((1, 2), 2.0), "not an integer: 2.0"),
+    "majoritarian-band-float": (lambda: majoritarian_band(3.0), "not an integer: 3.0"),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +33,8 @@ from vocagg import (
     sp_fuzz,
     uncompromising_fuzz,
 )
-from vocagg.core import order_key
+from vocagg.core import order_key, select
+from vocagg.exemplars import GAP_ORDERS
 from vocagg.rules import apply_p_rule_reversed
 from vocagg.sampling import _draws, _lattice_points, lattice_rows, random_picks, random_profile, refine, spawn, strict_picks
 
@@ -409,6 +411,85 @@ class TestSelectionMatchesSortedFractions:
         pooled = [v for row in profile.values() for v in row]
         ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, m + 1)]
         assert list(MultisetRule()(profile).values) == reference(pooled, ranks)
+
+
+def reference_select(values, keys, ranks):
+    """``core.select`` as it was before its one-rank path, kept verbatim: it
+    sorts the indices by key for every call, whatever the number of ranks."""
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in order]
+    out = []
+    for k in ranks:
+        key = sorted_keys[k - 1]
+        lo = bisect_left(sorted_keys, key, 0, k - 1)
+        hi = bisect_right(sorted_keys, key, k)
+        if hi - lo == 1:
+            out.append((values[order[lo]], key))
+        else:
+            run = [values[i] for i in order[lo:hi]]
+            # ``count`` tests identity before equality: a run of one object or of
+            # equal values is already sorted
+            if run.count(run[0]) != len(run):
+                run.sort()
+            out.append((run[k - 1 - lo], key))
+    return out
+
+
+@st.composite
+def repeated_values(draw, max_size=40):
+    """Lists drawn from a pool of ``hard_values``, each pick either the pool's
+    own object (a run of one object) or a fresh equal copy (a run of
+    distinct but equal objects)."""
+    picks = draw(heavy_duplicates(1, max_size))
+    fresh = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    return [F(v.numerator, v.denominator) if copy else v for v, copy in zip(picks, fresh)]
+
+
+def rank_lists(n):
+    """One rank, as every caller but the pooled multiset asks, or several."""
+    return st.one_of(
+        st.integers(1, n).map(lambda k: (k,)),
+        st.lists(st.integers(1, n), min_size=2, max_size=6),
+    )
+
+
+class TestSelectMatchesTheIndexSort:
+    """``select`` hands back the very objects ``reference_select`` does."""
+
+    @staticmethod
+    def assert_same_objects(values, keys, ranks):
+        got, expected = select(values, keys, ranks), reference_select(values, keys, ranks)
+        assert got == expected
+        assert all(g is e for (g, _), (e, _) in zip(got, expected))
+
+    @given(values=repeated_values(), data=st.data())
+    def test_values_by_order_key(self, values, data):
+        ranks = data.draw(rank_lists(len(values)))
+        self.assert_same_objects(values, list(map(order_key, values)), ranks)
+
+    @given(values=repeated_values(), data=st.data())
+    def test_values_by_a_coarser_key(self, values, data):
+        # floor(v) never decreases as v grows, and ties unequal values
+        ranks = data.draw(rank_lists(len(values)))
+        self.assert_same_objects(values, [v.numerator // v.denominator for v in values], ranks)
+
+    @given(ends=repeated_values(max_size=30), order=st.sampled_from(sorted(GAP_ORDERS)), data=st.data())
+    def test_gap_items(self, ends, order, data):
+        # keyed as ``aggregate_gaps`` keys them: by the first component of each pair
+        gaps = [tuple(sorted(pair)) for pair in zip(ends, ends[1:] + ends[:1])]
+        ranked = [(GAP_ORDERS[order](gap), gap) for gap in gaps]
+        keys = [order_key(pair[0]) for pair, _ in ranked]
+        self.assert_same_objects(ranked, keys, data.draw(rank_lists(len(ranked))))
+
+    def test_named_runs(self):
+        near = [F(1, 2) + j * TINY for j in (3, -2, 0, 3, -4)]
+        equal = [F(1, 3) for _ in range(4)]
+        one = F(-(2**70), 7)
+        for values in (near, equal, [one] * 5, [one, *equal, F(2**65, 3), *near, one]):
+            keys = list(map(order_key, values))
+            for k in range(1, len(values) + 1):
+                self.assert_same_objects(values, keys, (k,))
+            self.assert_same_objects(values, keys, range(len(values), 0, -1))
 
 
 class TestExtendedMedian:
