@@ -40,6 +40,7 @@ from .rules import (
 )
 from .sampling import (
     AxiomReport,
+    _draw,
     _draws,
     axiom_report,
     first_hit,
@@ -239,7 +240,7 @@ def check_unanimity(
     n, m, domain = sampling_shape(rule, n, m, domain)
 
     def trial(rng, t):
-        frozen = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+        frozen = sorted(rng.sample(range(1, m + 1), _draw(rng, 1, m)))
         (base,) = random_picks(rng, 1, m, 32)
         padded = (0, *base, 32)
         cuts = (0, *frozen, m + 1)  # the corners count as frozen columns 0 and m + 1
@@ -295,7 +296,7 @@ def check_anonymity(
             perm = random_permutation(rng, n)
             if perm == tuple(range(1, n + 1)):
                 perm = (2, 1) + tuple(range(3, n + 1))
-        permuted = Profile(tuple(profile.rows[i - 1] for i in perm))
+        permuted = Profile._from_valid(tuple([profile.rows[i - 1] for i in perm]))
         output = rule(profile)
         permuted_output = rule(permuted)
         if output == permuted_output:
@@ -321,7 +322,7 @@ def random_monotone_map(
     if direction not in ("increasing", "decreasing"):
         raise VocaggError(f"unknown direction {direction!r}")
     rng = spawn(seed, "monotone-map", direction)
-    breaks = rng.randint(1, 6)
+    breaks = _draw(rng, 1, 6)
     picks = [[0, *strict_picks(rng, breaks, 97), 97] for _ in range(2)]  # abscissae, then ordinates
     xs, ys = (row.values for row in lattice_rows(domain, 97, picks))
     if direction == "decreasing":
@@ -561,7 +562,7 @@ def check_majoritarian_extents(
     """
     axiom = "majoritarian-extents-weak" if weak else "majoritarian-extents"
     threshold = profile.n if weak else profile.n + 1
-    a, b = as_rational(a), as_rational(b)
+    word, a, b = as_integer(word), as_rational(a), as_rational(b)
     return axiom_report(axiom, _extent_witness(profile, rule(profile), word, a, b, threshold))
 
 
@@ -736,12 +737,12 @@ def check_strict_responsiveness(
     def trial(rng, t):
         picks = [strict_picks(rng, m, 64) for _ in range(n)]
         profile = Profile._from_valid(lattice_rows(domain, 64, picks))
-        k = rng.randint(1, m)
+        k = _draw(rng, 1, m)
         rows = []
         for row in picks:
             # x_k + (bound(k + 1) - x_k) * r / 8, on the lattice 8 times finer: still below bound(k + 1)
             lifted = [8 * j for j in row]
-            lifted[k - 1] += ((*row, 64)[k] - row[k - 1]) * rng.randint(1, 7)
+            lifted[k - 1] += ((*row, 64)[k] - row[k - 1]) * _draw(rng, 1, 7)
             rows.append(lifted)
         raised = Profile._from_valid(lattice_rows(domain, 64 * 8, rows))
         before = rule(profile)

@@ -40,8 +40,10 @@ through ``_from_valid`` alone.  A document's endpoint row and extent agent,
 which arrive with the order keys of their values, go through
 ``_from_valid(...)._check()``: the constructors' refusals, in the same
 words, without keying a value again.  ``Profile._from_valid`` builds a
-profile from such rows over one domain, all of one length; ``Profile(rows)``,
-``Profile.with_row`` and a permuted profile keep their checks.
+profile from such rows over one domain, all of one length: the checkers'
+sampled profiles, a permutation of a valid profile's rows, and
+``Profile.with_row``'s profile once it has checked the new row's agent
+index, domain and length; ``Profile(rows)`` keeps its checks.
 
 Conventions used throughout the package:
 
@@ -483,6 +485,7 @@ class EndpointMultiset:
 
     def bound(self, k: int) -> Fraction:
         """The k-th boundary for k in 0..m+1, with corners at both ends."""
+        k = as_integer(k)
         if k == 0:
             return self.domain.lower
         if k == self.m + 1:
@@ -630,18 +633,24 @@ class Profile:
 
     def row(self, i: int) -> EndpointMultiset:
         """Agent i's report, i in 1..n."""
+        i = as_integer(i)
         if not 1 <= i <= self.n:
             raise ShapeMismatch(f"agent index {i} outside 1..{self.n}")
         return self.rows[i - 1]
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         """All agents' k-th endpoints, k in 1..m, in agent order."""
+        k = as_integer(k)
         if not 1 <= k <= self.m:
             raise ShapeMismatch(f"column index {k} outside 1..{self.m}")
         return tuple(row.values[k - 1] for row in self.rows)
 
     def with_row(self, i: int, row: EndpointMultiset) -> "Profile":
-        """The profile with agent i's report replaced (a unilateral deviation)."""
+        """The profile with agent i's report replaced (a unilateral deviation).
+
+        The checks are those of ``Profile(rows)`` on the one new row, so the
+        profile is built by ``_from_valid``."""
+        i = as_integer(i)
         if not 1 <= i <= self.n:
             raise ShapeMismatch(f"agent index {i} outside 1..{self.n}")
         if row.domain != self.domain:
@@ -650,7 +659,7 @@ class Profile:
             raise ShapeMismatch(f"replacement row of length {row.m}, expected {self.m}")
         rows = list(self.rows)
         rows[i - 1] = row
-        return Profile(tuple(rows))
+        return Profile._from_valid(tuple(rows))
 
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(row.values for row in self.rows)

@@ -1,7 +1,7 @@
 """Seed-driven samplers, the trial engine and the verdict of every checker.
 
-Every sampler draws from ``random.Random`` instances created via ``spawn``,
-which hashes the seed together with a stream label.  String seeding keeps
+Every sampler draws from a ``random.Random`` in the state ``spawn`` gives
+it, which hashes the seed together with a stream label.  String seeding keeps
 the draws independent of ``PYTHONHASHSEED``, so a fixed seed reproduces the
 exact same profiles, maps, and deviations on every run.
 
@@ -25,22 +25,26 @@ in the same state: it runs ``randint``'s own rejection loop on
 ``rng.getrandbits(width.bit_length())`` in one frame instead of three calls
 per draw.  ``random_picks`` draws all its indices in one call, and
 ``refine``, ``random_weights`` and ``check_lipschitz``'s offsets draw
-through it too.  The profiles ``random_profile`` builds are born valid
-(``Profile._from_valid``), and so are the profiles the checkers assemble
-from ``lattice_rows``.
+through it too; a single draw in a trial goes through its one-value form
+``_draw(rng, lo, hi)``, which is ``rng.randint(lo, hi)`` the same way.
+``strict_picks`` runs ``sample``'s set branch on ``getrandbits`` itself the
+same way, and leaves its pool branch to ``sample``.  The profiles
+``random_profile`` builds are born valid (``Profile._from_valid``), and so
+are the profiles the checkers assemble from ``lattice_rows``.
 
 ``sampling_shape`` is the one shape policy: a sampled checker's ``n``, ``m``
 or ``domain`` left ``None`` comes from ``rule.default_shape()``.  Trial
 counts, ``n`` and ``m`` are read through ``core.as_integer``.
 
 Every sampled checker runs its trials through ``first_hit``: trial t draws
-from ``spawn(seed, stream, t)``, the run stops at the first violation, and a
-violated report's ``trials`` is that trial's 1-based index.  In two
-checkers the trial also draws from a generator seeded ``f"{seed}:{t}"``:
-sampled stability's map comes from ``spawn(f"{seed}:{t}", "monotone-map",
-direction)``, and the battery's continuity perturbation from
-``spawn(f"{seed}:{t}", "lipschitz", 0)``.  Streams:
-``unanimity``, ``anonymity``, ``stability-profile``, ``lipschitz``,
+from one generator per run, reseeded to the state ``spawn(seed, stream, t)``
+gives, which a trial must not keep past its call; the run stops at the
+first violation, and a violated report's ``trials`` is that trial's 1-based
+index.  In two checkers the trial also draws from a generator seeded
+``f"{seed}:{t}"``: sampled stability's map comes from
+``spawn(f"{seed}:{t}", "monotone-map", direction)``, and the battery's
+continuity perturbation from ``spawn(f"{seed}:{t}", "lipschitz", 0)``.
+Streams: ``unanimity``, ``anonymity``, ``stability-profile``, ``lipschitz``,
 ``continuity-profile``, ``responsiveness``, ``extents``, ``separability``,
 ``sp-fuzz``, ``uncompromising``.  A trial counts even when it evaluates no
 rule, as when ``sp_fuzz`` draws a misreport equal to the peak.
@@ -56,6 +60,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, log
 from typing import Callable, Iterable, Optional, TypeVar
 
 from .core import Domain, EndpointMultiset, Profile, as_integer, order_key
@@ -110,10 +115,23 @@ def require_trials(trials: int) -> None:
 def first_hit(
     trials: int, seed: object, stream: str, trial: Callable[[random.Random, int], Optional[_T]]
 ) -> Optional[tuple[int, _T]]:
-    """Run ``trial(spawn(seed, stream, t), t)`` for t < trials; ``(t, finding)`` on the first find."""
+    """Run ``trial(rng, t)`` for t < trials; ``(t, finding)`` on the first find.
+
+    One generator serves the whole run: trial 0 gets it as ``spawn(seed,
+    stream, 0)`` builds it, and each later trial t gets it reseeded by
+    ``rng.seed`` with the tag ``spawn(seed, stream, t)`` hashes, which gives
+    exactly the state, ``gauss_next`` included, of that new generator.  A
+    trial must not keep ``rng`` past its call.  The generator is built with
+    trial 0's tag because a bare ``random.Random()`` seeds itself from
+    ``os.urandom`` first.
+    """
     require_trials(trials)
+    head = f"{seed!s}:{stream!s}:"
+    rng = random.Random(head + "0")
     for t in range(trials):
-        found = trial(spawn(seed, stream, t), t)
+        if t:
+            rng.seed(head + str(t))
+        found = trial(rng, t)
         if found is not None:
             return t, found
     return None
@@ -170,10 +188,32 @@ def random_picks(
 
 
 def strict_picks(rng: random.Random, m: int, denominator: int) -> list[int]:
-    """m distinct interior lattice indices, increasing (all words active)."""
-    if m > denominator - 1:
-        raise VocaggError(f"lattice with {denominator - 1} interior points cannot hold {m} distinct values")
-    return sorted(rng.sample(range(1, denominator), m))
+    """m distinct interior lattice indices, increasing (all words active):
+    ``sorted(rng.sample(range(1, denominator), m))``, leaving ``rng`` in the
+    same state.
+
+    ``sample`` draws from a set, not a pool, when the population n =
+    denominator - 1 exceeds ``setsize``: 21, plus 4 ** ceil(log(3m, 4)) when
+    m > 5 (the same on CPython 3.10-3.13).  There it draws
+    ``getrandbits(n.bit_length())`` until the result is below n and not yet
+    picked, m times; this runs that loop on ``getrandbits`` in one frame.
+    The pool branch and a negative m go to ``sample`` itself.
+    """
+    n = denominator - 1
+    if m > n:
+        raise VocaggError(f"lattice with {n} interior points cannot hold {m} distinct values")
+    setsize = 21 if m <= 5 else 21 + 4 ** ceil(log(m * 3, 4))
+    if m < 0 or n <= setsize:
+        return sorted(rng.sample(range(1, denominator), m))
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    picked = set()
+    for _ in range(m):
+        j = getrandbits(bits)
+        while j >= n or j in picked:
+            j = getrandbits(bits)
+        picked.add(j)
+    return sorted([j + 1 for j in picked])
 
 
 def refine(rng: random.Random, i: int, k: int, count: int, steps: int) -> list[int]:
@@ -183,6 +223,19 @@ def refine(rng: random.Random, i: int, k: int, count: int, steps: int) -> list[i
     if i == k:
         return [steps * i] * count
     return [steps * i + (k - i) * j for j in sorted(_draws(rng, 0, steps, count))]
+
+
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, leaving ``rng`` in the same state: one draw of
+    ``_draws``'s loop."""
+    width = hi - lo + 1
+    if width < 1:
+        return rng.randint(lo, hi)
+    bits = width.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= width:
+        r = rng.getrandbits(bits)
+    return lo + r
 
 
 def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
@@ -276,6 +329,10 @@ def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+# weight j is _WEIGHTS[j]: the preferences share five Fractions instead of building one per draw
+_WEIGHTS = tuple(map(Fraction, range(6)))
+
+
 def random_weights(rng: random.Random, m: int) -> tuple[Fraction, ...]:
     """m integer weights in 1..5 for a separable preference."""
-    return tuple(map(Fraction, _draws(rng, 1, 5, m)))
+    return tuple(map(_WEIGHTS.__getitem__, _draws(rng, 1, 5, m)))

@@ -30,6 +30,7 @@ from .errors import DomainMismatch, ShapeMismatch, VocaggError
 from .rules import Rule
 from .sampling import (
     AxiomReport,
+    _draw,
     first_hit,
     lattice_rows,
     random_picks,
@@ -210,13 +211,13 @@ def sp_fuzz(
 
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=deviation_grid)
-        agent = rng.randint(1, n)
+        agent = _draw(rng, 1, n)
         sincere, weights = profile.row(agent), random_weights(rng, m)
         peak = sincere.values
         if rng.random() < 1 / 2:
             pool = _targeted_values(rule, profile)
             values = list(peak)
-            values[rng.randint(1, m) - 1] = pool[rng.randint(0, len(pool) - 1)]
+            values[_draw(rng, 1, m) - 1] = pool[_draw(rng, 0, len(pool) - 1)]
             # checked: a phantom outside the domain, from a rule's own hook, is refused as a report
             misreport = EndpointMultiset(domain, tuple(sorted(values)))
         else:
@@ -265,9 +266,9 @@ def uncompromising_fuzz(
 
     def trial(rng, t):
         profile = random_profile(rng, domain, n, m, denominator=16)
-        agent = rng.randint(1, n)
+        agent = _draw(rng, 1, n)
         (deviation,) = lattice_rows(domain, 16, random_picks(rng, 1, m, 16, ends=True))
-        boundary = rng.randint(1, m)
+        boundary = _draw(rng, 1, m)
         verdict = check_uncompromising(rule, profile, agent, deviation, boundary)
         return verdict if verdict.case == "violated" else None
 
@@ -296,7 +297,7 @@ def check_separability_on_deviations(
     def trial(rng, t):
         picks = random_picks(rng, n, m, 16)
         profile = Profile._from_valid(lattice_rows(domain, 16, picks))
-        k = rng.randint(1, m)
+        k = _draw(rng, 1, m)
         rows = []
         for row in picks:
             pivot = row[k - 1]

@@ -347,6 +347,24 @@ CASES = {
     ),
     "is-symmetric-agents-float": (lambda: is_symmetric((1, 2), 2.0), "not an integer: 2.0"),
     "majoritarian-band-float": (lambda: majoritarian_band(3.0), "not an integer: 3.0"),
+    # an index is read before it indexes: a float would raise a raw TypeError,
+    # a bool would pass as 0 or 1
+    "bound-index-float": (lambda: HALF.bound(1.0), "not an integer: 1.0"),
+    "bound-index-bool": (lambda: HALF.bound(True), "not an integer: True"),
+    "row-index-float": (lambda: PROFILE.row(1.0), "not an integer: 1.0"),
+    "row-index-bool": (lambda: PROFILE.row(True), "not an integer: True"),
+    "column-index-float": (lambda: PROFILE.column(1.0), "not an integer: 1.0"),
+    "column-index-bool": (lambda: PROFILE.column(True), "not an integer: True"),
+    "with-row-index-float": (lambda: PROFILE.with_row(1.0, HALF), "not an integer: 1.0"),
+    "with-row-index-bool": (lambda: PROFILE.with_row(True, HALF), "not an integer: True"),
+    "majoritarian-extents-word-float": (
+        lambda: check_majoritarian_extents(MeanRule(), PROFILE, 1.0, Q, H),
+        "not an integer: 1.0",
+    ),
+    "majoritarian-extents-word-bool": (
+        lambda: check_majoritarian_extents(MeanRule(), PROFILE, True, Q, H),
+        "not an integer: True",
+    ),
 }
 
 

@@ -36,7 +36,10 @@ from vocagg import (
 from vocagg.core import order_key, select
 from vocagg.exemplars import GAP_ORDERS
 from vocagg.rules import apply_p_rule_reversed
-from vocagg.sampling import _draws, _lattice_points, lattice_rows, random_picks, random_profile, refine, spawn, strict_picks
+from vocagg.sampling import (
+    _draw, _draws, _lattice_points, first_hit, lattice_rows, random_picks, random_profile, random_weights, refine, spawn,
+    strict_picks,
+)
 
 UNIT = Domain(F(0), F(1))
 THIRDS = Domain(F(1, 3), F(2, 3))
@@ -733,10 +736,12 @@ class TestBornValid:
 
 
 class TestDrawLoop:
-    """``sampling._draws`` returns the ``randint`` list and leaves the generator
-    where ``randint`` leaves it, on the running interpreter's ``random``; the
-    lattice-index samplers, read through ``lattice_rows``, give the rows of
-    sorting one ``Fraction`` per draw, born valid."""
+    """``sampling._draws`` and ``_draw`` return the ``randint`` draws and leave
+    the generator where ``randint`` leaves it, on the running interpreter's
+    ``random``, as ``strict_picks`` does for ``sample``; the lattice-index
+    samplers, read through ``lattice_rows``, give the rows of sorting one
+    ``Fraction`` per draw, born valid; ``first_hit``'s one reseeded generator
+    is in each trial the generator ``spawn`` builds for it."""
 
     @given(
         seed=st.integers(0, 2**32),
@@ -783,6 +788,17 @@ class TestDrawLoop:
         assert row.values == oracle(theirs) and repr(row.values) == repr(oracle(random.Random(seed)))
         assert ours.getstate() == theirs.getstate()
         assert_born_valid(row)
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_strict_picks_at_sample_branch_thresholds(self, m):
+        """``sample``'s two branches often pick the same indices, so each
+        population on either side of ``setsize`` (22 for m <= 5, 86 for m = 6
+        or 7) is checked over many seeds."""
+        for denominator in (8, 22, 23, 24, 85, 86, 87, 88, 97, 129):
+            for seed in range(150):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert strict_picks(ours, m, denominator) == sorted(theirs.sample(range(1, denominator), m))
+                assert ours.getstate() == theirs.getstate()
 
     @given(
         seed=st.integers(0, 2**32),
@@ -835,10 +851,12 @@ class TestDrawLoop:
         count=st.integers(0, 30),
     )
     def test_draws_are_the_randint_draws(self, seed, lo, width, count):
-        ours, theirs = random.Random(seed), random.Random(seed)
+        ours, one_by_one, theirs = random.Random(seed), random.Random(seed), random.Random(seed)
         hi = lo + width - 1
-        assert _draws(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
-        assert ours.getstate() == theirs.getstate()
+        expected = [theirs.randint(lo, hi) for _ in range(count)]
+        assert _draws(ours, lo, hi, count) == expected
+        assert [_draw(one_by_one, lo, hi) for _ in range(count)] == expected
+        assert ours.getstate() == one_by_one.getstate() == theirs.getstate()
 
     def test_widths_at_powers_of_two(self):
         widths = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65]
@@ -846,16 +864,53 @@ class TestDrawLoop:
         for width in widths:
             for lo in (-8, -1, 0, 1):
                 for count in (0, 1, 17):
-                    ours, theirs = random.Random(width), random.Random(width)
+                    ours, one_by_one, theirs = random.Random(width), random.Random(width), random.Random(width)
                     hi = lo + width - 1
-                    assert _draws(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
-                    assert ours.getstate() == theirs.getstate()
+                    expected = [theirs.randint(lo, hi) for _ in range(count)]
+                    assert _draws(ours, lo, hi, count) == expected
+                    assert [_draw(one_by_one, lo, hi) for _ in range(count)] == expected
+                    assert ours.getstate() == one_by_one.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("lo,hi", [(5, 4), (0, -3)])
     def test_an_empty_range_is_refused_as_randint_refuses_it(self, lo, hi):
         assert _draws(random.Random(0), lo, hi, 0) == []
         with pytest.raises(ValueError) as ours:
             _draws(random.Random(0), lo, hi, 1)
+        with pytest.raises(ValueError) as one:
+            _draw(random.Random(0), lo, hi)
         with pytest.raises(ValueError) as theirs:
             random.Random(0).randint(lo, hi)
-        assert str(ours.value) == str(theirs.value)
+        assert str(ours.value) == str(one.value) == str(theirs.value)
+
+    @given(seed=st.integers(0, 2**64), m=st.integers(0, 9))
+    def test_weights_are_the_randint_fractions(self, seed, m):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert random_weights(ours, m) == tuple(map(F, [theirs.randint(1, 5) for _ in range(m)]))
+        assert ours.getstate() == theirs.getstate()
+
+    @given(
+        seed=st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6)),
+        stream=st.sampled_from(["sp-fuzz", "lipschitz", ""]),
+        trials=st.one_of(st.sampled_from([0, 1]), st.integers(2, 6)),
+        nested=st.integers(0, 3),
+    )
+    def test_each_trial_gets_the_spawned_generator(self, seed, stream, trials, nested):
+        """Trial t's generator has the state of ``spawn(seed, stream, t)``,
+        ``gauss_next`` included, for every t, also when the trial before it
+        left a Gaussian pending and when a trial runs a nested engine (as the
+        battery's continuity trial runs ``check_lipschitz``) before drawing."""
+        seen = []
+
+        def trial(rng, t):
+            seen.append((t, None, rng.getstate() == spawn(seed, stream, t).getstate()))
+            expected = spawn(seed, stream, t)
+
+            def inner(inner_rng, u):
+                seen.append((t, u, inner_rng.getstate() == spawn(f"{seed}:{t}", "inner", u).getstate()))
+
+            assert first_hit(nested, f"{seed}:{t}", "inner", inner) is None
+            assert rng.gauss(0, 1) == expected.gauss(0, 1)  # leaves gauss_next set for the next reseed to clear
+            assert rng.getstate() == expected.getstate()
+
+        assert first_hit(trials, seed, stream, trial) is None
+        assert seen == [(t, u, True) for t in range(trials) for u in (None, *range(nested))]
