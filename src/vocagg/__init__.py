@@ -25,7 +25,6 @@ _EXPORTS = {
         "between",
         "decode_endpoints",
         "encode_vocabulary",
-        "profile_between",
         "rational_str",
     ),
     "errors": (
@@ -52,17 +51,14 @@ _EXPORTS = {
         "PRule",
         "apply_rule",
         "boundary_phantoms",
-        "extended_median",
         "fixture_rule",
         "is_symmetric",
         "median_positions",
-        "order_statistic",
     ),
     "sampling": ("HOLDS", "VIOLATED", "AxiomReport"),
     "axioms": (
         "PiecewiseLinearMap",
         "check_anonymity",
-        "check_consistency",
         "check_lipschitz",
         "check_majoritarian_extents",
         "check_majoritarian_words",

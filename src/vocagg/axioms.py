@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    Domain, EndpointMultiset, Profile, as_integer, as_pair, as_rational, as_rationals, distinct_sorted, less,
+    Domain, EndpointMultiset, Profile, as_integer, as_pair, as_rational, distinct_sorted, less,
     order_key, shown,
 )
 from .errors import DomainMismatch, ShapeMismatch, VocaggError
@@ -176,44 +176,6 @@ def _segments(
             (c, d, e * h * b * c - g * f * d * a, b * d * (g * f - e * h), f * h * (c * b - a * d))
         )
     return tuple(segments)
-
-
-# ---------------------------------------------------------------------------
-# consistency
-
-
-def check_consistency(
-    endpoints: Union[EndpointMultiset, Sequence[Fraction]],
-    strict: bool = False,
-    domain: Optional[Domain] = None,
-) -> AxiomReport:
-    """Weak mode: values nondecreasing.  Strict mode: interior and increasing.
-
-    An empty sequence (a one-word vocabulary) holds vacuously.  The witness
-    pinpoints the first offending index, 1-based.  Raw values are read
-    through ``core.as_rationals``.
-    """
-    if isinstance(endpoints, EndpointMultiset):
-        domain = endpoints.domain
-        values = endpoints.values
-    else:
-        values = as_rationals(endpoints)
-    axiom = "consistency-strict" if strict else "consistency-weak"
-    if strict and domain is None:
-        raise ShapeMismatch("strict consistency needs the domain to test interiority")
-    previous: Optional[Fraction] = None
-    for k, value in enumerate(values, start=1):
-        if previous is not None and previous > value:
-            witness = {"index": k, "kind": "order", "left": previous, "right": value}
-        elif strict and previous == value:
-            witness = {"index": k, "kind": "tie", "left": previous, "right": value}
-        elif strict and not domain.contains(value):
-            witness = {"index": k, "kind": "boundary", "value": value}
-        else:
-            previous = value
-            continue
-        return axiom_report(axiom, witness)
-    return axiom_report(axiom, None)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +596,7 @@ def search_extent_violation(
     Returns a witness dictionary or ``None`` after exhausting ``trials``.
     """
     require_trials(trials)
-    positions = as_positions(positions)
+    positions, n = as_positions(positions), as_integer(n)
     positions.validate_for(n)
     rule = PRule(positions)
     n, m, domain = sampling_shape(rule, n, positions.m, domain)

@@ -404,10 +404,6 @@ class Domain:
         key = order_key(x)
         return low < key < high or (key in self.keys and self.lower <= x <= self.upper)
 
-    def reflect(self, x: RationalLike) -> Fraction:
-        """The order-reversing bijection x -> lower + upper - x."""
-        return self.lower + self.upper - as_rational(x)
-
 
 def first_outside(
     domain: Domain, values: Sequence[Fraction], keys: Sequence[int]
@@ -498,12 +494,6 @@ class EndpointMultiset:
         """0-based indices j with a nonempty extent [bound(j), bound(j+1)),
         as ``decode_endpoints`` decides them."""
         return decode_endpoints(self).active_words()
-
-    @property
-    def strictly_increasing_interior(self) -> bool:
-        """True iff all values are interior and strictly increasing, that is,
-        iff all m+1 words are active."""
-        return len(self.active_words()) == self.m + 1
 
 
 @dataclass(frozen=True)
@@ -719,18 +709,3 @@ def between(x: Fraction, y: Fraction, z: Fraction) -> bool:
     x, y, z = as_rationals((x, y, z))
     return x <= y <= z or z <= y <= x
 
-
-def profile_between(
-    first: EndpointMultiset, middle: EndpointMultiset, last: EndpointMultiset
-) -> bool:
-    """Componentwise betweenness of three reports of equal shape."""
-    if not (first.m == middle.m == last.m):
-        raise ShapeMismatch(
-            f"betweenness over mixed lengths: {first.m}, {middle.m}, {last.m}"
-        )
-    if not (first.domain == middle.domain == last.domain):
-        raise DomainMismatch("betweenness over mixed domains")
-    return all(
-        between(a, b, c)
-        for a, b, c in zip(first.values, middle.values, last.values)
-    )

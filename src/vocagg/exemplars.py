@@ -159,9 +159,6 @@ class InducedVocabulary:
     def m(self) -> int:
         return len(self.extents) - 1
 
-    def known_words(self) -> tuple[int, ...]:
-        return tuple(j for j, e in enumerate(self.extents) if e is not None)
-
 
 @dataclass(frozen=True)
 class GapSequence:

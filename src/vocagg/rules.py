@@ -16,9 +16,7 @@ gives the shape the randomized checkers sample it on.
 Every selection goes through ``core.select``, which orders exactly as
 ``core`` describes.  The rules pass it the keys that each
 ``EndpointMultiset`` and ``PhantomMatrix`` kept from validation, so no key
-is computed twice; ``order_statistic`` reads bare values through
-``core.as_rationals`` and computes their keys.  The results are exactly
-those of sorting the fractions.
+is computed twice.  The results are exactly those of sorting the fractions.
 
 ``PRule``, ``ExtendedMedianRule``, ``MultisetRule`` and ``MeanRule`` build
 their outputs born valid, through ``EndpointMultiset._from_valid``, the one
@@ -77,14 +75,6 @@ def _collective(domain: Domain, picked: Sequence[tuple[Fraction, int]]) -> Endpo
     (see the module docstring)."""
     values, keys = zip(*picked) if picked else ((), ())
     return EndpointMultiset._from_valid(domain, values, keys)
-
-
-def order_statistic(values: Sequence[Fraction], k: int) -> Fraction:
-    """The k-th smallest element, counted with multiplicity, k in 1..len."""
-    values, k = as_rationals(values), as_integer(k)
-    if not 1 <= k <= len(values):
-        raise IndexOutOfRange(f"rank {shown(k)} outside 1..{len(values)}")
-    return select(values, list(map(order_key, values)), (k,))[0][0]
 
 
 @dataclass(frozen=True)
@@ -235,17 +225,6 @@ def apply_p_rule_reversed(
     positions.check_profile(profile)
     mirrored = PositionVector(tuple(profile.n + 1 - p for p in reversed(positions.positions)))
     return PRule(mirrored)(profile).values[::-1]
-
-
-def extended_median(
-    column: Sequence[Fraction], phantoms: Sequence[Fraction]
-) -> Fraction:
-    """Median of n reports pooled with n-1 phantoms (always an odd count)."""
-    if len(phantoms) != len(column) - 1:
-        raise ShapeMismatch(
-            f"{len(phantoms)} phantoms for {len(column)} reports; need n-1"
-        )
-    return order_statistic(list(column) + list(phantoms), len(column))
 
 
 def boundary_phantoms(

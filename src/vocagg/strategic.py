@@ -125,6 +125,7 @@ def check_uncompromising(
     between the agent's old position and f'^k and (c) f'^k lies between the
     agent's new position and f^k.
     """
+    boundary = as_integer(boundary)
     if not 1 <= boundary <= profile.m:
         raise ShapeMismatch(f"boundary {boundary} outside 1..{profile.m}")
     outcome = rule(profile)

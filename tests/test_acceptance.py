@@ -33,7 +33,6 @@ from vocagg import (
     check_strict_responsiveness,
     collective_incomplete,
     decode_endpoints,
-    extended_median,
     fixture_rule,
     gaps_of,
     induce,
@@ -233,9 +232,9 @@ def test_strategic_guarantees():
     assert uncompromising_fuzz(corner, 1000, 9) is None
 
     half = (F(1, 2),)
-    assert extended_median((F(1, 5), F(7, 10)), half) == F(1, 2)
-    assert extended_median((F(3, 10), F(4, 5)), half) == F(1, 2)
     tie_rule = ExtendedMedianRule(PhantomMatrix(unit, (half,)))
+    for reports in (((F(1, 5),), (F(7, 10),)), ((F(3, 10),), (F(4, 5),))):
+        assert tie_rule(Profile.from_rows(unit, reports)).values == half
     report = check_strict_responsiveness(tie_rule, 50, 0, n=2, m=1)
     assert report.verdict == VIOLATED
     assert report.witness["before"] == report.witness["after"]

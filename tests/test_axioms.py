@@ -23,7 +23,6 @@ from vocagg import (
     UnknownFixture,
     VIOLATED,
     apply_rule,
-    check_consistency,
     check_lipschitz,
     check_majoritarian_extents,
     check_majoritarian_words,
@@ -222,43 +221,6 @@ class TestAxiomReport:
         report = AxiomReport("unanimity", VIOLATED, witness={"column": 1})
         assert not report.holds
         assert AxiomReport("unanimity", HOLDS).holds
-
-
-class TestConsistency:
-    def test_weak_allows_ties(self, letters):
-        values = tuple(letters[x] for x in "ab") + (
-            letters["e"],
-            letters["e"],
-            letters["f"],
-            letters["i"],
-            F(1),
-        )
-        assert check_consistency(EndpointMultiset(UNIT, values)).holds
-
-    def test_strict_flags_the_first_tie(self, letters):
-        values = tuple(letters[x] for x in "ab") + (
-            letters["e"],
-            letters["e"],
-            letters["f"],
-            letters["i"],
-            F(1),
-        )
-        report = check_consistency(EndpointMultiset(UNIT, values), strict=True)
-        assert report.verdict == VIOLATED
-        assert report.witness["index"] == 4 and report.witness["kind"] == "tie"
-
-    def test_strict_flags_corner_values(self):
-        report = check_consistency(
-            EndpointMultiset(UNIT, (F(1, 2), F(1))), strict=True
-        )
-        assert report.witness == {"index": 2, "kind": "boundary", "value": F(1)}
-
-    def test_raw_sequences_check_order(self):
-        report = check_consistency((F(1, 2), F(1, 4)))
-        assert report.witness["kind"] == "order" and report.witness["index"] == 2
-        assert check_consistency(()).holds
-        with pytest.raises(ShapeMismatch):
-            check_consistency((F(1, 2),), strict=True)
 
 
 class TestUnanimity:

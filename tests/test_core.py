@@ -21,7 +21,6 @@ from vocagg import (
     between,
     decode_endpoints,
     encode_vocabulary,
-    profile_between,
 )
 from vocagg.core import order_key
 
@@ -306,12 +305,6 @@ class TestDomain:
         assert d.contains_closed(F(0)) and d.contains_closed(F(100))
         assert not d.contains_closed(F(101))
 
-    def test_reflect_swaps_corners(self):
-        d = Domain(F(1), F(4))
-        assert d.reflect(d.lower) == d.upper
-        assert d.reflect(F(2)) == F(3)
-        assert d.reflect(d.reflect(F(7, 3))) == F(7, 3)
-
     @pytest.mark.parametrize("lo,hi", [(1, 1), (2, 1)])
     def test_empty_domain_rejected(self, lo, hi):
         with pytest.raises(ValueError):
@@ -389,11 +382,6 @@ class TestEndpointMultiset:
         object.__setattr__(other, "keys", ())
         assert kept == other and hash(kept) == hash(other)
         assert repr(kept) == repr(other) and "keys" not in repr(kept)
-
-    def test_strictly_increasing_interior_flag(self):
-        assert EndpointMultiset(UNIT, (F(1, 4), F(1, 2))).strictly_increasing_interior
-        assert not EndpointMultiset(UNIT, (F(1, 4), F(1, 4))).strictly_increasing_interior
-        assert not EndpointMultiset(UNIT, (F(0), F(1, 2))).strictly_increasing_interior
 
 
 class TestVocabulary:
@@ -561,19 +549,3 @@ class TestBetweenness:
         assert between(F(1), F(1, 2), F(0))
         assert between(F(1), F(1), F(0))
         assert not between(F(0), F(2), F(1))
-
-    def test_profile_between_is_componentwise(self):
-        lo = EndpointMultiset(UNIT, (F(0), F(1, 4)))
-        mid = EndpointMultiset(UNIT, (F(0), F(1, 2)))
-        hi = EndpointMultiset(UNIT, (F(1, 4), F(3, 4)))
-        assert profile_between(lo, mid, hi)
-        assert not profile_between(mid, hi, lo)
-
-    def test_profile_between_shape_checks(self):
-        a = EndpointMultiset(UNIT, (F(1, 2),))
-        b = EndpointMultiset(UNIT, (F(1, 4), F(1, 2)))
-        with pytest.raises(ShapeMismatch):
-            profile_between(a, b, b)
-        c = EndpointMultiset(Domain(F(0), F(2)), (F(1, 2),))
-        with pytest.raises(DomainMismatch):
-            profile_between(a, c, a)

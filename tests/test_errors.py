@@ -29,19 +29,17 @@ from vocagg import (
     aggregate_gaps,
     between,
     boundary_phantoms,
-    check_consistency,
     check_incremental_consistency,
     check_lipschitz,
     check_majoritarian_extents,
     check_stability,
     check_strict_responsiveness,
+    check_uncompromising,
     decode_endpoints,
-    extended_median,
     induce,
     is_symmetric,
     majoritarian_band,
     median_positions,
-    order_statistic,
     parse_profile,
     parse_result,
     rational_str,
@@ -91,10 +89,6 @@ CASES = {
         "refusing float 0.5: pass a string or Fraction for exact input",
     ),
     "domain-contains-closed-text": (lambda: UNIT.contains_closed("x"), "not a rational numeral: 'x'"),
-    "domain-reflect-float": (
-        lambda: UNIT.reflect(0.25),
-        "refusing float 0.25: pass a string or Fraction for exact input",
-    ),
     "endpoint-outside": (lambda: EndpointMultiset(UNIT, (F(2),)), "endpoint 2 outside [0, 1]"),
     "endpoints-unsorted": (
         lambda: EndpointMultiset(UNIT, (H, Q)),
@@ -102,11 +96,6 @@ CASES = {
     ),
     # rules
     "position-zero": (lambda: PositionVector((0, 1)), "positions are 1-based, got 0"),
-    "order-statistic-float": (
-        lambda: order_statistic([0.5], 1),
-        "refusing float 0.5: pass a string or Fraction for exact input",
-    ),
-    "extended-median-text": (lambda: extended_median(["x"], []), "not a rational numeral: 'x'"),
     "positions-descend": (
         lambda: PositionVector((2, 1)),
         "positions not nondecreasing: 2 > 1",
@@ -150,14 +139,6 @@ CASES = {
     ),
     "map-argument-text": (
         lambda: PiecewiseLinearMap.identity(UNIT)("x"),
-        "not a rational numeral: 'x'",
-    ),
-    "consistency-float": (
-        lambda: check_consistency([0.5]),
-        "refusing float 0.5: pass a string or Fraction for exact input",
-    ),
-    "consistency-strict-text": (
-        lambda: check_consistency(["x"], strict=True, domain=UNIT),
         "not a rational numeral: 'x'",
     ),
     "extents-text": (
@@ -335,8 +316,6 @@ CASES = {
     "dictator-not-integer": (lambda: DictatorRule(1.0), "not an integer: 1.0"),
     # a rank or count is read before any arithmetic: a float would index or
     # reach ``range``, a bool would pass as 0 or 1
-    "order-statistic-rank-float": (lambda: order_statistic([H], 1.0), "not an integer: 1.0"),
-    "order-statistic-rank-bool": (lambda: order_statistic([Q, H], True), "not an integer: True"),
     "median-positions-agents-text": (lambda: median_positions("3", 3), "not an integer: '3'"),
     "median-positions-agents-bool": (lambda: median_positions(True, 1), "not an integer: True"),
     "median-positions-agents-float": (lambda: median_positions(3.0, 3), "not an integer: 3.0"),
@@ -347,6 +326,10 @@ CASES = {
     ),
     "is-symmetric-agents-float": (lambda: is_symmetric((1, 2), 2.0), "not an integer: 2.0"),
     "majoritarian-band-float": (lambda: majoritarian_band(3.0), "not an integer: 3.0"),
+    "extent-search-agents-text": (
+        lambda: search_extent_violation((1, 2), "3", 4, 0),
+        "not an integer: '3'",
+    ),
     # an index is read before it indexes: a float would raise a raw TypeError,
     # a bool would pass as 0 or 1
     "bound-index-float": (lambda: HALF.bound(1.0), "not an integer: 1.0"),
@@ -363,6 +346,14 @@ CASES = {
     ),
     "majoritarian-extents-word-bool": (
         lambda: check_majoritarian_extents(MeanRule(), PROFILE, True, Q, H),
+        "not an integer: True",
+    ),
+    "uncompromising-boundary-float": (
+        lambda: check_uncompromising(MeanRule(), PROFILE, 1, HALF, 1.0),
+        "not an integer: 1.0",
+    ),
+    "uncompromising-boundary-bool": (
+        lambda: check_uncompromising(MeanRule(), PROFILE, 1, HALF, True),
         "not an integer: True",
     ),
 }
@@ -406,16 +397,11 @@ TAKES_RATIONALS = {
     "between": lambda q: between(q(10), q(9), q(8)),
     "Domain.contains": lambda q: UNIT.contains(q(H)),
     "Domain.contains_closed": lambda q: UNIT.contains_closed(q(1)),
-    "Domain.reflect": lambda q: UNIT.reflect(q(Q)),
-    "check_consistency": lambda q: check_consistency([q(10), q(9)]),
-    "check_consistency-strict": lambda q: check_consistency([q(Q), q(Q)], strict=True, domain=UNIT),
     "check_majoritarian_extents": lambda q: check_majoritarian_extents(
         PRule((2, 2)), THREE, 1, q(F(1, 3)), q(H)
     ),
     "majority_extent_agents": lambda q: majority_extent_agents(THREE, 1, q(F(1, 3)), q(H)),
     "PiecewiseLinearMap": lambda q: PiecewiseLinearMap.reversal(UNIT)(q(Q)),
-    "order_statistic": lambda q: order_statistic([q(10), q(9)], 1),
-    "extended_median": lambda q: extended_median([q(10), q(9)], [q(8)]),
 }
 
 

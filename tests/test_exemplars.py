@@ -91,7 +91,6 @@ class TestInduce:
         assert first.extents == ((F(0), A), None, (B, B), (C, F(1)))
         assert second.extents == (None, (A, B), (C, C), None)
         assert third.extents == ((F(0), A), None, (B, C), None)
-        assert second.known_words() == (1, 2)
 
     def test_word_counts(self, three_observers):
         induced = induce(three_observers[0], 3)

@@ -22,14 +22,14 @@ PUBLIC_NAMES = frozenset(
     PhantomMatrix PiecewiseLinearMap PositionVector Profile ResultDocument
     ShapeMismatch SinglePeakedPreference UncompromisingVerdict UnknownFixture
     VIOLATED Vocabulary VocaggError aggregate_gaps apply_rule as_rational
-    between boundary_phantoms build_result check_anonymity check_consistency
+    between boundary_phantoms build_result check_anonymity
     check_incremental_consistency check_lipschitz check_majoritarian_extents
     check_majoritarian_words check_separability_on_deviations check_stability
     check_strict_responsiveness check_unanimity check_uncompromising
     collective_incomplete decode_endpoints describe_rule
-    encode_vocabulary extended_median fixture_rule gaps_of induce
+    encode_vocabulary fixture_rule gaps_of induce
     is_symmetric jsonify load_json majoritarian_band median_positions
-    order_statistic parse_profile parse_result profile_between
+    parse_profile parse_result
     rational_str render_diagram report_to_json
     rule_from_descriptor run_axiom_battery search_extent_violation
     serialize_result sp_fuzz uncompromising_fuzz utility
@@ -40,7 +40,7 @@ SRC = Path(vocagg.__file__).parents[1]
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 80
+    assert len(PUBLIC_NAMES) == 76
     assert set(vocagg.__all__) == PUBLIC_NAMES
     assert len(vocagg.__all__) == len(PUBLIC_NAMES)
     assert PUBLIC_NAMES <= set(dir(vocagg))

@@ -25,10 +25,8 @@ from vocagg import (
     boundary_phantoms,
     check_separability_on_deviations,
     check_strict_responsiveness,
-    extended_median,
     is_symmetric,
     median_positions,
-    order_statistic,
     run_axiom_battery,
     sp_fuzz,
     uncompromising_fuzz,
@@ -50,23 +48,6 @@ def reference(values, ranks):
     """The selection every rule is defined by: sort the fractions, index."""
     ordered = sorted(values)
     return [ordered[k - 1] for k in ranks]
-
-
-class TestOrderStatistic:
-    def test_counts_multiplicity(self):
-        values = (F(4), F(6), F(4), F(5), F(6))
-        assert [order_statistic(values, k) for k in range(1, 6)] == [
-            F(4),
-            F(4),
-            F(5),
-            F(6),
-            F(6),
-        ]
-
-    @pytest.mark.parametrize("k", [0, 6])
-    def test_rank_out_of_range(self, k):
-        with pytest.raises(IndexOutOfRange):
-            order_statistic((F(1),) * 5, k)
 
 
 class TestPositionVector:
@@ -349,7 +330,8 @@ class TestSelectionMatchesSortedFractions:
     @given(values=heavy_duplicates(1, 40), data=st.data())
     def test_order_statistics(self, values, data):
         ranks = data.draw(st.lists(st.integers(1, len(values)), max_size=6))
-        assert [order_statistic(values, k) for k in ranks] == reference(values, ranks)
+        keys = list(map(order_key, values))
+        assert [select(values, keys, (k,))[0][0] for k in ranks] == reference(values, ranks)
 
     @given(profile=hard_profiles(), data=st.data())
     def test_p_rule_both_directions(self, profile, data):
@@ -496,19 +478,27 @@ class TestSelectMatchesTheIndexSort:
 
 
 class TestExtendedMedian:
+    @staticmethod
+    def on_column(rule, column):
+        """``rule`` on the one-boundary profile whose agents report ``column``."""
+        return rule(Profile.from_rows(UNIT, [(x,) for x in column])).values[0]
+
     def test_interior_phantom_can_absorb_a_shift(self):
-        q = (F(1, 2),)
-        assert extended_median((F(2, 10), F(7, 10)), q) == F(1, 2)
-        assert extended_median((F(3, 10), F(8, 10)), q) == F(1, 2)
+        rule = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(1, 2),),)))
+        assert self.on_column(rule, (F(2, 10), F(7, 10))) == F(1, 2)
+        assert self.on_column(rule, (F(3, 10), F(8, 10))) == F(1, 2)
 
     def test_phantom_count_must_be_n_minus_one(self):
-        with pytest.raises(ShapeMismatch):
-            extended_median((F(1, 2), F(1, 2)), (F(0), F(1)))
+        rule = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(0), F(1)),)))
+        with pytest.raises(ShapeMismatch, match="sized for n=3, profile has n=2"):
+            self.on_column(rule, (F(1, 2), F(1, 2)))
 
     def test_all_lower_phantoms_take_the_minimum(self):
         column = (F(1, 4), F(1, 2), F(3, 4))
-        assert extended_median(column, (F(0), F(0))) == F(1, 4)
-        assert extended_median(column, (F(1), F(1))) == F(3, 4)
+        lower = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(0), F(0)),)))
+        upper = ExtendedMedianRule(PhantomMatrix(UNIT, ((F(1), F(1)),)))
+        assert self.on_column(lower, column) == F(1, 4)
+        assert self.on_column(upper, column) == F(3, 4)
 
     def test_boundary_phantoms_replay_any_position_rule(self):
         lattice = [F(j, 4) for j in range(5)]
@@ -516,11 +506,10 @@ class TestExtendedMedian:
             (x, y, z) for x in lattice for y in lattice for z in lattice
         ]
         for p in (1, 2, 3):
-            matrix = boundary_phantoms(PositionVector((p,)), 3, UNIT)
+            positions = PositionVector((p,))
+            replay = ExtendedMedianRule(boundary_phantoms(positions, 3, UNIT))
             for column in columns:
-                assert extended_median(column, matrix.columns[0]) == order_statistic(
-                    column, p
-                )
+                assert self.on_column(replay, column) == self.on_column(PRule(positions), column)
 
     @given(
         column=st.lists(
@@ -531,10 +520,9 @@ class TestExtendedMedian:
         p=st.integers(1, 5),
     )
     def test_boundary_phantom_equivalence_property(self, column, p):
-        matrix = boundary_phantoms(PositionVector((p,)), 5, UNIT)
-        assert extended_median(tuple(column), matrix.columns[0]) == order_statistic(
-            column, p
-        )
+        positions = PositionVector((p,))
+        replay = ExtendedMedianRule(boundary_phantoms(positions, 5, UNIT))
+        assert self.on_column(replay, column) == self.on_column(PRule(positions), column)
 
     def test_apply_needs_the_phantoms_domain(self):
         profile = Profile.from_rows(THIRDS, [(F(1, 2),)] * 3)
