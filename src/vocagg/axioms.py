@@ -460,6 +460,7 @@ def majority_extent_agents(
     profile: Profile, word: int, a: Fraction, b: Fraction
 ) -> frozenset[int]:
     """Agents whose word ``word`` covers the whole interval (a, b)."""
+    word = as_integer(word)
     a, b = as_rational(a), as_rational(b)
     if not a < b:
         raise VocaggError(f"need a < b, got {shown(a)} >= {shown(b)}")

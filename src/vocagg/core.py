@@ -16,12 +16,13 @@ of each other) are compared as fractions; no float is involved anywhere.
 ``less`` decides one pair so, and ``select`` picks order statistics so,
 sorting exactly only the run of equal keys that holds a requested rank; on
 the keys of pairs' first components it ranks the pairs lexicographically.
-``distinct_sorted`` sorts and deduplicates (key, value) pairs so.
-``select`` hands each selected value back with its key.  The rules and the
-exemplar pipeline compare no keys themselves.  An ``EndpointMultiset``
-keeps the keys it computes while validating (its ``keys`` field, left out
-of ``==``, hashing and ``repr``), so the rules order its values without
-computing them again.  A ``Domain`` keeps its corners' keys the same way
+``select`` hands each selected value back with its key, and
+``select_columns``, its one-rank form over the columns of a profile, builds
+the report of the picks.  ``distinct_sorted`` sorts and deduplicates
+(key, value) pairs so.  The rules and the exemplar pipeline compare no keys
+themselves.  An ``EndpointMultiset`` keeps the keys it computes while
+validating (its ``keys`` field, left out of ``==``, hashing and ``repr``),
+so the rules order its values without computing them again.  A ``Domain`` keeps its corners' keys the same way
 for its membership tests (``contains``, ``contains_closed``,
 ``first_outside``), which, like ``first_descent`` and ``Vocabulary._check``,
 spell the decision out inline rather than call ``less`` per value.
@@ -36,7 +37,8 @@ builds from parts valid by construction (a rule's selected values with
 their keys, a sampled lattice row, a relabeled, perturbed, spliced, raised
 or resampled row, the report ``encode_vocabulary`` builds from a validated
 tiling) and the vocabulary ``decode_endpoints`` reads off a report go
-through ``_from_valid`` alone.  A document's endpoint row and extent agent,
+through ``_from_valid`` alone, or through its three assignments inline
+(``sampling.lattice_rows``).  A document's endpoint row and extent agent,
 which arrive with the order keys of their values, go through
 ``_from_valid(...)._check()``: the constructors' refusals, in the same
 words, without keying a value again.  ``Profile._from_valid`` builds a
@@ -300,7 +302,8 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
 
     One rank sorts the keys themselves, with no key function.  A key held
     once names its value by ``keys.index``; a tied run is gathered in index
-    order by ``compress``, as a stable sort of the indices would give it.
+    order by ``compress``, as a stable sort of the indices would give it
+    (``_in_run``).  ``select_columns`` takes this path once per column.
     Several ranks (the pooled multiset asks one per boundary) sort the
     indices by key once and cut every run from that order, since a
     ``keys.index`` or ``compress`` pass per rank would read all the keys
@@ -313,10 +316,7 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
         lo = bisect_left(sorted_keys, key, 0, k - 1)
         if bisect_right(sorted_keys, key, k) - lo == 1:
             return [(values[keys.index(key)], key)]
-        run = list(compress(values, map(key.__eq__, keys)))
-        if run.count(run[0]) != len(run):
-            run.sort()
-        return [(run[k - 1 - lo], key)]
+        return [(_in_run(values, keys, key, k - 1 - lo), key)]
     order = sorted(range(len(values)), key=keys.__getitem__)
     sorted_keys = [keys[i] for i in order]
     out = []
@@ -334,6 +334,47 @@ def select(values: Sequence, keys: Sequence[int], ranks: Sequence[int]) -> list[
                 run.sort()
             out.append((run[k - 1 - lo], key))
     return out
+
+
+def _in_run(values: Sequence, keys: Sequence[int], key: int, i: int):
+    """The i-th smallest of the values whose key is ``key``, gathered in index
+    order by ``compress``, as a stable sort of the indices would give them."""
+    run = list(compress(values, map(key.__eq__, keys)))
+    # ``count`` tests identity before equality: a run of one object or of
+    # equal values is already sorted
+    if run.count(run[0]) != len(run):
+        run.sort()
+    return run[i]
+
+
+def select_columns(
+    domain: Domain,
+    columns: Iterable[Sequence[Fraction]],
+    key_columns: Iterable[Sequence[int]],
+    ranks: Iterable[int],
+) -> EndpointMultiset:
+    """The report whose j-th value is ``select(column, keys, (k,))`` for the
+    j-th of ``columns``, ``key_columns`` and ``ranks``, with its key, born
+    valid: ``select`` with one rank, once per column, in one pass.
+
+    Each column's keys are sorted once.  A key held once at rank k names its
+    value by ``keys.index``; a tied run goes through ``select``'s own
+    one-rank run (``_in_run``), so every tie is settled in one place.  The
+    caller guarantees what ``EndpointMultiset._from_valid`` asks: the picks
+    never decrease from one column to the next and lie in the closure of
+    ``domain``, as ranks that never fall do on the columns of sorted rows.
+    """
+    values, keys = [], []
+    for column, column_keys, k in zip(columns, key_columns, ranks):
+        sorted_keys = sorted(column_keys)
+        key = sorted_keys[k - 1]
+        if column_keys.count(key) == 1:
+            values.append(column[column_keys.index(key)])
+        else:
+            lo = bisect_left(sorted_keys, key, 0, k - 1)
+            values.append(_in_run(column, column_keys, key, k - 1 - lo))
+        keys.append(key)
+    return EndpointMultiset._from_valid(domain, tuple(values), tuple(keys))
 
 
 def distinct_sorted(pairs: Iterable[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:

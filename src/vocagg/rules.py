@@ -13,20 +13,25 @@ Each rule is a frozen dataclass (see ``Rule``): calling it on a profile
 evaluates it, ``describe`` gives its JSON descriptor, and ``default_shape``
 gives the shape the randomized checkers sample it on.
 
-Every selection goes through ``core.select``, which orders exactly as
-``core`` describes.  The rules pass it the keys that each
-``EndpointMultiset`` and ``PhantomMatrix`` kept from validation, so no key
-is computed twice.  The results are exactly those of sorting the fractions.
+Every selection is made in ``core``, which orders exactly as it
+describes: ``PRule`` and ``ExtendedMedianRule`` pass their columns to
+``core.select_columns``, one rank per column in one pass, and
+``MultisetRule`` passes its pooled reports to ``core.select`` with one rank
+per boundary.  The extended median pools each column with its phantoms
+before the call.  The rules pass the keys that each ``EndpointMultiset``
+and ``PhantomMatrix`` kept from validation, so no key is computed twice.
+The results are exactly those of sorting the fractions.
 
 ``PRule``, ``ExtendedMedianRule``, ``MultisetRule`` and ``MeanRule`` build
-their outputs born valid, through ``EndpointMultiset._from_valid``, the one
+their outputs born valid, through ``EndpointMultiset._from_valid``, the
 unchecked builder, which takes every stored field and checks nothing: the
-values and keys that ``select`` hands back (the mean keys its own values).
-Nothing can fail there: rows and phantom columns are nondecreasing, so a
-rank that never falls with k, or a column mean, never decreases, and every
-output is a report, a phantom or a mean of reports.  The fixtures, and rules
-written outside this module, use the validating constructor, which coerces
-and keys the values and checks them by ``_check()``.
+values and keys that ``select_columns`` builds the report from, or that
+``select`` hands back (the mean keys its own values).  Nothing can fail
+there: rows and phantom columns are nondecreasing, so a rank that never
+falls with k, or a column mean, never decreases, and every output is a
+report, a phantom or a mean of reports.  The fixtures, and rules written
+outside this module, use the validating constructor, which coerces and keys
+the values and checks them by ``_check()``.
 
 The mean sums each column as integers: numerators are added per
 denominator, the groups are added pairwise in a product tree without any
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import ClassVar, Sequence
 
 from .core import (
@@ -51,6 +57,7 @@ from .core import (
     order_key,
     rational_str,
     select,
+    select_columns,
     shown,
 )
 from .errors import (
@@ -67,14 +74,7 @@ from .errors import (
 def _columns(profile: Profile) -> tuple[zip, zip]:
     """The profile's columns and their kept order keys, as two tuple iterators."""
     rows = profile.rows
-    return zip(*(row.values for row in rows)), zip(*(row.keys for row in rows))
-
-
-def _collective(domain: Domain, picked: Sequence[tuple[Fraction, int]]) -> EndpointMultiset:
-    """The report of ``picked``, one (value, key) pair per column, born valid
-    (see the module docstring)."""
-    values, keys = zip(*picked) if picked else ((), ())
-    return EndpointMultiset._from_valid(domain, values, keys)
+    return zip(*[row.values for row in rows]), zip(*[row.keys for row in rows])
 
 
 @dataclass(frozen=True)
@@ -283,11 +283,7 @@ class PRule(Rule):
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
         self.positions.check_profile(profile)
-        picked = [
-            select(column, keys, (p,))[0]
-            for column, keys, p in zip(*_columns(profile), self.positions.positions)
-        ]
-        return _collective(profile.domain, picked)
+        return select_columns(profile.domain, *_columns(profile), self.positions.positions)
 
     def describe(self) -> dict:
         return {"kind": "p-rule", "positions": list(self.positions.positions)}
@@ -304,14 +300,14 @@ class ExtendedMedianRule(Rule):
     phantoms: PhantomMatrix
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
-        columns = self.phantom_columns(profile.n, profile.m, profile.domain)
-        picked = [
-            select(column + phantom, keys + phantom_keys, (profile.n,))[0]
-            for column, keys, phantom, phantom_keys in zip(
-                *_columns(profile), columns, self.phantoms.keys
-            )
-        ]
-        return _collective(profile.domain, picked)
+        phantoms = self.phantom_columns(profile.n, profile.m, profile.domain)
+        columns, keys = _columns(profile)
+        return select_columns(
+            profile.domain,
+            map(tuple.__add__, columns, phantoms),
+            map(tuple.__add__, keys, self.phantoms.keys),
+            repeat(profile.n),
+        )
 
     def describe(self) -> dict:
         return {
@@ -330,7 +326,7 @@ class ExtendedMedianRule(Rule):
             raise ShapeMismatch(f"phantom matrix with {phantoms.m} columns for m={m}")
         if phantoms.n != n:
             raise ShapeMismatch(f"phantom matrix sized for n={phantoms.n}, profile has n={n}")
-        if phantoms.domain != domain:
+        if phantoms.domain is not domain and phantoms.domain != domain:
             raise DomainMismatch("phantom matrix over a different domain")
         return phantoms.columns
 
@@ -341,7 +337,7 @@ class MeanRule(Rule):
 
     def __call__(self, profile: Profile) -> EndpointMultiset:
         n = profile.n
-        values = tuple(_mean(column, n) for column in _columns(profile)[0])
+        values = tuple([_mean(column, n) for column in zip(*[row.values for row in profile.rows])])
         return EndpointMultiset._from_valid(profile.domain, values, tuple(map(order_key, values)))
 
     def describe(self) -> dict:
@@ -379,7 +375,9 @@ class MultisetRule(Rule):
         pooled = [v for row in profile.rows for v in row.values]
         keys = [key for row in profile.rows for key in row.keys]
         ranks = [(k - 1) * n + (n + 1) // 2 for k in range(1, profile.m + 1)]
-        return _collective(profile.domain, select(pooled, keys, ranks))
+        picked = select(pooled, keys, ranks)
+        values, keys = zip(*picked) if picked else ((), ())
+        return EndpointMultiset._from_valid(profile.domain, values, keys)
 
     def describe(self) -> dict:
         return {"kind": "multiset"}

@@ -14,10 +14,11 @@ picks)`` is the one place an index j becomes a value, the point
 lower + (upper - lower) * j / N, exact and never a float.  It reads each
 point and its ``order_key`` from one bounded ``lru_cache`` table per
 (lower, upper, N), or, for a lattice finer than ``_MAX_TABLED`` = 512
-steps, builds only the drawn points, and returns reports born valid through
-``EndpointMultiset._from_valid``, the one unchecked builder, given the values
-and their keys and checking nothing.  Sorting the indices sorts the values,
-so a row holds the values of sorting one ``Fraction`` per draw.
+steps, builds only the drawn points, and returns reports born valid: each
+is built as ``EndpointMultiset._from_valid`` builds it, inline, from the
+values and keys read off the table by ``map``, checking nothing.  Sorting
+the indices sorts the values, so a row holds the values of sorting one
+``Fraction`` per draw.
 
 Integer draws go through ``_draws(rng, lo, hi, count)``, which returns
 exactly ``[rng.randint(lo, hi) for _ in range(count)]`` and leaves ``rng``
@@ -295,7 +296,11 @@ def lattice_rows(
     domain: Domain, denominator: int, picks: list[list[int]]
 ) -> tuple[EndpointMultiset, ...]:
     """One report per sorted index list in ``picks``: lattice point j of the
-    closed domain for each index j, born valid with the table's keys."""
+    closed domain for each index j, born valid with the table's keys.
+
+    Each report is ``EndpointMultiset._from_valid(domain, values, keys)``,
+    built inline: the rows of a sampled profile are the checkers' most
+    frequent object."""
     lower, upper = domain.lower, domain.upper
     if denominator <= _MAX_TABLED:
         points, keys = _lattice_table(
@@ -305,12 +310,16 @@ def lattice_rows(
         drawn = list({j for row in picks for j in row})
         points = dict(zip(drawn, _lattice_points(lower, upper, denominator, drawn)))
         keys = {j: order_key(q) for j, q in points.items()}
-    return tuple(
-        EndpointMultiset._from_valid(
-            domain, tuple([points[j] for j in row]), tuple([keys[j] for j in row])
-        )
-        for row in picks
-    )
+    point, key = points.__getitem__, keys.__getitem__
+    new, assign = object.__new__, object.__setattr__
+    rows = []
+    for row in picks:
+        born = new(EndpointMultiset)
+        assign(born, "domain", domain)
+        assign(born, "values", tuple(map(point, row)))
+        assign(born, "keys", tuple(map(key, row)))
+        rows.append(born)
+    return tuple(rows)
 
 
 def random_profile(

@@ -217,10 +217,14 @@ def sp_fuzz(
         peak = sincere.values
         if rng.random() < 1 / 2:
             pool = _targeted_values(rule, profile)
-            values = list(peak)
-            values[_draw(rng, 1, m) - 1] = pool[_draw(rng, 0, len(pool) - 1)]
+            target = pool[_draw(rng, 0, len(pool) - 1)]  # drawn before the column it replaces
+            pairs = list(zip(sincere.keys, peak))
+            pairs[_draw(rng, 1, m) - 1] = (order_key(target), target)
+            pairs.sort()  # on keys, and on values only where keys tie (``distinct_sorted``)
             # checked: a phantom outside the domain, from a rule's own hook, is refused as a report
-            misreport = EndpointMultiset(domain, tuple(sorted(values)))
+            misreport = EndpointMultiset._from_valid(
+                domain, tuple([q for _, q in pairs]), tuple([key for key, _ in pairs])
+            )._check()
         else:
             picks = random_picks(rng, 1, m, deviation_grid, ends=True)
             (misreport,) = lattice_rows(domain, deviation_grid, picks)

@@ -356,6 +356,19 @@ CASES = {
         lambda: check_uncompromising(MeanRule(), PROFILE, 1, HALF, True),
         "not an integer: True",
     ),
+    # read before it is compared: a text word would raise a raw TypeError
+    "extent-agents-word-text": (
+        lambda: majority_extent_agents(PROFILE, "1", Q, H),
+        "not an integer: '1'",
+    ),
+    "extent-agents-word-float": (
+        lambda: majority_extent_agents(PROFILE, 1.0, Q, H),
+        "not an integer: 1.0",
+    ),
+    "extent-agents-word-bool": (
+        lambda: majority_extent_agents(PROFILE, True, Q, H),
+        "not an integer: True",
+    ),
 }
 
 

@@ -35,7 +35,7 @@ from vocagg.core import order_key, select
 from vocagg.exemplars import GAP_ORDERS
 from vocagg.rules import apply_p_rule_reversed
 from vocagg.sampling import (
-    _draw, _draws, _lattice_points, first_hit, lattice_rows, random_picks, random_profile, random_weights, refine, spawn,
+    _draw, _draws, _lattice_points, _lattice_table, first_hit, lattice_rows, random_picks, random_profile, random_weights, refine, spawn,
     strict_picks,
 )
 
@@ -721,6 +721,158 @@ class TestBornValid:
                 assert_born_valid(row)
             columns.add(k)
         assert columns == set(range(1, m + 1))
+
+
+def reference_rule(rule, profile):
+    """``PRule`` and ``ExtendedMedianRule`` as they were before ``select_columns``,
+    kept verbatim: one ``select`` call per column, whose (value, key) pairs
+    ``_collective`` unzips."""
+
+    def _columns(profile):
+        rows = profile.rows
+        return zip(*(row.values for row in rows)), zip(*(row.keys for row in rows))
+
+    def _collective(domain, picked):
+        values, keys = zip(*picked) if picked else ((), ())
+        return EndpointMultiset._from_valid(domain, values, keys)
+
+    if isinstance(rule, PRule):
+        rule.positions.check_profile(profile)
+        picked = [
+            select(column, keys, (p,))[0]
+            for column, keys, p in zip(*_columns(profile), rule.positions.positions)
+        ]
+        return _collective(profile.domain, picked)
+    columns = rule.phantom_columns(profile.n, profile.m, profile.domain)
+    picked = [
+        select(column + phantom, keys + phantom_keys, (profile.n,))[0]
+        for column, keys, phantom, phantom_keys in zip(
+            *_columns(profile), columns, rule.phantoms.keys
+        )
+    ]
+    return _collective(profile.domain, picked)
+
+
+def reference_lattice_rows(domain, denominator, picks):
+    """``lattice_rows`` as it was before it built its rows inline, kept verbatim."""
+    lower, upper = domain.lower, domain.upper
+    if denominator <= 512:
+        points, keys = _lattice_table(
+            lower.numerator, lower.denominator, upper.numerator, upper.denominator, denominator
+        )
+    else:
+        drawn = list({j for row in picks for j in row})
+        points = dict(zip(drawn, _lattice_points(lower, upper, denominator, drawn)))
+        keys = {j: order_key(q) for j, q in points.items()}
+    return tuple(
+        EndpointMultiset._from_valid(
+            domain, tuple([points[j] for j in row]), tuple([keys[j] for j in row])
+        )
+        for row in picks
+    )
+
+
+@st.composite
+def repeated_profiles(draw):
+    """Profiles over ``repeated_values``: runs of one object and runs of
+    distinct but equal objects, kept as they are by ``Profile.from_rows``."""
+    values = draw(repeated_values())
+    n = draw(st.integers(1, min(7, len(values))))
+    m = min(4, len(values) // n)
+    return Profile.from_rows(WIDE, [sorted(values[i * m : (i + 1) * m]) for i in range(n)])
+
+
+@st.composite
+def one_key_profiles(draw):
+    """Profiles whose column k holds base_k + j * 2**-80 for small j: one
+    order key per column, distinct values, so every pick rests on the exact
+    tie-break."""
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    bases = [F(3 * k - 1, 3 * m + 3) for k in range(1, m + 1)]
+    columns = [
+        sorted(base + j * TINY for j in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        for base in bases
+    ]
+    return Profile.from_rows(UNIT, zip(*columns))
+
+
+class TestColumnKernelMatchesSelect:
+    """``PRule`` and ``ExtendedMedianRule`` hand back, through
+    ``core.select_columns``, the very objects and keys that one ``select``
+    call per column does (``reference_rule``); ``lattice_rows`` builds what
+    ``_from_valid`` did (``reference_lattice_rows``)."""
+
+    @staticmethod
+    def assert_same_report(got, expected):
+        assert got.domain is expected.domain
+        assert type(got.values) is tuple and type(got.keys) is tuple
+        assert got.values == expected.values and got.keys == expected.keys
+        assert all(g is e for g, e in zip(got.values, expected.values))
+
+    def assert_rules_match(self, profile, data, phantom_pool=None):
+        n, m = profile.n, profile.m
+        ranks = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
+        rules = [PRule(PositionVector(ranks)), ExtendedMedianRule(boundary_phantoms(ranks, n, profile.domain))]
+        if phantom_pool is not None:
+            rows = [sorted(data.draw(phantom_pool(m))) for _ in range(n - 1)]
+            columns = tuple(tuple(sorted(column)) for column in zip(*rows)) or ((),) * m
+            rules.append(ExtendedMedianRule(PhantomMatrix(profile.domain, columns)))
+        for rule in rules:
+            self.assert_same_report(rule(profile), reference_rule(rule, profile))
+
+    @given(profile=hard_profiles(), data=st.data())
+    def test_hard_profiles(self, profile, data):
+        self.assert_rules_match(profile, data, lambda m: heavy_duplicates(m, m))
+
+    @given(profile=repeated_profiles(), data=st.data())
+    def test_repeated_values(self, profile, data):
+        pool = [v for row in profile.values() for v in row]
+        self.assert_rules_match(
+            profile, data, lambda m: st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+        )
+
+    @given(profile=one_key_profiles(), data=st.data())
+    def test_columns_of_one_order_key(self, profile, data):
+        assert len({order_key(v) for v in profile.column(1)}) == 1
+        m = profile.m
+        bases = [F(3 * k - 1, 3 * m + 3) for k in range(1, m + 1)]
+        self.assert_rules_match(
+            profile,
+            data,
+            lambda _: st.tuples(*(st.integers(-4, 4).map(lambda j, b=b: b + j * TINY) for b in bases)),
+        )
+
+    @given(case=born_valid_profiles(), data=st.data())
+    def test_corner_phantoms(self, case, data):
+        # reports drawn from a pool that holds the domain's own corner objects,
+        # so corner phantoms tie with reports at the corners
+        profile, pool = case
+        self.assert_rules_match(
+            profile, data, lambda m: st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+        )
+        n, m = profile.n, profile.m
+        ranks = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))))
+        corners = ExtendedMedianRule(boundary_phantoms(ranks, n, profile.domain))(profile)
+        assert corners == PRule(ranks)(profile) and corners.keys == PRule(ranks)(profile).keys
+
+    @pytest.mark.parametrize("denominator", [2, 16, 97, 512, 513, 1000])
+    @pytest.mark.parametrize("domain", BORN_DOMAINS, ids=["unit", "hundred", "signed", "thirds"])
+    def test_lattice_rows(self, domain, denominator):
+        lower, span = domain.lower, domain.upper - domain.lower
+        for seed in range(10):
+            picks = random_picks(random.Random(seed), 4, seed % 4, denominator, ends=seed % 2 == 1)
+            rows = lattice_rows(domain, denominator, picks)
+            expected = reference_lattice_rows(domain, denominator, picks)
+            assert type(rows) is tuple and len(rows) == len(picks)
+            for row, old, row_picks in zip(rows, expected, picks):
+                assert type(row) is EndpointMultiset and vars(row) == vars(old)
+                built = EndpointMultiset(domain, tuple(lower + span * F(j, denominator) for j in row_picks))
+                assert row == built and row.keys == built.keys
+                if denominator <= 512:  # one table: the very objects
+                    self.assert_same_report(row, old)
+                else:
+                    assert row.domain is domain and row.values == old.values and row.keys == old.keys
 
 
 class TestDrawLoop:
